@@ -28,7 +28,15 @@ from .exponent import (
     check_lh_equivalences,
     fractional_conjugate,
 )
-from .lattice import Sequence, ZInterval, cardinality, dilate, runs_intersect, truncate
+from .lattice import (
+    Sequence,
+    ZInterval,
+    cardinality,
+    dilate,
+    runs_from_mask,
+    runs_intersect,
+    truncate,
+)
 from .maximal import MaximalEvaluator
 from .norm import (
     characteristic_norm,
@@ -477,16 +485,6 @@ def _check_fatou(spec, alphas, t, threads) -> VerificationReport:
     return VerificationReport("fatou", len(corpus), failures, worst, None)
 
 
-def _mask_runs(mask: np.ndarray, lo: int) -> list[ZInterval]:
-    idx = np.flatnonzero(mask)
-    if idx.size == 0:
-        return []
-    breaks = np.flatnonzero(np.diff(idx) > 1)
-    starts = np.concatenate([[0], breaks + 1])
-    ends = np.concatenate([breaks, [idx.size - 1]])
-    return [ZInterval(int(idx[s]) + lo, int(idx[e]) + lo) for s, e in zip(starts, ends)]
-
-
 def _check_maximal_consistency(spec, alphas, t, threads) -> VerificationReport:
     corpus = generate_corpus(spec)
 
@@ -504,7 +502,7 @@ def _check_maximal_consistency(spec, alphas, t, threads) -> VerificationReport:
                 if prof[n - win.lo] != ev.point(n):
                     return False
             s = ev.max_value() / 7.0
-            if runs_intersect(ev.superlevel(s), [win]) != _mask_runs(prof > s, win.lo):
+            if runs_intersect(ev.superlevel(s), [win]) != runs_from_mask(prof > s, win.lo):
                 return False
         return True
 

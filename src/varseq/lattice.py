@@ -22,6 +22,7 @@ __all__ = [
     "dyadic_block",
     "interval_sum",
     "truncate",
+    "runs_from_mask",
     "runs_normalize",
     "runs_union",
     "runs_intersect",
@@ -215,6 +216,17 @@ def truncate(a: Sequence, interval: ZInterval) -> Sequence:
     if lo > hi:
         return Sequence(0, np.zeros(0))
     return Sequence(lo, a.values[lo - a.offset : hi - a.offset + 1])
+
+
+def runs_from_mask(mask: np.ndarray, lo: int) -> list[ZInterval]:
+    """Runs of the True entries of a boolean mask whose entry 0 is point lo."""
+    idx = np.flatnonzero(mask)
+    if idx.size == 0:
+        return []
+    breaks = np.flatnonzero(np.diff(idx) > 1)
+    starts = np.concatenate([[0], breaks + 1])
+    ends = np.concatenate([breaks, [idx.size - 1]])
+    return [ZInterval(int(idx[s]) + lo, int(idx[e]) + lo) for s, e in zip(starts, ends)]
 
 
 def runs_normalize(intervals: Iterable[ZInterval]) -> list[ZInterval]:

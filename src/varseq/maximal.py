@@ -2,20 +2,32 @@
 
 M_alpha a(n) = sup over intervals I containing n of |I|^(alpha-1) sum_I |a|.
 The sup is attained on intervals with endpoints in the support hull, so the
-profile over the hull is a finite max (computed by two cumulative-max sweeps)
-and values outside the hull decay strictly, which lets superlevel sets be
-returned as interval runs without enumerating large radii.
+profile over the hull is a finite max (computed by two cumulative-max sweeps).
+
+Outside the hull, at distance d >= 1 from its near end, the candidates are
+the intervals from n to each hull index j (counted from that end):
+f_j(d) = (d + j + 1)^(alpha-1) * S[j], with S the nondecreasing partial sums
+from the near end. For j < k the ratio f_k / f_j grows with d, so two
+candidates cross at most once and the best j moves monotonically away from
+the near end as d grows: the upper envelope has at most W pieces. The
+envelope evaluator takes the distances in ascending order, scores the two
+ends of a segment against all candidates, fills the segment from one
+candidate when the ends agree, and otherwise scores the midpoint against
+only the candidates between the ends' best indices and splits there.
+Candidates within a 2^-40 factor of a row's max count as best, so rounding
+near a crossing never drops the winner, and every value is the same float
+product a dense points x W max would take. Values outside the hull decay
+strictly, which lets superlevel sets be returned as interval runs without
+enumerating large radii.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .lattice import Sequence, ZInterval, runs_normalize
+from .lattice import Sequence, ZInterval, runs_from_mask, runs_normalize
 
 __all__ = [
     "MaximalProfile",
@@ -27,21 +39,25 @@ __all__ = [
 ]
 
 RADIUS_LIMIT = 2**52
-_WEIGHT_TABLE_LIMIT = 2**20
-
-
-@lru_cache(maxsize=16)
-def _weights_cached(max_len: int, alpha: float) -> np.ndarray:
-    w = np.power(np.arange(1, max_len + 1, dtype=np.float64), alpha - 1.0)
-    w.flags.writeable = False
-    return w
+# A candidate within this factor of a row's max counts as tied for the max.
+# The margin is far wider than the rounding of one power and one product, so
+# a candidate left out of a segment's range is strictly below its max.
+_NEAR_MAX = 1.0 - 2.0**-40
 
 
 def alpha_weights(max_len: int, alpha: float) -> np.ndarray:
     """Read-only table of |I|^(alpha-1) for lengths 1..max_len."""
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    return _weights_cached(int(max_len), float(alpha))
+    w = np.power(np.arange(1, int(max_len) + 1, dtype=np.float64), float(alpha) - 1.0)
+    w.flags.writeable = False
+    return w
+
+
+def _scores(d: int, S: np.ndarray, lo: int, hi: int, beta: float) -> np.ndarray:
+    """(d + j + 1)^beta * S[j] for the candidates j in [lo, hi] at distance d."""
+    lengths = np.arange(d + lo + 1, d + hi + 2).astype(np.float64)
+    return np.power(lengths, beta) * S[lo : hi + 1]
 
 
 def _validate_alpha(alpha: float) -> float:
@@ -83,6 +99,10 @@ class MaximalEvaluator:
         else:
             self._vals = a.values[hull.lo - a.offset : hull.hi - a.offset + 1]
             self._P = np.concatenate([[0.0], np.cumsum(self._vals)])
+        W = self._vals.size
+        # partial sums from the near end of the hull, per side
+        self._S_left = self._P[1:]
+        self._S_right = (self._P[-1] - self._P[:W])[::-1].copy()
         self._hull_profile: np.ndarray | None = None
 
     @property
@@ -108,46 +128,54 @@ class MaximalEvaluator:
             return 0.0
         return float(self._profile_on_hull().max())
 
-    def _eval_side(self, ns: np.ndarray) -> np.ndarray:
-        """M_alpha at points strictly outside the hull (either side)."""
-        hull = self.hull
-        W = self._vals.size
-        out = np.empty(ns.size)
-        if ns.size == 0:
-            return out
-        x = np.arange(W) + hull.lo
-        left = ns < hull.lo
-        for mask, sums in (
-            (left, self._P[1:]),
-            (~left, self._P[-1] - self._P[:W]),
-        ):
-            pts = ns[mask]
-            if pts.size == 0:
+    def _envelope(self, ds: np.ndarray, S: np.ndarray) -> np.ndarray:
+        """max_j (d + j + 1)^(alpha-1) * S[j] for ascending distances ds >= 1.
+
+        A segment of ds carries the first near-best candidate at its left end
+        and the last one at its right end; by the monotone argmax, no other
+        candidate can win strictly inside it. Segments are split at the
+        midpoint (explicit stack) until their two candidates agree.
+        """
+        beta = self.alpha - 1.0
+        vals = np.empty(ds.size)
+
+        def score(i: int, lo: int, hi: int) -> tuple[int, int]:
+            row = _scores(int(ds[i]), S, lo, hi, beta)
+            best = row.max()
+            vals[i] = best
+            near = np.flatnonzero(row >= best * _NEAR_MAX)
+            return lo + int(near[0]), lo + int(near[-1])
+
+        last = ds.size - 1
+        first_lo, hi = score(0, 0, S.size - 1)
+        if last > 0:
+            _, hi = score(last, 0, S.size - 1)
+        stack = [(0, last, first_lo, hi)]
+        while stack:
+            i, k, lo, hi = stack.pop()
+            if k - i < 2:
                 continue
-            chunk = max(1, 4_000_000 // W)
-            res = np.empty(pts.size)
-            for i in range(0, pts.size, chunk):
-                sub = pts[i : i + chunk]
-                lengths = (
-                    x[None, :] - sub[:, None] + 1
-                    if sub[0] < hull.lo
-                    else sub[:, None] - x[None, :] + 1
-                )
-                max_len = int(lengths.max())
-                if max_len <= _WEIGHT_TABLE_LIMIT:
-                    w = alpha_weights(max_len, self.alpha)[lengths - 1]
-                else:
-                    w = np.power(lengths.astype(np.float64), self.alpha - 1.0)
-                res[i : i + chunk] = (w * sums[None, :]).max(axis=1)
-            out[mask] = res
-        return out
+            if lo == hi:
+                lengths = (ds[i + 1 : k] + (lo + 1)).astype(np.float64)
+                vals[i + 1 : k] = np.power(lengths, beta) * S[lo]
+                continue
+            m = (i + k) // 2
+            lo_m, hi_m = score(m, lo, hi)
+            stack.append((i, m, lo, hi_m))
+            stack.append((m, k, lo_m, hi))
+        return vals
 
     def point(self, n: int) -> float:
-        if self.hull is None:
+        hull = self.hull
+        if hull is None:
             return 0.0
-        if self.hull.contains(n):
-            return float(self._profile_on_hull()[n - self.hull.lo])
-        return float(self._eval_side(np.array([n]))[0])
+        if hull.contains(n):
+            return float(self._profile_on_hull()[n - hull.lo])
+        if n < hull.lo:
+            d, S = hull.lo - n, self._S_left
+        else:
+            d, S = n - hull.hi, self._S_right
+        return float(_scores(d, S, 0, S.size - 1, self.alpha - 1.0).max())
 
     def profile(self, window: ZInterval) -> np.ndarray:
         out = np.zeros(window.hi - window.lo + 1)
@@ -159,8 +187,12 @@ class MaximalEvaluator:
         if inside.any():
             hp = self._profile_on_hull()
             out[inside] = hp[ns[inside] - hull.lo]
-        if (~inside).any():
-            out[~inside] = self._eval_side(ns[~inside])
+        left = ns < hull.lo
+        if left.any():
+            out[left] = self._envelope(hull.lo - ns[left][::-1], self._S_left)[::-1]
+        right = ns > hull.hi
+        if right.any():
+            out[right] = self._envelope(ns[right] - hull.hi, self._S_right)
         return out
 
     def _boundary(self, s: float, right: bool) -> int:
@@ -218,17 +250,7 @@ class MaximalEvaluator:
         if hull is None:
             return []
         hp = self._profile_on_hull()
-        mask = hp > s
-        runs: list[ZInterval] = []
-        idx = np.flatnonzero(mask)
-        if idx.size:
-            breaks = np.flatnonzero(np.diff(idx) > 1)
-            starts = np.concatenate([[0], breaks + 1])
-            ends = np.concatenate([breaks, [idx.size - 1]])
-            runs = [
-                ZInterval(int(idx[s0]) + hull.lo, int(idx[e0]) + hull.lo)
-                for s0, e0 in zip(starts, ends)
-            ]
+        runs = runs_from_mask(hp > s, hull.lo)
         left_probe = hull.lo - 1 if within is None else max(within.lo, hull.lo - 1)
         right_probe = hull.hi + 1 if within is None else min(within.hi, hull.hi + 1)
         if left_probe < hull.lo and self.point(left_probe) > s:

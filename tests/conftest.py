@@ -1,8 +1,11 @@
 """Shared oracles for the test suite.
 
-The maximal-operator oracle deliberately shares the library's weight table
-and prefix-sum arrays (same float formula) while enumerating candidate
-intervals by brute force per point, so agreement is exact, not approximate.
+The maximal-operator oracle evaluates the library's float formula
+|I|^(alpha-1) * sum_I |a| (a power of the float length times a prefix-sum
+difference) on every candidate interval of every point, so agreement with
+the library's faster evaluators is exact, not approximate. Outside the hull
+it is a dense points x W evaluation, the reference for the library's
+envelope evaluator.
 """
 
 from __future__ import annotations
@@ -30,12 +33,18 @@ def rectangle_values(a: Sequence, alpha: float) -> tuple[ZInterval, np.ndarray]:
     return hull, V
 
 
+# Exterior lengths up to this read the weight table; longer ones call
+# np.power directly, which bounds the table's size.
+DENSE_TABLE_LIMIT = 2**20
+
+
 def brute_force_profile(a: Sequence, alpha: float, window: ZInterval) -> np.ndarray:
     """Per-point rectangle maximum of the candidate-interval values.
 
     Inside the hull: max over the explicit V[lo<=n, hi>=n] rectangle.
-    Outside: intervals from the point to each hull index, weights looked up
-    in the shared table exactly as the library's side evaluation does.
+    Outside: the max over all W intervals from the point to a hull index,
+    with weights from a table of every length up to the farthest one (or
+    direct powers beyond DENSE_TABLE_LIMIT).
     """
     hull, V = rectangle_values(a, alpha)
     vals = a.values[hull.lo - a.offset : hull.hi - a.offset + 1]
@@ -47,14 +56,17 @@ def brute_force_profile(a: Sequence, alpha: float, window: ZInterval) -> np.ndar
         if hull.contains(n):
             k = n - hull.lo
             out[i] = V[: k + 1, k:].max()
-        elif n < hull.lo:
-            lengths = x - n + 1
-            w = alpha_weights(int(lengths.max()), alpha)[lengths - 1]
-            out[i] = (w * P[1:]).max()
+            continue
+        if n < hull.lo:
+            lengths, sums = x - n + 1, P[1:]
         else:
-            lengths = n - x + 1
-            w = alpha_weights(int(lengths.max()), alpha)[lengths - 1]
-            out[i] = (w * (P[-1] - P[:W])).max()
+            lengths, sums = n - x + 1, P[-1] - P[:W]
+        max_len = int(lengths.max())
+        if max_len <= DENSE_TABLE_LIMIT:
+            w = alpha_weights(max_len, alpha)[lengths - 1]
+        else:
+            w = np.power(lengths.astype(np.float64), alpha - 1.0)
+        out[i] = (w * sums).max()
     return out
 
 

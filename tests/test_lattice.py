@@ -15,6 +15,7 @@ from varseq.lattice import (
     interval_sum,
     runs_count,
     runs_equal,
+    runs_from_mask,
     runs_intersect,
     runs_normalize,
     runs_subtract,
@@ -150,6 +151,19 @@ def test_runs_algebra_against_set_oracle():
 def test_runs_normalize_merges_adjacent():
     out = runs_normalize([ZInterval(4, 6), ZInterval(0, 3), ZInterval(8, 9)])
     assert out == [ZInterval(0, 6), ZInterval(8, 9)]
+
+
+def test_runs_from_mask_against_set_oracle():
+    rng = XorShift64Star(2025)
+    assert runs_from_mask(np.zeros(5, dtype=bool), 3) == []
+    for _ in range(200):
+        mask = np.array([rng.uniform() < 0.4 for _ in range(rng.randint(1, 24))])
+        lo = rng.randint(-40, 40)
+        runs = runs_from_mask(mask, lo)
+        assert runs == runs_normalize(runs)
+        assert {n for r in runs for n in range(r.lo, r.hi + 1)} == {
+            lo + int(i) for i in np.flatnonzero(mask)
+        }
 
 
 def _all_intervals(lo, hi):

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import brute_force_profile
+from conftest import DENSE_TABLE_LIMIT, brute_force_profile
 from varseq.harness import CorpusSpec, XorShift64Star, generate_corpus
-from varseq.lattice import Sequence, ZInterval, dilate, runs_count
+from varseq.lattice import Sequence, ZInterval, cardinality, dilate, runs_count
 from varseq.maximal import (
     MaximalEvaluator,
     alpha_weights,
@@ -201,3 +203,69 @@ def test_profile_wrapper_fields():
     assert prof.alpha == 0.25
     assert prof.values.size == 6
     assert not prof.values.flags.writeable
+
+
+# Property tests: the envelope evaluator against the dense oracle, bitwise.
+
+_magnitudes = st.floats(-12.0, 12.0).map(lambda e: 10.0**e)
+
+
+@st.composite
+def _sequences(draw):
+    """Hull of width 1..64 with nonzero ends, interior zeros, values 1e-12..1e12."""
+    width = draw(st.integers(1, 64))
+    inner = st.one_of(st.just(0.0), _magnitudes)
+    vals = [draw(_magnitudes)]
+    if width > 1:
+        vals += draw(st.lists(inner, min_size=width - 2, max_size=width - 2))
+        vals.append(draw(_magnitudes))
+    return Sequence(draw(st.integers(-1000, 1000)), vals)
+
+
+_alphas = st.floats(0.0, 0.99)
+_property = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def _assert_matches_oracle(a, alpha, window):
+    ev = MaximalEvaluator(a, alpha)
+    prof = ev.profile(window)
+    oracle = brute_force_profile(a, alpha, window)
+    assert np.array_equal(prof, oracle)
+    for n in range(window.lo, window.hi + 1):
+        assert ev.point(n) == oracle[n - window.lo], n
+
+
+@_property
+@given(_sequences(), _alphas, st.integers(-63, 400), st.integers(-63, 400))
+def test_profile_straddling_hull_matches_oracle(a, alpha, pad_lo, pad_hi):
+    hull = a.support_hull()
+    ends = sorted((hull.lo - pad_lo, hull.hi + pad_hi))
+    _assert_matches_oracle(a, alpha, ZInterval(*ends))
+
+
+# near the longest length at which the oracle still reads the weight table
+_switch = st.integers(-3, 3).map(lambda k: DENSE_TABLE_LIMIT + k)
+_far = st.sampled_from([2**40, 2**50])
+
+
+@_property
+@given(_sequences(), _alphas, st.one_of(_switch, _far), st.booleans(), st.booleans())
+def test_far_probes_match_oracle(a, alpha, dist, by_max_len, right):
+    hull = a.support_hull()
+    width = cardinality(hull)
+    if by_max_len:
+        # put the longest candidate, not the nearest, at that length
+        dist = max(1, dist - width)
+    n = hull.hi + dist if right else hull.lo - dist
+    _assert_matches_oracle(a, alpha, ZInterval(n - 2, n + 2))
+
+
+def test_near_tied_candidates_match_oracle():
+    # partial sums 1 + j*1e-12: neighbouring candidates cross near distance
+    # (1 - alpha) * 1e12, where many of them tie to within rounding
+    a = Sequence(0, [1.0] + [1e-12] * 15)
+    for alpha in (0.0, 0.25, 0.5):
+        for cross in (0.5e12, (1.0 - alpha) * 1e12, 2e12):
+            d = int(cross)
+            _assert_matches_oracle(a, alpha, ZInterval(15 + d - 32, 15 + d + 32))
+            _assert_matches_oracle(a, alpha, ZInterval(-d - 32, -d + 32))
