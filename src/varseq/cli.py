@@ -1,9 +1,10 @@
 """Command line interface: norm, maximal, czd, verify, corpus.
 
 Exit codes: 0 on success, 1 when verification reports failures or an
-internal invariant breaks, 2 for usage, config, or input errors. Config
-files are strict JSON (unknown keys rejected); explicit flags override
-config values. VARSEQ_THREADS sets default parallelism for verify.
+internal invariant breaks, 2 for usage, config, or input errors, including
+a config or VARSEQ_THREADS value of the wrong type. Config files are strict
+JSON (unknown keys rejected); explicit flags override config values.
+VARSEQ_THREADS sets default parallelism for verify.
 """
 
 from __future__ import annotations
@@ -429,6 +430,14 @@ def _build_parser() -> _Parser:
     return top
 
 
+def _convert(kind: type, name: str, value):
+    """kind(value), or a ConfigError naming the setting."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"invalid {name} {value!r}: expected {kind.__name__}") from e
+
+
 def _resolve(args: argparse.Namespace) -> RunConfig:
     command = args.command
     file_cfg: dict = {}
@@ -450,10 +459,10 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     if command in ("norm",):
         cfg.input = pick("input", None)
         cfg.exponent = pick("exponent", None)
-        cfg.rel_tol = float(pick("rel_tol", 1e-12))
+        cfg.rel_tol = _convert(float, "rel_tol", pick("rel_tol", 1e-12))
     if command in ("maximal", "czd"):
         cfg.input = pick("input", None)
-        cfg.alpha = float(pick("alpha", 0.0))
+        cfg.alpha = _convert(float, "alpha", pick("alpha", 0.0))
     if command == "maximal":
         win = pick("window", None)
         cfg.window = _parse_window(win) if isinstance(win, str) else win
@@ -461,13 +470,12 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         t = pick("t", None)
         if t is None:
             raise ConfigError("czd requires --t")
-        cfg.t = float(t)
+        cfg.t = _convert(float, "t", t)
     if command == "verify":
-        cfg.t = float(pick("t", 0.05))
+        cfg.t = _convert(float, "t", pick("t", 0.05))
         env_threads = os.environ.get("VARSEQ_THREADS")
-        cfg.threads = int(
-            pick("threads", int(env_threads) if env_threads else 1)
-        )
+        default_threads = _convert(int, "VARSEQ_THREADS", env_threads) if env_threads else 1
+        cfg.threads = _convert(int, "threads", pick("threads", default_threads))
         if cfg.threads < 1:
             raise ConfigError("threads must be >= 1")
         cfg.inject_fault = bool(pick("inject_fault", False))

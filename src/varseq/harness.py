@@ -1,9 +1,9 @@
 """Corpus generation and empirical verification of the operator bounds.
 
 All randomness flows through a hand-rolled xorshift64* generator so corpora
-and reports are reproducible bit-for-bit across platforms. Checks return
-VerificationReport records; the suite runner executes a fixed list of them
-and is the engine behind the CLI verify command.
+and reports are reproducible bit-for-bit across platforms. SUITE_CHECKS is
+the table behind the CLI verify command: each check produces Case records,
+and one Rule per check summarizes them into a VerificationReport.
 """
 
 from __future__ import annotations
@@ -11,8 +11,9 @@ from __future__ import annotations
 import math
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
-from typing import Callable, Iterable
+from dataclasses import asdict, dataclass, field, replace
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -149,13 +150,7 @@ class VerificationReport:
     empirical_constant: float | None
 
     def to_dict(self) -> dict:
-        return {
-            "check_name": self.check_name,
-            "cases": self.cases,
-            "failures": self.failures,
-            "worst_case": self.worst_case,
-            "empirical_constant": self.empirical_constant,
-        }
+        return asdict(self)
 
 
 def _draw_values(rng: XorShift64Star, law: str, length: int) -> np.ndarray:
@@ -224,14 +219,6 @@ def generate_corpus(spec: CorpusSpec) -> list[CorpusItem]:
         p = _draw_exponent(rng, spec.exponent_law, offset, length, p_lo, p_hi)
         items.append(CorpusItem(i, Sequence(offset, vals), p))
     return items
-
-
-def _map_items(fn: Callable, items: Iterable, threads: int) -> list:
-    items = list(items)
-    if threads <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True)
@@ -349,271 +336,222 @@ def _sub_seed(seed: int, name: str) -> int:
     return (seed ^ (zlib.crc32(name.encode()) * 0x9E3779B1)) & _MASK
 
 
-def estimate_strong_type(
-    spec: CorpusSpec, alpha: float, threads: int = 1
-) -> VerificationReport:
+class Case(NamedTuple):
+    """One checked case: pass or fail, its score (the highest is the worst
+    case) and the fields the report shows when it is the worst case."""
+
+    ok: bool
+    score: float
+    reported: dict
+
+
+@dataclass(frozen=True)
+class Rule:
+    """How a check's cases become its report. The worst case is `reported`
+    of the first case with the top score if it beats `floor` (with `ties`,
+    the last one, and equalling the floor suffices), else `default`; with
+    `max_key` it is just {max_key: top score}. `constant` reports that score
+    (or the floor). `item_fraction` names a flag of `reported`, reported as
+    the fraction of items whose cases all set it. A `needs_alphas` row
+    reports nothing when there are no alphas."""
+
+    floor: float = -1.0
+    default: dict = field(default_factory=dict)
+    constant: bool = False
+    ties: bool = False
+    max_key: str | None = None
+    item_fraction: str | None = None
+    needs_alphas: bool = False
+
+
+Task = Callable[[], list[Case]]
+Producer = Callable[[CorpusSpec, tuple, float], list[Task]]
+
+
+def _summarize(name: str, groups: list[list[Case]], rule: Rule) -> VerificationReport:
+    """Apply the rule to the case groups, one group per task."""
+    cases = [c for group in groups for c in group]
+    best, worst = rule.floor, rule.default
+    for c in cases:
+        if c.score > best or (rule.ties and c.score == best):
+            best, worst = c.score, c.reported
+    worst = {rule.max_key: best} if rule.max_key else dict(worst)
+    if rule.item_fraction:
+        passed = sum(all(c.reported[rule.item_fraction] for c in g) for g in groups)
+        worst[rule.item_fraction] = passed / len(groups) if groups else 1.0
+    failures = sum(not c.ok for c in cases)
+    constant = best if rule.constant else None
+    return VerificationReport(name, len(cases), failures, worst, constant)
+
+
+def _run_tasks(tasks: list[Task], threads: int) -> list[list[Case]]:
+    """Call the tasks in order, on a thread pool when threads > 1."""
+    if threads <= 1:
+        return [task() for task in tasks]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(lambda task: task(), tasks))
+
+
+def _item_tasks(spec: CorpusSpec, cases: Callable, *args) -> list[Task]:
+    return [partial(cases, item, *args) for item in generate_corpus(spec)]
+
+
+def _each_item(cases: Callable) -> Producer:
+    """Producer calling cases(item, alphas, t) on every corpus item."""
+    return lambda spec, alphas, t: _item_tasks(spec, cases, alphas, t)
+
+
+def _per_alpha(cases: Callable, tag: str) -> Producer:
+    """Producer calling cases(item, alpha) on one corpus per alpha, each
+    reseeded from the tag and the alpha."""
+
+    def tasks(spec, a):
+        return _item_tasks(replace(spec, seed=_sub_seed(spec.seed, f"{tag}-{a:g}")), cases, a)
+
+    return lambda spec, alphas, t: [task for a in alphas for task in tasks(spec, a)]
+
+
+def _strong_cases(item: CorpusItem, alpha: float) -> list[Case]:
+    r1 = strong_type_ratio(item.a, item.p, alpha)
+    r2 = strong_type_ratio(item.a.scaled(10.0), item.p, alpha)
+    invariant = abs(r2 / r1 - 1.0) <= 1e-9 if r1 > 0 else r2 == r1
+    ok = math.isfinite(r1) and r1 >= 0.0 and invariant
+    return [Case(ok, r1, {"index": item.index, "ratio": r1})]
+
+
+def _weak_cases(item: CorpusItem, alpha: float, t_grid=None) -> list[Case]:
+    val, t_at = weak_type_sup(item.a, item.p, alpha, t_grid)
+    ok = math.isfinite(val) and val >= 0.0
+    return [Case(ok, val, {"index": item.index, "value": val, "t": t_at})]
+
+
+_STRONG = Rule(0.0, {"index": -1, "ratio": 0.0}, constant=True)
+_WEAK = Rule(0.0, {"index": -1, "value": 0.0, "t": 0.0}, constant=True)
+
+
+def estimate_strong_type(spec: CorpusSpec, alpha: float, threads: int = 1) -> VerificationReport:
     """Empirical operator-norm envelope, with exact scale invariance checked."""
-    corpus = generate_corpus(spec)
-
-    def one(item: CorpusItem) -> tuple[float, float]:
-        r1 = strong_type_ratio(item.a, item.p, alpha)
-        r2 = strong_type_ratio(item.a.scaled(10.0), item.p, alpha)
-        return r1, r2
-
-    results = _map_items(one, corpus, threads)
-    failures = 0
-    worst = {"index": -1, "ratio": 0.0}
-    for item, (r1, r2) in zip(corpus, results):
-        invariant = abs(r2 / r1 - 1.0) <= 1e-9 if r1 > 0 else r2 == r1
-        if not (math.isfinite(r1) and r1 >= 0.0 and invariant):
-            failures += 1
-        if r1 > worst["ratio"]:
-            worst = {"index": item.index, "ratio": r1}
-    return VerificationReport(
-        f"strong_type[alpha={alpha:g}]",
-        len(corpus),
-        failures,
-        worst,
-        worst["ratio"],
-    )
+    groups = _run_tasks(_item_tasks(spec, _strong_cases, alpha), threads)
+    return _summarize(f"strong_type[alpha={alpha:g}]", groups, _STRONG)
 
 
 def estimate_weak_type(
-    spec: CorpusSpec,
-    alpha: float,
-    t_grid: np.ndarray | None = None,
-    threads: int = 1,
+    spec: CorpusSpec, alpha: float, t_grid: np.ndarray | None = None, threads: int = 1
 ) -> VerificationReport:
     """Empirical weak-type envelope over a threshold grid."""
-    corpus = generate_corpus(spec)
-    results = _map_items(
-        lambda it: weak_type_sup(it.a, it.p, alpha, t_grid), corpus, threads
-    )
-    failures = 0
-    worst = {"index": -1, "value": 0.0, "t": 0.0}
-    for item, (val, t_at) in zip(corpus, results):
-        if not (math.isfinite(val) and val >= 0.0):
-            failures += 1
-        if val > worst["value"]:
-            worst = {"index": item.index, "value": val, "t": t_at}
-    return VerificationReport(
-        f"weak_type[alpha={alpha:g}]",
-        len(corpus),
-        failures,
-        worst,
-        worst["value"],
-    )
+    groups = _run_tasks(_item_tasks(spec, _weak_cases, alpha, t_grid), threads)
+    return _summarize(f"weak_type[alpha={alpha:g}]", groups, _WEAK)
 
 
-def _check_lh(spec: CorpusSpec, alphas, t, threads) -> VerificationReport:
-    corpus = generate_corpus(spec)
-    reports = _map_items(lambda it: check_lh_equivalences(it.p), corpus, threads)
-    failures = sum(0 if r.ok else 1 for r in reports)
-    worst_gap, worst = 0.0, {}
-    for item, r in zip(corpus, reports):
-        if r.identity_gap >= worst_gap:
-            worst_gap = r.identity_gap
-            worst = {"index": item.index, "identity_gap": r.identity_gap, "c_p": r.c_p}
-    return VerificationReport("lh_equivalences", len(corpus), failures, worst, None)
+def _lh_cases(item: CorpusItem, alphas, t) -> list[Case]:
+    r = check_lh_equivalences(item.p)
+    shown = {"index": item.index, "identity_gap": r.identity_gap, "c_p": r.c_p}
+    return [Case(r.ok, r.identity_gap, shown)]
 
 
-def _check_norm_modular(spec, alphas, t, threads) -> VerificationReport:
-    corpus = generate_corpus(spec)
-    reports = _map_items(
-        lambda it: check_norm_modular_relations(it.a, it.p), corpus, threads
-    )
-    failures = sum(0 if r.ok else 1 for r in reports)
-    worst, gap = {}, -1.0
-    for item, r in zip(corpus, reports):
-        g = abs(r.unit_modular - 1.0)
-        if g > gap:
-            gap = g
-            worst = {"index": item.index, "unit_modular": r.unit_modular}
-    return VerificationReport("norm_modular", len(corpus), failures, worst, None)
+def _norm_modular_cases(item: CorpusItem, alphas, t) -> list[Case]:
+    r = check_norm_modular_relations(item.a, item.p)
+    shown = {"index": item.index, "unit_modular": r.unit_modular}
+    return [Case(r.ok, abs(r.unit_modular - 1.0), shown)]
 
 
-def _check_scaling(spec, alphas, t, threads) -> VerificationReport:
-    corpus = generate_corpus(spec)
-    lams = (0.3, 1.0, 2.7)
-
-    def one(item):
-        return [check_scaling_bounds(item.a, item.p, lam) for lam in lams]
-
-    reports = _map_items(one, corpus, threads)
-    failures = 0
-    worst, gap = {}, -1.0
-    for item, rs in zip(corpus, reports):
-        for r in rs:
-            if not r.ok:
-                failures += 1
-            g = abs(r.norm_ratio - 1.0)
-            if g > gap:
-                gap = g
-                worst = {"index": item.index, "lam": r.lam, "norm_ratio": r.norm_ratio}
-    return VerificationReport("scaling", len(corpus) * len(lams), failures, worst, None)
-
-
-def _check_fatou(spec, alphas, t, threads) -> VerificationReport:
-    corpus = generate_corpus(spec)
-
-    def one(item):
-        hull = item.a.support_hull()
-        if hull is None:
-            return True, 0.0
-        full = luxemburg_norm(item.a, item.p).value
-        mid = (hull.lo + hull.hi) // 2
-        prev = 0.0
-        ok = True
-        width = 1
-        norms = []
-        while True:
-            win = ZInterval(mid - width, mid + width)
-            norms.append(luxemburg_norm(truncate(item.a, win), item.p).value)
-            if win.contains_interval(hull):
-                break
-            width *= 2
-        for v in norms:
-            if v < prev - 1e-11 * max(1.0, full):
-                ok = False
-            prev = v
-        gap = abs(norms[-1] - full)
-        return ok and gap <= 1e-11 * max(1.0, full), gap
-
-    results = _map_items(one, corpus, threads)
-    failures = sum(0 if ok else 1 for ok, _ in results)
-    worst = {"max_gap": max((g for _, g in results), default=0.0)}
-    return VerificationReport("fatou", len(corpus), failures, worst, None)
-
-
-def _check_maximal_consistency(spec, alphas, t, threads) -> VerificationReport:
-    corpus = generate_corpus(spec)
-
-    def one(item):
-        if item.a.is_zero():
-            return True
-        hull = item.a.support_hull()
-        pad = 2 * cardinality(hull)
-        win = ZInterval(hull.lo - pad, hull.hi + pad)
-        for alpha in alphas:
-            ev = MaximalEvaluator(item.a, alpha)
-            prof = ev.profile(win)
-            step = max(1, cardinality(win) // 16)
-            for n in range(win.lo, win.hi + 1, step):
-                if prof[n - win.lo] != ev.point(n):
-                    return False
-            s = ev.max_value() / 7.0
-            if runs_intersect(ev.superlevel(s), [win]) != runs_from_mask(prof > s, win.lo):
-                return False
-        return True
-
-    results = _map_items(one, corpus, threads)
-    failures = sum(0 if ok else 1 for ok in results)
-    return VerificationReport(
-        "maximal_consistency", len(corpus) * len(alphas), failures, {}, None
-    )
-
-
-def _check_cz_structure(spec, alphas, t, threads) -> VerificationReport:
-    corpus = generate_corpus(spec)
-
-    def one(item):
-        if item.a.is_zero():
-            return True, 1.0
-        worst_ratio = 0.0
-        for alpha in alphas:
-            d = cz_decompose(item.a, alpha, t)
-            bound = 2.0 ** (1.0 - alpha) * t
-            prev_hi = None
-            ev = MaximalEvaluator(item.a, alpha)
-            for r, avg in zip(d.intervals, d.averages):
-                if not (t < avg <= bound * (1 + 1e-12)):
-                    return False, worst_ratio
-                if prev_hi is not None and r.lo <= prev_hi:
-                    return False, worst_ratio
-                prev_hi = r.hi
-                if not (ev.point(r.lo) > t and ev.point(r.hi) > t):
-                    return False, worst_ratio
-                worst_ratio = max(worst_ratio, avg / t)
-            nest = cz_nesting_check(item.a, alpha, t, t / 3.0)
-            if not nest.ok:
-                return False, worst_ratio
-        return True, worst_ratio
-
-    results = _map_items(one, corpus, threads)
-    failures = sum(0 if ok else 1 for ok, _ in results)
-    worst = max((r for _, r in results), default=0.0)
-    return VerificationReport(
-        "cz_structure",
-        len(corpus) * len(alphas),
-        failures,
-        {"max_average_ratio": worst},
-        worst,
-    )
-
-
-def _check_covering(spec, alphas, t, threads) -> VerificationReport:
-    corpus = generate_corpus(spec)
-
-    def one(item):
-        if item.a.is_zero():
-            return 0, 0.0
-        bad = 0
-        worst = 0.0
-        for alpha in alphas:
-            rep = covering_check(item.a, alpha, t)
-            if not (rep.ok and rep.bound_ok):
-                bad += 1
-            worst = max(worst, rep.max_average_ratio)
-        return bad, worst
-
-    results = _map_items(one, corpus, threads)
-    failures = sum(b for b, _ in results)
-    worst = max((w for _, w in results), default=0.0)
-    return VerificationReport(
-        "covering",
-        len(corpus) * len(alphas),
-        failures,
-        {"max_average_ratio": worst},
-        worst,
-    )
-
-
-def _check_domination(spec, alphas, t, threads) -> VerificationReport:
-    corpus = generate_corpus(spec)
-
-    def one(item):
-        if item.a.is_zero():
-            return True, 0.0, True
-        ok = True
-        ratio = 0.0
-        corrected = True
-        for alpha in alphas:
-            rep = domination_check(item.a, item.p, alpha, t)
-            ok = ok and rep.ok_derived
-            corrected = corrected and rep.ok_corrected
-            ratio = max(ratio, rep.ratio)
-        return ok, ratio, corrected
-
-    results = _map_items(one, corpus, threads)
-    failures = sum(0 if ok else 1 for ok, _, _ in results)
-    worst_ratio = max((r for _, r, _ in results), default=0.0)
-    corrected_frac = (
-        sum(1 for _, _, c in results if c) / len(results) if results else 1.0
-    )
-    return VerificationReport(
-        "domination",
-        len(corpus) * len(alphas),
-        failures,
-        {"max_lhs_over_esum": worst_ratio, "corrected_constant_fraction": corrected_frac},
-        worst_ratio,
-    )
-
-
-def _check_holder(spec, alphas, t, threads) -> VerificationReport:
-    corpus = generate_corpus(spec)
-    rng = XorShift64Star(_sub_seed(spec.seed, "holder-intervals"))
+def _scaling_cases(item: CorpusItem, alphas, t) -> list[Case]:
     cases = []
-    for item in corpus:
+    for lam in (0.3, 1.0, 2.7):
+        r = check_scaling_bounds(item.a, item.p, lam)
+        shown = {"index": item.index, "lam": r.lam, "norm_ratio": r.norm_ratio}
+        cases.append(Case(r.ok, abs(r.norm_ratio - 1.0), shown))
+    return cases
+
+
+def _fatou_cases(item: CorpusItem, alphas, t) -> list[Case]:
+    """Norms of doubling windows about the hull's midpoint rise to the norm."""
+    hull = item.a.support_hull()
+    if hull is None:
+        return [Case(True, 0.0, {})]
+    full = luxemburg_norm(item.a, item.p).value
+    tol = 1e-11 * max(1.0, full)
+    mid = (hull.lo + hull.hi) // 2
+    width, norms = 1, []
+    while True:
+        win = ZInterval(mid - width, mid + width)
+        norms.append(luxemburg_norm(truncate(item.a, win), item.p).value)
+        if win.contains_interval(hull):
+            break
+        width *= 2
+    monotone = not any(v < prev - tol for prev, v in zip([0.0] + norms, norms))
+    gap = abs(norms[-1] - full)
+    return [Case(monotone and gap <= tol, gap, {})]
+
+
+def _maximal_consistency_cases(item: CorpusItem, alphas, t) -> list[Case]:
+    """profile() against sampled point() values, and superlevel() against
+    the profile's runs, on the hull padded by twice its width."""
+    if item.a.is_zero():
+        return [Case(True, 0.0, {})] * len(alphas)
+    hull = item.a.support_hull()
+    pad = 2 * cardinality(hull)
+    win = ZInterval(hull.lo - pad, hull.hi + pad)
+    step = max(1, cardinality(win) // 16)
+    cases = []
+    for alpha in alphas:
+        ev = MaximalEvaluator(item.a, alpha)
+        prof = ev.profile(win)
+        ok = all(prof[n - win.lo] == ev.point(n) for n in range(win.lo, win.hi + 1, step))
+        s = ev.max_value() / 7.0
+        runs = runs_from_mask(prof > s, win.lo)
+        ok = ok and runs_intersect(ev.superlevel(s), [win]) == runs
+        cases.append(Case(ok, 0.0, {}))
+    return cases
+
+
+def _cz_structure_case(a: Sequence, alpha: float, t: float) -> Case:
+    """Selected intervals have averages in (t, 2^(1-alpha) t], come in order
+    and disjoint, end in {M_alpha > t}, and nest from level t/3 to t."""
+    d = cz_decompose(a, alpha, t)
+    bound = 2.0 ** (1.0 - alpha) * t
+    ev = MaximalEvaluator(a, alpha)
+    ratio, prev_hi = 0.0, None
+    for r, avg in zip(d.intervals, d.averages):
+        ok = t < avg <= bound * (1 + 1e-12) and (prev_hi is None or r.lo > prev_hi)
+        if not (ok and ev.point(r.lo) > t and ev.point(r.hi) > t):
+            return Case(False, ratio, {})
+        prev_hi = r.hi
+        ratio = max(ratio, avg / t)
+    ok = cz_nesting_check(a, alpha, t, t / 3.0).ok
+    return Case(ok, ratio, {})
+
+
+def _cz_structure_cases(item: CorpusItem, alphas, t) -> list[Case]:
+    if item.a.is_zero():
+        return [Case(True, 1.0, {})] * len(alphas)
+    return [_cz_structure_case(item.a, alpha, t) for alpha in alphas]
+
+
+def _covering_cases(item: CorpusItem, alphas, t) -> list[Case]:
+    if item.a.is_zero():
+        return [Case(True, 0.0, {})] * len(alphas)
+    reps = [covering_check(item.a, alpha, t) for alpha in alphas]
+    return [Case(r.ok and r.bound_ok, r.max_average_ratio, {}) for r in reps]
+
+
+_CORRECTED = "corrected_constant_fraction"
+
+
+def _domination_cases(item: CorpusItem, alphas, t) -> list[Case]:
+    """ok is the derived constant; the corrected one feeds item_fraction."""
+    if item.a.is_zero():
+        return [Case(True, 0.0, {_CORRECTED: True})] * len(alphas)
+    reps = [domination_check(item.a, item.p, alpha, t) for alpha in alphas]
+    return [Case(r.ok_derived, r.ratio, {_CORRECTED: r.ok_corrected}) for r in reps]
+
+
+def _holder_tasks(spec: CorpusSpec, alphas, t) -> list[Task]:
+    """A random interval, alpha and p0 per item, drawn in corpus order from
+    one stream; the draws stay here so that tasks may run in any order."""
+    rng = XorShift64Star(_sub_seed(spec.seed, "holder-intervals"))
+    tasks = []
+    for item in generate_corpus(spec):
         hull = item.a.support_hull()
         if hull is None:
             continue
@@ -624,85 +562,49 @@ def _check_holder(spec, alphas, t, threads) -> VerificationReport:
         if cap <= 1.05:
             alpha, cap = 0.0, 8.0
         p0 = 1.0 + (cap - 1.0) * max(0.05, rng.uniform())
-        cases.append((item, ZInterval(lo, hi), p0, alpha))
-    reports = [
-        (it.index, check_holder_variant(it.a, iv, p0, al)) for it, iv, p0, al in cases
-    ]
-    failures = sum(0 if r.ok else 1 for _, r in reports)
-    worst, gap = {}, -math.inf
-    for idx, r in reports:
-        g = r.lhs - r.rhs
-        if g > gap:
-            gap = g
-            worst = {"index": idx, "lhs": r.lhs, "rhs": r.rhs}
-    return VerificationReport("holder", len(reports), failures, worst, None)
+        tasks.append(partial(_holder_cases, item, ZInterval(lo, hi), p0, alpha))
+    return tasks
 
 
-def _check_key_comparison(spec, alphas, t, threads) -> VerificationReport:
-    corpus = generate_corpus(spec)
+def _holder_cases(item: CorpusItem, interval: ZInterval, p0: float, alpha: float) -> list[Case]:
+    r = check_holder_variant(item.a, interval, p0, alpha)
+    return [Case(r.ok, r.lhs - r.rhs, {"index": item.index, "lhs": r.lhs, "rhs": r.rhs})]
+
+
+def _key_comparison_tasks(spec: CorpusSpec, alphas, t) -> list[Task]:
+    """A reference-tail decay per item, drawn in corpus order from one stream."""
     rng = XorShift64Star(_sub_seed(spec.seed, "key-comparison"))
-    failures = 0
-    worst = {"index": -1, "c5": 0.0, "c6": 0.0}
-    best_c = 0.0
-    for item in corpus:
-        f = Sequence(item.a.offset, np.minimum(item.a.values, 1.0))
-        win = item.a.window
-        if win is None:
-            continue
-        window = dilate(win, 2)
-        n_decay = 1.0 / item.p.p_inf + 0.5 + 2.0 * rng.uniform()
-        rep = check_key_comparison(window, f, item.p, n_decay)
-        if not rep.ok:
-            failures += 1
-        if max(rep.c5, rep.c6) > best_c:
-            best_c = max(rep.c5, rep.c6)
-            worst = {"index": item.index, "c5": rep.c5, "c6": rep.c6}
-    return VerificationReport("key_comparison", len(corpus), failures, worst, best_c)
-
-
-def _check_strong(spec, alphas, t, threads) -> VerificationReport:
-    reports = [
-        estimate_strong_type(replace(spec, seed=_sub_seed(spec.seed, f"strong-{a:g}")), a, threads)
-        for a in alphas
+    return [
+        partial(_key_comparison_cases, item, 1.0 / item.p.p_inf + 0.5 + 2.0 * rng.uniform())
+        for item in generate_corpus(spec)
     ]
-    if not reports:
-        return VerificationReport("strong_type", 0, 0, {}, None)
-    cases = sum(r.cases for r in reports)
-    failures = sum(r.failures for r in reports)
-    worst = max(reports, key=lambda r: r.empirical_constant or 0.0)
-    return VerificationReport(
-        "strong_type", cases, failures, worst.worst_case, worst.empirical_constant
-    )
 
 
-def _check_weak(spec, alphas, t, threads) -> VerificationReport:
-    reports = [
-        estimate_weak_type(replace(spec, seed=_sub_seed(spec.seed, f"weak-{a:g}")), a, None, threads)
-        for a in alphas
-    ]
-    if not reports:
-        return VerificationReport("weak_type", 0, 0, {}, None)
-    cases = sum(r.cases for r in reports)
-    failures = sum(r.failures for r in reports)
-    worst = max(reports, key=lambda r: r.empirical_constant or 0.0)
-    return VerificationReport(
-        "weak_type", cases, failures, worst.worst_case, worst.empirical_constant
-    )
+def _key_comparison_cases(item: CorpusItem, n_decay: float) -> list[Case]:
+    """F = min(a, 1) against p on the doubled window of a."""
+    f = Sequence(item.a.offset, np.minimum(item.a.values, 1.0))
+    r = check_key_comparison(dilate(item.a.window, 2), f, item.p, n_decay)
+    return [Case(r.ok, max(r.c5, r.c6), {"index": item.index, "c5": r.c5, "c6": r.c6})]
 
 
-SUITE_CHECKS: dict[str, Callable] = {
-    "lh_equivalences": _check_lh,
-    "norm_modular": _check_norm_modular,
-    "scaling": _check_scaling,
-    "fatou": _check_fatou,
-    "maximal_consistency": _check_maximal_consistency,
-    "cz_structure": _check_cz_structure,
-    "covering": _check_covering,
-    "domination": _check_domination,
-    "holder": _check_holder,
-    "key_comparison": _check_key_comparison,
-    "strong_type": _check_strong,
-    "weak_type": _check_weak,
+_RATIO = Rule(0.0, constant=True, max_key="max_average_ratio")
+_DOMINATION = Rule(0.0, constant=True, max_key="max_lhs_over_esum", item_fraction=_CORRECTED)
+_KEY = Rule(0.0, {"index": -1, "c5": 0.0, "c6": 0.0}, constant=True)
+
+# check name -> (producer of its tasks, rule that summarizes their cases)
+SUITE_CHECKS: dict[str, tuple[Producer, Rule]] = {
+    "lh_equivalences": (_each_item(_lh_cases), Rule(0.0, ties=True)),
+    "norm_modular": (_each_item(_norm_modular_cases), Rule()),
+    "scaling": (_each_item(_scaling_cases), Rule()),
+    "fatou": (_each_item(_fatou_cases), Rule(0.0, max_key="max_gap")),
+    "maximal_consistency": (_each_item(_maximal_consistency_cases), Rule()),
+    "cz_structure": (_each_item(_cz_structure_cases), _RATIO),
+    "covering": (_each_item(_covering_cases), _RATIO),
+    "domination": (_each_item(_domination_cases), _DOMINATION),
+    "holder": (_holder_tasks, Rule(-math.inf)),
+    "key_comparison": (_key_comparison_tasks, _KEY),
+    "strong_type": (_per_alpha(_strong_cases, "strong"), replace(_STRONG, needs_alphas=True)),
+    "weak_type": (_per_alpha(_weak_cases, "weak"), replace(_WEAK, needs_alphas=True)),
 }
 
 
@@ -722,16 +624,13 @@ def run_verification_suite(
     alphas = tuple(spec.alpha_list)
     out = []
     for name in names:
+        produce, rule = SUITE_CHECKS[name]
+        if rule.needs_alphas and not alphas:
+            out.append(VerificationReport(name, 0, 0, {}, None))
+            continue
         sub = replace(spec, seed=_sub_seed(spec.seed, name))
-        out.append(SUITE_CHECKS[name](sub, alphas, t, threads))
+        out.append(_summarize(name, _run_tasks(produce(sub, alphas, t), threads), rule))
     if inject_fault:
-        out.append(
-            VerificationReport(
-                "injected_fault",
-                1,
-                1,
-                {"reason": "fault injection requested"},
-                None,
-            )
-        )
+        reason = {"reason": "fault injection requested"}
+        out.append(VerificationReport("injected_fault", 1, 1, reason, None))
     return out

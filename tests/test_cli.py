@@ -197,6 +197,24 @@ def test_verify_threads_env(tmp_path, monkeypatch):
     assert run_cli("verify", "--checks", "covering", "--count", "2") == 2
 
 
+@pytest.mark.parametrize(
+    "env, config, named",
+    [
+        ({"VARSEQ_THREADS": "abc"}, {}, "VARSEQ_THREADS"),
+        ({}, {"threads": "x"}, "threads"),
+        ({}, {"t": "x"}, "t"),
+    ],
+)
+def test_verify_bad_config_or_env_value_exit_2(
+    tmp_path, monkeypatch, capsys, env, config, named
+):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    cfg = write_json(tmp_path / "cfg.json", {"command": "verify", **config})
+    assert run_cli("verify", "--config", cfg, "--checks", "covering", "--count", "2") == 2
+    assert f"invalid {named} " in capsys.readouterr().err
+
+
 def test_corpus_roundtrip(tmp_path):
     out = tmp_path / "corpus.json"
     assert run_cli(

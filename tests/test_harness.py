@@ -1,11 +1,15 @@
-"""Generator determinism, corpus laws, and the empirical estimators."""
+"""Generator determinism, corpus laws, the empirical estimators and the
+suite's report bytes."""
 
+import hashlib
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from varseq import harness
+from varseq.cli import main
 from varseq.exponent import ExponentFunction
 from varseq.harness import (
     CorpusSpec,
@@ -219,3 +223,64 @@ def test_suite_inject_fault_and_unknown_check():
     assert sum(r.failures for r in reports) == 1
     with pytest.raises(ValueError):
         run_verification_suite(spec, checks=["bogus"])
+
+
+def test_failures_counted_per_case(monkeypatch):
+    """Alpha-loop checks have one case per (item, alpha), so an item that
+    fails at every alpha counts one failure per alpha."""
+    spec = replace(BASE, count=4, window_width=12, alpha_list=(0.0, 0.2, 0.4))
+    real = harness.domination_check
+    monkeypatch.setattr(
+        harness, "domination_check", lambda *args: replace(real(*args), ok_derived=False)
+    )
+    (rep,) = run_verification_suite(spec, checks=["domination"])
+    assert rep.failures == rep.cases == 4 * 3
+
+
+# SHA-256 of `varseq verify --seed 11 --count 3 --width 12` (JSON) per
+# (value law, exponent law); every one of them exits 0.
+REPORT_SHA256 = {
+    ("uniform01", "constant"):
+        "553674eb35717cb9a9fcdac71164cca829e8d2393cab2244a1ac748b792a9175",
+    ("uniform01", "bump"):
+        "83975af45b8ba51ad970f13f673c53617319e4f4bb6daae60eb15cd6c80e82fa",
+    ("uniform01", "lh-decay"):
+        "e0dafedfa62531ac496981f618cc7ce1ee6df8fd57131447ab302c10727bff07",
+    ("uniform01", "random-range"):
+        "3d50cf9b06208680e32b07beb38413f9d63a2b8416e6b7ac8151a7a90a03ae76",
+    ("spike", "constant"):
+        "ff5d04180eaac569faa1b3be932e55ccbe6c30fe1b641b0142a7824f3f0ae92e",
+    ("spike", "bump"):
+        "0f894e3fb4764a8d1d58ea2fd04f3b313816f69670ca7be7882dfc93bd27d80f",
+    ("spike", "lh-decay"):
+        "b182bf717e34add52cba6ab8a58392141fc5d1920f61e5f13392fe8dbacf93d1",
+    ("spike", "random-range"):
+        "6436bc691ecb008d52eb63fdebcf9f7a90e9e78c2908a1a5745ce2cebdea5cbb",
+    ("geometric-decay", "constant"):
+        "9b5c04f6305d673bed06b39b2178727784814ab2b4819ec854d86b7af236186f",
+    ("geometric-decay", "bump"):
+        "54c434fa950a7f02cbdf31a22f238164b885fc4e73c9dbd35fe565d0320efc01",
+    ("geometric-decay", "lh-decay"):
+        "752cd03e178546d3353e571e37e5d3a768a1fbdb348869501e37b76aa04cd52f",
+    ("geometric-decay", "random-range"):
+        "ff2baa0ddf335c83c0f0fa42d5236d8f314e7f2551d254c0dc95afab0782e9e7",
+    ("bernoulli-sparse", "constant"):
+        "680d81d8241a2cf33fb985078080cccc863b79e2c4cda0276ee8d430acc3b598",
+    ("bernoulli-sparse", "bump"):
+        "c42e760ef753344bdd34ca7d68daa80e8612b9405575585f0664e962e5ac59e4",
+    ("bernoulli-sparse", "lh-decay"):
+        "4a90e8a87dbab72e15c1deab3d9f0c59fd91f581bafaf4eca38935862d476476",
+    ("bernoulli-sparse", "random-range"):
+        "90e4df7ff8d0d0e64b856b0943c4ff3e631c69fbbe05b7a722fff3636622ce1c",
+}
+
+
+def test_verify_report_digests_pinned(tmp_path):
+    for (value_law, exponent_law), want in REPORT_SHA256.items():
+        out = tmp_path / f"{value_law}-{exponent_law}.json"
+        code = main([
+            "verify", "--seed", "11", "--count", "3", "--width", "12",
+            "--value-law", value_law, "--exponent-law", exponent_law, "--out", str(out),
+        ])
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == want, (value_law, exponent_law)
