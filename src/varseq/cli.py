@@ -1,10 +1,17 @@
 """Command line interface: norm, maximal, czd, verify, corpus.
 
+Every setting is one entry of `_SETTINGS`: its parser, its default, the
+commands that take it, its flag, and whether a config file holds it at the
+top level or inside "corpus". A value comes from the flag, else the config
+file, else (for threads) VARSEQ_THREADS, else the default. Flags reach
+argparse as plain text, and the setting's one parser reads that text or the
+config's JSON value alike: a config value is valid exactly when it has the
+setting's JSON type or is text the flag would accept.
+
 Exit codes: 0 on success, 1 when verification reports failures or an
 internal invariant breaks, 2 for usage, config, or input errors, including
-a config or VARSEQ_THREADS value of the wrong type. Config files are strict
-JSON (unknown keys rejected); explicit flags override config values.
-VARSEQ_THREADS sets default parallelism for verify.
+a flag, config or VARSEQ_THREADS value that the setting's parser rejects.
+Config files are strict JSON (unknown keys rejected).
 """
 
 from __future__ import annotations
@@ -14,52 +21,20 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from typing import Any, Callable
 
 import numpy as np
 
 from . import __version__
 from .czd import cz_decompose
 from .exponent import ExponentFunction
-from .harness import (
-    CorpusSpec,
-    SUITE_CHECKS,
-    generate_corpus,
-    run_verification_suite,
-)
+from .harness import CorpusSpec, generate_corpus, run_verification_suite
 from .lattice import Sequence, ZInterval, dilate
 from .maximal import m_alpha_profile
 from .norm import luxemburg_norm
 from .reports import render_csv, render_json, write_text
 
 __all__ = ["RunConfig", "parse_config", "run", "main", "ConfigError"]
-
-DEFAULT_CORPUS = {
-    "seed": 20260814,
-    "count": 24,
-    "window_width": 48,
-    "value_law": "uniform01",
-    "exponent_law": "lh-decay",
-    "alpha_list": [0.0, 0.25, 0.5],
-}
-
-_CORPUS_KEYS = {
-    "seed",
-    "count",
-    "window_width",
-    "value_law",
-    "exponent_law",
-    "alpha_list",
-    "p_lo",
-    "p_hi",
-}
-
-_ALLOWED_KEYS = {
-    "norm": {"command", "input", "exponent", "rel_tol", "out", "format"},
-    "maximal": {"command", "input", "alpha", "window", "out", "format"},
-    "czd": {"command", "input", "alpha", "t", "out", "format"},
-    "verify": {"command", "corpus", "checks", "t", "inject_fault", "threads", "out", "format"},
-    "corpus": {"command", "corpus", "out", "format"},
-}
 
 
 class ConfigError(ValueError):
@@ -97,41 +72,6 @@ def parse_config(path: str) -> dict:
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
     return data
-
-
-def _validate_keys(command: str, data: dict) -> None:
-    allowed = _ALLOWED_KEYS[command]
-    unknown = sorted(set(data) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown config keys for {command}: {', '.join(unknown)}")
-    if "command" in data and data["command"] != command:
-        raise ConfigError(
-            f"config is for command {data['command']!r}, invoked as {command!r}"
-        )
-    if "corpus" in data:
-        if not isinstance(data["corpus"], dict):
-            raise ConfigError("corpus must be an object")
-        bad = sorted(set(data["corpus"]) - _CORPUS_KEYS)
-        if bad:
-            raise ConfigError(f"unknown corpus keys: {', '.join(bad)}")
-
-
-def _corpus_spec(entries: dict) -> CorpusSpec:
-    merged = dict(DEFAULT_CORPUS)
-    merged.update({k: v for k, v in entries.items() if v is not None})
-    try:
-        return CorpusSpec(
-            seed=int(merged["seed"]),
-            count=int(merged["count"]),
-            window_width=int(merged["window_width"]),
-            value_law=str(merged["value_law"]),
-            exponent_law=str(merged["exponent_law"]),
-            alpha_list=tuple(float(a) for a in merged["alpha_list"]),
-            p_lo=None if merged.get("p_lo") is None else float(merged["p_lo"]),
-            p_hi=None if merged.get("p_hi") is None else float(merged["p_hi"]),
-        )
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"invalid corpus spec: {e}") from e
 
 
 def load_sequence(path: str) -> Sequence:
@@ -182,17 +122,7 @@ def load_exponent(path: str) -> ExponentFunction:
         raise ConfigError(f"cannot load exponent {path}: {e}") from e
 
 
-def _sequence_dict(a: Sequence) -> dict:
-    return {"offset": a.offset, "values": a.values}
-
-
-def _exponent_dict(p: ExponentFunction) -> dict:
-    return {"window_lo": p.window_lo, "values": p.values, "p_inf": p.p_inf}
-
-
 def _run_norm(cfg: RunConfig) -> int:
-    if cfg.input is None or cfg.exponent is None:
-        raise ConfigError("norm requires --input and --exponent")
     a = load_sequence(cfg.input)
     p = load_exponent(cfg.exponent)
     nv = luxemburg_norm(a, p, cfg.rel_tol)
@@ -214,8 +144,6 @@ def _run_norm(cfg: RunConfig) -> int:
 
 
 def _run_maximal(cfg: RunConfig) -> int:
-    if cfg.input is None:
-        raise ConfigError("maximal requires --input")
     a = load_sequence(cfg.input)
     window = cfg.window
     if window is None:
@@ -247,8 +175,6 @@ def _run_maximal(cfg: RunConfig) -> int:
 
 
 def _run_czd(cfg: RunConfig) -> int:
-    if cfg.input is None:
-        raise ConfigError("czd requires --input")
     a = load_sequence(cfg.input)
     d = cz_decompose(a, cfg.alpha, cfg.t)
     if cfg.format != "json":
@@ -307,22 +233,9 @@ def _run_corpus(cfg: RunConfig) -> int:
         render_json(
             {
                 "command": "corpus",
-                "spec": {
-                    "seed": cfg.corpus.seed,
-                    "count": cfg.corpus.count,
-                    "window_width": cfg.corpus.window_width,
-                    "value_law": cfg.corpus.value_law,
-                    "exponent_law": cfg.corpus.exponent_law,
-                    "alpha_list": list(cfg.corpus.alpha_list),
-                    "p_lo": cfg.corpus.p_lo,
-                    "p_hi": cfg.corpus.p_hi,
-                },
+                "spec": cfg.corpus,
                 "items": [
-                    {
-                        "index": it.index,
-                        "sequence": _sequence_dict(it.a),
-                        "exponent": _exponent_dict(it.p),
-                    }
+                    {"index": it.index, "sequence": it.a, "exponent": it.p}
                     for it in items
                 ],
             }
@@ -331,19 +244,20 @@ def _run_corpus(cfg: RunConfig) -> int:
     return 0
 
 
-_RUNNERS = {
-    "norm": _run_norm,
-    "maximal": _run_maximal,
-    "czd": _run_czd,
-    "verify": _run_verify,
-    "corpus": _run_corpus,
+# command -> (runner, help)
+_COMMANDS = {
+    "norm": (_run_norm, "Luxemburg norm of a sequence"),
+    "maximal": (_run_maximal, "fractional maximal profile"),
+    "czd": (_run_czd, "stopping-time decomposition"),
+    "verify": (_run_verify, "run the verification suite"),
+    "corpus": (_run_corpus, "emit a reproducible corpus"),
 }
 
 
 def run(cfg: RunConfig) -> int:
     """Execute a resolved command; returns the process exit code."""
     try:
-        return _RUNNERS[cfg.command](cfg)
+        return _COMMANDS[cfg.command][0](cfg)
     except ConfigError:
         raise
     except ValueError as e:
@@ -353,156 +267,163 @@ def run(cfg: RunConfig) -> int:
         return 1
 
 
+@dataclass(frozen=True)
+class _Kind:
+    """Reads a setting from flag text or from a config file's JSON value."""
+
+    expected: str  # what an invalid value is told it should have been
+    text: Callable[[str], Any] | None  # flag text -> value; None: no text form
+    json: tuple[type, ...] = ()  # non-string JSON types taken (bool is no int)
+    value: Callable[[Any], Any] = lambda v: v
+
+    def parse(self, v: Any) -> Any:
+        """The typed value; TypeError or ValueError when v is not of this kind."""
+        if isinstance(v, str) and self.text is not None:
+            return self.text(v)
+        if type(v) not in self.json:
+            raise TypeError(f"expected {self.expected}")
+        return self.value(v)
+
+
+def _items(text: str) -> list[str]:
+    return [x.strip() for x in text.split(",") if x.strip()]
+
+
+def _format(text: str) -> str:
+    if text not in ("json", "csv"):
+        raise ValueError(text)
+    return text
+
+
+def _window(text: str) -> ZInterval:
+    lo, hi = text.split(":")
+    return ZInterval(int(lo), int(hi))
+
+
+_TEXT = _Kind("a string", str)
+_INT = _Kind("an integer", int, (int,))
+_FLOAT = _Kind("a number", float, (int, float), float)
+_BOOL = _Kind("true or false", None, (bool,))
+_FORMAT = _Kind("json or csv", _format)
+_WINDOW = _Kind("LO:HI", _window)
+_FLOATS = _Kind(
+    "a list of numbers",
+    lambda s: tuple(float(x) for x in _items(s)),
+    (list,),
+    lambda v: tuple(_FLOAT.parse(x) for x in v),
+)
+_NAMES = _Kind("a list of names", _items, (list,), lambda v: [_TEXT.parse(x) for x in v])
+
+
+@dataclass(frozen=True)
+class _Setting:
+    """One CLI setting; its name is a RunConfig field or a CorpusSpec field."""
+
+    kind: _Kind
+    default: Any
+    commands: tuple[str, ...]
+    flag: str
+    section: str | None = None  # config object holding the key; None: top level
+    flag_commands: tuple[str, ...] | None = None  # with the flag; None: all
+    required: tuple[str, ...] = ()  # commands that fail without a value
+    env: str | None = None  # read after the config file, before the default
+
+
+_ALL = tuple(_COMMANDS)
+_CORPUS = ("verify", "corpus")
+_INPUT = ("norm", "maximal", "czd")
+
+_SETTINGS = {
+    "out": _Setting(_TEXT, None, _ALL, "--out"),
+    "format": _Setting(_FORMAT, "json", _ALL, "--format"),
+    "input": _Setting(_TEXT, None, _INPUT, "--input", required=_INPUT),
+    "exponent": _Setting(_TEXT, None, ("norm",), "--exponent", required=("norm",)),
+    "rel_tol": _Setting(_FLOAT, 1e-12, ("norm",), "--rel-tol"),
+    "alpha": _Setting(_FLOAT, 0.0, ("maximal", "czd"), "--alpha"),
+    "window": _Setting(_WINDOW, None, ("maximal",), "--window"),
+    "t": _Setting(_FLOAT, 0.05, ("czd", "verify"), "--t", required=("czd",)),
+    "checks": _Setting(_NAMES, None, ("verify",), "--checks"),
+    "threads": _Setting(_INT, 1, ("verify",), "--threads", env="VARSEQ_THREADS"),
+    "inject_fault": _Setting(_BOOL, False, ("verify",), "--inject-fault"),
+    "seed": _Setting(_INT, 20260814, _CORPUS, "--seed", "corpus"),
+    "count": _Setting(_INT, 24, _CORPUS, "--count", "corpus"),
+    "window_width": _Setting(_INT, 48, _CORPUS, "--width", "corpus"),
+    "value_law": _Setting(_TEXT, "uniform01", _CORPUS, "--value-law", "corpus"),
+    "exponent_law": _Setting(_TEXT, "lh-decay", _CORPUS, "--exponent-law", "corpus"),
+    "alpha_list": _Setting(_FLOATS, (0.0, 0.25, 0.5), _CORPUS, "--alphas", "corpus"),
+    "p_lo": _Setting(_FLOAT, None, _CORPUS, "--p-lo", "corpus", flag_commands=("corpus",)),
+    "p_hi": _Setting(_FLOAT, None, _CORPUS, "--p-hi", "corpus", flag_commands=("corpus",)),
+}
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ConfigError(message)
-
-
-def _parse_window(text: str) -> ZInterval:
-    try:
-        lo, hi = text.split(":")
-        return ZInterval(int(lo), int(hi))
-    except ValueError as e:
-        raise ConfigError(f"bad window {text!r}, expected LO:HI") from e
-
-
-def _parse_alphas(text: str) -> list[float]:
-    try:
-        return [float(x) for x in text.split(",") if x.strip()]
-    except ValueError as e:
-        raise ConfigError(f"bad alpha list {text!r}") from e
 
 
 def _build_parser() -> _Parser:
     top = _Parser(prog="varseq", description=__doc__)
     top.add_argument("--version", action="version", version=f"varseq {__version__}")
     sub = top.add_subparsers(dest="command", required=True)
-
-    def common(sp):
+    for command, (_, help_text) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=help_text)
         sp.add_argument("--config", help="JSON config file")
-        sp.add_argument("--out", help="output path (atomic write); default stdout")
-        sp.add_argument("--format", choices=["json", "csv"], help="output format")
-
-    sp = sub.add_parser("norm", help="Luxemburg norm of a sequence")
-    common(sp)
-    sp.add_argument("--input", help="sequence file (json or 'index value' text)")
-    sp.add_argument("--exponent", help="exponent file (json)")
-    sp.add_argument("--rel-tol", type=float, dest="rel_tol")
-
-    sp = sub.add_parser("maximal", help="fractional maximal profile")
-    common(sp)
-    sp.add_argument("--input")
-    sp.add_argument("--alpha", type=float)
-    sp.add_argument(
-        "--window",
-        help="evaluation window LO:HI (write --window=-4:4 for negative LO)",
-    )
-
-    sp = sub.add_parser("czd", help="stopping-time decomposition")
-    common(sp)
-    sp.add_argument("--input")
-    sp.add_argument("--alpha", type=float)
-    sp.add_argument("--t", type=float)
-
-    sp = sub.add_parser("verify", help="run the verification suite")
-    common(sp)
-    sp.add_argument("--checks", help="comma-separated check names")
-    sp.add_argument("--t", type=float)
-    sp.add_argument("--threads", type=int)
-    sp.add_argument("--inject-fault", action="store_true", default=None, dest="inject_fault")
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--count", type=int)
-    sp.add_argument("--width", type=int)
-    sp.add_argument("--value-law", dest="value_law")
-    sp.add_argument("--exponent-law", dest="exponent_law")
-    sp.add_argument("--alphas", help="comma-separated alpha list")
-
-    sp = sub.add_parser("corpus", help="emit a reproducible corpus")
-    common(sp)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--count", type=int)
-    sp.add_argument("--width", type=int)
-    sp.add_argument("--value-law", dest="value_law")
-    sp.add_argument("--exponent-law", dest="exponent_law")
-    sp.add_argument("--alphas", help="comma-separated alpha list")
-    sp.add_argument("--p-lo", type=float, dest="p_lo")
-    sp.add_argument("--p-hi", type=float, dest="p_hi")
+        for name, s in _SETTINGS.items():
+            if command not in (s.flag_commands or s.commands):
+                continue
+            key = f"{s.section}.{name}" if s.section else name
+            default = "" if s.default is None else f", default {s.default}"
+            text = f"{s.kind.expected}; config key {key}{default}"
+            if s.kind is _BOOL:
+                sp.add_argument(s.flag, dest=name, action="store_true", default=None, help=text)
+            else:
+                sp.add_argument(s.flag, dest=name, help=text)
     return top
-
-
-def _convert(kind: type, name: str, value):
-    """kind(value), or a ConfigError naming the setting."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"invalid {name} {value!r}: expected {kind.__name__}") from e
 
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
     command = args.command
-    file_cfg: dict = {}
-    if getattr(args, "config", None):
-        file_cfg = parse_config(args.config)
-        _validate_keys(command, file_cfg)
+    settings = {n: s for n, s in _SETTINGS.items() if command in s.commands}
+    in_corpus = {n for n, s in settings.items() if s.section}
+    data = parse_config(args.config) if args.config else {}
+    allowed = {"command", *(settings.keys() - in_corpus)} | ({"corpus"} if in_corpus else set())
+    unknown = sorted(set(data) - allowed)
+    if unknown:
+        raise ConfigError(f"unknown config keys for {command}: {', '.join(unknown)}")
+    if "command" in data and data["command"] != command:
+        raise ConfigError(
+            f"config is for command {data['command']!r}, invoked as {command!r}"
+        )
+    corpus = data.get("corpus", {})
+    if not isinstance(corpus, dict):
+        raise ConfigError("corpus must be an object")
+    bad = sorted(set(corpus) - in_corpus)
+    if bad:
+        raise ConfigError(f"unknown corpus keys: {', '.join(bad)}")
 
-    def pick(name, default):
-        flag = getattr(args, name, None)
-        if flag is not None:
-            return flag
-        if name in file_cfg and file_cfg[name] is not None:
-            return file_cfg[name]
-        return default
+    values = {}
+    for name, s in settings.items():
+        config = corpus if s.section else data
+        sources = [(name, getattr(args, name, None)), (name, config.get(name))]
+        if s.env:
+            sources.append((s.env, os.environ.get(s.env) or None))
+        given = [(label, raw) for label, raw in sources if raw is not None]
+        if not given:
+            if command in s.required:
+                raise ConfigError(f"{command} requires {s.flag}")
+            values[name] = s.default
+            continue
+        label, raw = given[0]
+        try:
+            values[name] = s.kind.parse(raw)
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"invalid {label} {raw!r}: expected {s.kind.expected}") from e
 
-    cfg = RunConfig(command=command)
-    cfg.out = pick("out", None)
-    cfg.format = str(pick("format", "json"))
-    if command in ("norm",):
-        cfg.input = pick("input", None)
-        cfg.exponent = pick("exponent", None)
-        cfg.rel_tol = _convert(float, "rel_tol", pick("rel_tol", 1e-12))
-    if command in ("maximal", "czd"):
-        cfg.input = pick("input", None)
-        cfg.alpha = _convert(float, "alpha", pick("alpha", 0.0))
-    if command == "maximal":
-        win = pick("window", None)
-        cfg.window = _parse_window(win) if isinstance(win, str) else win
-    if command == "czd":
-        t = pick("t", None)
-        if t is None:
-            raise ConfigError("czd requires --t")
-        cfg.t = _convert(float, "t", t)
-    if command == "verify":
-        cfg.t = _convert(float, "t", pick("t", 0.05))
-        env_threads = os.environ.get("VARSEQ_THREADS")
-        default_threads = _convert(int, "VARSEQ_THREADS", env_threads) if env_threads else 1
-        cfg.threads = _convert(int, "threads", pick("threads", default_threads))
-        if cfg.threads < 1:
-            raise ConfigError("threads must be >= 1")
-        cfg.inject_fault = bool(pick("inject_fault", False))
-        checks = pick("checks", None)
-        if isinstance(checks, str):
-            checks = [c.strip() for c in checks.split(",") if c.strip()]
-        if checks is not None:
-            unknown = sorted(set(checks) - set(SUITE_CHECKS))
-            if unknown:
-                raise ConfigError(f"unknown checks: {', '.join(unknown)}")
-        cfg.checks = checks
-    if command in ("verify", "corpus"):
-        entries = dict(file_cfg.get("corpus", {}))
-        overrides = {
-            "seed": getattr(args, "seed", None),
-            "count": getattr(args, "count", None),
-            "window_width": getattr(args, "width", None),
-            "value_law": getattr(args, "value_law", None),
-            "exponent_law": getattr(args, "exponent_law", None),
-            "p_lo": getattr(args, "p_lo", None),
-            "p_hi": getattr(args, "p_hi", None),
-        }
-        alphas = getattr(args, "alphas", None)
-        if alphas is not None:
-            overrides["alpha_list"] = _parse_alphas(alphas)
-        entries.update({k: v for k, v in overrides.items() if v is not None})
-        cfg.corpus = _corpus_spec(entries)
+    cfg = RunConfig(command, **{n: v for n, v in values.items() if n not in in_corpus})
+    if in_corpus:
+        cfg.corpus = CorpusSpec(**{n: values[n] for n in in_corpus})
+    if cfg.threads < 1:
+        raise ConfigError("threads must be >= 1")
     return cfg
 
 

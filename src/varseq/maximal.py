@@ -198,44 +198,34 @@ class MaximalEvaluator:
     def _boundary(self, s: float, right: bool) -> int:
         """Last point on the given side with M_alpha > s, by closed form.
 
-        Valid only when the side's first outside point already exceeds s;
-        float rounding is repaired by local probes of point().
+        Valid only when the side's first outside point already exceeds s.
+        At distance d from the near hull end, the candidate ending at hull
+        index j (counted from that end) has length d + j + 1, and exceeds s
+        up to length ceil((S[j]/s)^(1/(1-alpha))) - 1; float rounding is
+        repaired by local probes of point().
         """
         hull = self.hull
-        W = self._vals.size
-        x = np.arange(W) + hull.lo
-        sums = (self._P[-1] - self._P[:W]) if right else self._P[1:]
-        expo = 1.0 / (1.0 - self.alpha)
+        S = self._S_right if right else self._S_left
+
+        def at(d: int) -> int:
+            return hull.hi + d if right else hull.lo - d
+
         with np.errstate(divide="ignore"):
-            reach = np.power(sums / s, expo)
+            reach = np.power(S / s, 1.0 / (1.0 - self.alpha))
         if float(np.nanmax(reach)) > RADIUS_LIMIT:
             raise ValueError("superlevel radius exceeds 2**52")
-        # largest L with L^(alpha-1) * sum > s is ceil(reach) - 1
         lengths = np.ceil(reach).astype(np.int64) - 1
-        ok = (sums > 0) & (lengths >= 1)
-        if right:
-            b = int((x + lengths - 1)[ok].max()) if ok.any() else hull.hi
-            b = max(b, hull.hi + 1)
-            guard = 0
-            while self.point(b + 1) > s:
-                b += 1
-                guard += 1
-                if guard > 1024:
-                    raise RuntimeError("superlevel boundary fixup diverged")
-            while b > hull.hi + 1 and not self.point(b) > s:
-                b -= 1
-            return b
-        b = int((x - lengths + 1)[ok].min()) if ok.any() else hull.lo
-        b = min(b, hull.lo - 1)
+        ok = (S > 0) & (lengths >= 1)
+        d = max(int((lengths - np.arange(1, S.size + 1))[ok].max()), 1) if ok.any() else 1
         guard = 0
-        while self.point(b - 1) > s:
-            b -= 1
+        while self.point(at(d + 1)) > s:
+            d += 1
             guard += 1
             if guard > 1024:
                 raise RuntimeError("superlevel boundary fixup diverged")
-        while b < hull.lo - 1 and not self.point(b) > s:
-            b += 1
-        return b
+        while d > 1 and not self.point(at(d)) > s:
+            d -= 1
+        return at(d)
 
     def superlevel(self, s: float, within: ZInterval | None = None) -> list[ZInterval]:
         """Runs of {n : M_alpha a(n) > s} for s > 0.

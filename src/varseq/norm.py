@@ -7,7 +7,7 @@ inf{lam > 0 : rho(a/lam) <= 1}, computed by bisection on a certified bracket.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence as PySequence
+from typing import Callable, Sequence as PySequence
 
 import numpy as np
 
@@ -61,6 +61,23 @@ def _modular_scaled(a: Sequence, pv: np.ndarray, lam: float) -> float:
     return float(np.power(a.values / lam, pv).sum())
 
 
+def _bisect(mod_at: Callable[[float], float], lo: float, hi: float, rel_tol: float) -> NormValue:
+    """inf{lam : mod_at(lam) <= 1} by bisection of [lo, hi], where mod_at > 1
+    below lo and <= 1 at hi; lo itself when hi <= lo."""
+    if hi <= lo:
+        return NormValue(lo, mod_at(lo), rel_tol, 0)
+    it = 0
+    while it < MAX_BISECT_ITER and (hi - lo) > rel_tol * hi:
+        mid = 0.5 * (lo + hi)
+        if mod_at(mid) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+        it += 1
+    value = 0.5 * (lo + hi)
+    return NormValue(value, mod_at(value), rel_tol, it)
+
+
 def luxemburg_norm(a: Sequence, p: ExponentFunction, rel_tol: float = 1e-12) -> NormValue:
     """Luxemburg norm by bisection.
 
@@ -75,19 +92,7 @@ def luxemburg_norm(a: Sequence, p: ExponentFunction, rel_tol: float = 1e-12) -> 
         return NormValue(0.0, 0.0, rel_tol, 0)
     pv = p.values_on(win)
     lo = a.max_value()
-    hi = max(lo, a.total())
-    if hi <= lo:
-        return NormValue(lo, _modular_scaled(a, pv, lo), rel_tol, 0)
-    it = 0
-    while it < MAX_BISECT_ITER and (hi - lo) > rel_tol * hi:
-        mid = 0.5 * (lo + hi)
-        if _modular_scaled(a, pv, mid) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-        it += 1
-    value = 0.5 * (lo + hi)
-    return NormValue(value, _modular_scaled(a, pv, value), rel_tol, it)
+    return _bisect(lambda lam: _modular_scaled(a, pv, lam), lo, max(lo, a.total()), rel_tol)
 
 
 def characteristic_norm(
@@ -118,19 +123,7 @@ def characteristic_norm(
         s = float(np.power(1.0 / lam, inner).sum()) if inner.size else 0.0
         return s + outside * float(np.power(1.0 / lam, np.float64(p.p_inf)))
 
-    lo, hi = 1.0, float(total)
-    if total == 1:
-        return NormValue(1.0, mod_at(1.0), rel_tol, 0)
-    it = 0
-    while it < MAX_BISECT_ITER and (hi - lo) > rel_tol * hi:
-        mid = 0.5 * (lo + hi)
-        if mod_at(mid) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-        it += 1
-    value = 0.5 * (lo + hi)
-    return NormValue(value, mod_at(value), rel_tol, it)
+    return _bisect(mod_at, 1.0, float(total), rel_tol)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from varseq.cli import main
+from varseq.cli import _SETTINGS, _build_parser, _resolve, main
 from varseq.reports import render_json
 
 
@@ -213,6 +213,117 @@ def test_verify_bad_config_or_env_value_exit_2(
     cfg = write_json(tmp_path / "cfg.json", {"command": "verify", **config})
     assert run_cli("verify", "--config", cfg, "--checks", "covering", "--count", "2") == 2
     assert f"invalid {named} " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, key, bad",
+    [
+        ("maximal", "window", [0, 3]),
+        ("maximal", "input", 5),
+        ("czd", "out", 5),
+        ("verify", "checks", 5),
+        ("verify", "checks", [1]),
+        ("verify", "inject_fault", "false"),
+        ("maximal", "format", "xml"),
+        ("corpus", "count", 2.7),
+        ("verify", "threads", 2.9),
+        ("czd", "t", True),
+    ],
+)
+def test_config_value_of_wrong_kind_exit_2(tmp_path, seq_file, capsys, command, key, bad):
+    """A config value is taken only if it has the setting's JSON type or is
+    text its flag accepts; anything else names the setting and exits 2."""
+    config = {"corpus": {key: bad}} if _SETTINGS[key].section else {key: bad}
+    argv = [command, "--config", write_json(tmp_path / "cfg.json", config)]
+    if command in ("maximal", "czd") and key != "input":
+        argv += ["--input", seq_file]
+    if command == "czd" and key != "t":
+        argv += ["--t", "1"]
+    if command == "verify" and key != "checks":
+        argv += ["--checks", "covering", "--count", "2"]
+    assert run_cli(*argv) == 2
+    assert f"invalid {key} {bad!r}" in capsys.readouterr().err
+
+
+# setting -> (flag text, the same value in a config, a different config value)
+SAMPLES = {
+    "out": ("r.json", "r.json", "other.json"),
+    "format": ("csv", "csv", "json"),
+    "input": ("a.json", "a.json", "b.json"),
+    "exponent": ("p.json", "p.json", "q.json"),
+    "rel_tol": ("1e-9", 1e-9, 1e-6),
+    "alpha": ("0.25", 0.25, 0),
+    "window": ("-2:3", "-2:3", "0:1"),
+    "t": ("0.3", 0.3, 2),
+    "checks": ("covering, holder", ["covering", "holder"], "fatou"),
+    "threads": ("3", 3, 2),
+    "inject_fault": (None, True, False),
+    "seed": ("7", 7, 8),
+    "count": ("5", 5, "6"),
+    "window_width": ("20", 20, 30),
+    "value_law": ("spike", "spike", "uniform01"),
+    "exponent_law": ("bump", "bump", "constant"),
+    "alpha_list": ("0,0.5", [0, 0.5], [0.25]),
+    "p_lo": ("1.2", 1.2, 1.1),
+    "p_hi": ("1.8", 1.8, 1.9),
+}
+# settings a command cannot resolve without
+BASE = {"norm": {"input": "a.json", "exponent": "p.json"}, "maximal": {"input": "a.json"},
+        "czd": {"input": "a.json", "t": 1.0}}
+FLAGGED = [(c, n) for n, s in _SETTINGS.items() for c in (s.flag_commands or s.commands)]
+
+
+def resolve(tmp_path, argv, config):
+    argv = [*argv, "--config", write_json(tmp_path / "cfg.json", config)]
+    return _resolve(_build_parser().parse_args(argv))
+
+
+def test_samples_cover_every_setting():
+    assert set(SAMPLES) == set(_SETTINGS)
+
+
+@pytest.mark.parametrize("command, name", FLAGGED)
+def test_flag_and_config_value_resolve_alike(tmp_path, command, name):
+    s = _SETTINGS[name]
+    text, value, other = SAMPLES[name]
+    flag = [s.flag] if text is None else [f"{s.flag}={text}"]
+
+    def config(v):
+        base = dict(BASE.get(command, {}))
+        return {**base, "corpus": {name: v}} if s.section else {**base, name: v}
+
+    by_flag = resolve(tmp_path, [command, *flag], BASE.get(command, {}))
+    by_config = resolve(tmp_path, [command], config(value))
+    assert repr(by_flag) == repr(by_config)
+    assert by_flag == by_config
+    # the flag wins over a config value
+    both = resolve(tmp_path, [command, *flag], config(other))
+    assert repr(both) == repr(by_flag)
+    assert resolve(tmp_path, [command], config(other)) != by_flag
+
+
+def test_flags_and_config_keys_per_command():
+    flags = {c: sorted(s.flag for s in _SETTINGS.values() if c in (s.flag_commands or s.commands))
+             for c in ("norm", "maximal", "czd", "verify", "corpus")}
+    assert flags == {
+        "norm": ["--exponent", "--format", "--input", "--out", "--rel-tol"],
+        "maximal": ["--alpha", "--format", "--input", "--out", "--window"],
+        "czd": ["--alpha", "--format", "--input", "--out", "--t"],
+        "verify": ["--alphas", "--checks", "--count", "--exponent-law", "--format", "--inject-fault",
+                   "--out", "--seed", "--t", "--threads", "--value-law", "--width"],
+        "corpus": ["--alphas", "--count", "--exponent-law", "--format", "--out", "--p-hi", "--p-lo",
+                   "--seed", "--value-law", "--width"],
+    }
+    corpus_keys = ["alpha_list", "count", "exponent_law", "p_hi", "p_lo", "seed", "value_law", "window_width"]
+    for command in ("verify", "corpus"):
+        assert sorted(n for n, s in _SETTINGS.items() if s.section == "corpus" and command in s.commands) == corpus_keys
+    assert [(n, s.env) for n, s in _SETTINGS.items() if s.env] == [("threads", "VARSEQ_THREADS")]
+
+
+def test_p_bounds_config_only_on_verify(tmp_path, capsys):
+    assert run_cli("verify", "--p-lo", "1.2") == 2
+    cfg = resolve(tmp_path, ["verify"], {"corpus": {"p_lo": 1.2, "p_hi": 1.8}})
+    assert (cfg.corpus.p_lo, cfg.corpus.p_hi) == (1.2, 1.8)
 
 
 def test_corpus_roundtrip(tmp_path):
