@@ -74,6 +74,14 @@ def parse_config(path: str) -> dict:
     return data
 
 
+def _json_int(path: str, data: dict, key: str) -> int:
+    """data[key] if it is a JSON integer (a bool or float is not)."""
+    v = data[key]
+    if type(v) is not int:
+        raise ConfigError(f"{path}: {key} must be an integer, got {json.dumps(v)}")
+    return v
+
+
 def load_sequence(path: str) -> Sequence:
     """Sequence from JSON {"offset", "values"} or text "index value" lines."""
     try:
@@ -84,7 +92,8 @@ def load_sequence(path: str) -> Sequence:
                 raise ConfigError(
                     f"{path}: sequence JSON must have exactly offset and values"
                 )
-            return Sequence(int(data["offset"]), np.asarray(data["values"], dtype=float))
+            offset = _json_int(path, data, "offset")
+            return Sequence(offset, np.asarray(data["values"], dtype=float))
         pairs = []
         with open(path) as fh:
             for line_no, line in enumerate(fh, 1):
@@ -112,7 +121,7 @@ def load_exponent(path: str) -> ExponentFunction:
                 f"{path}: exponent JSON must have exactly window_lo, values, p_inf"
             )
         return ExponentFunction(
-            int(data["window_lo"]),
+            _json_int(path, data, "window_lo"),
             np.asarray(data["values"], dtype=float),
             float(data["p_inf"]),
         )

@@ -4,9 +4,11 @@ For threshold t > 0, the top level N_t is the smallest N >= 1 such that every
 dyadic block at every level >= N has alpha-average <= t. (For alpha = 0 the
 averages are monotone under merging, so this equals the first fully light
 level; for alpha > 0 the stronger rule is required for the covering bound.)
-Light top blocks are halved recursively, selecting each half whose average
-exceeds t, left half first, so selected intervals are sorted and disjoint
-with averages in (t, 2^(1-alpha) t].
+The block averages do not depend on t, so one table per (sequence, alpha)
+holds them, a row per level over the blocks meeting the support hull, and
+each threshold's decomposition is a cut of it: the maximal blocks below
+N_t with average above t, sorted and disjoint, with averages in
+(t, 2^(1-alpha) t].
 """
 
 from __future__ import annotations
@@ -24,8 +26,10 @@ from .lattice import (
     block_index_of,
     cardinality,
     dilate,
+    dyadic_block,
     interval_sum,
     runs_count,
+    runs_from_mask,
     runs_intersect,
     runs_normalize,
     runs_subtract,
@@ -69,72 +73,71 @@ class CZDecomposition:
     n_t: int
 
 
-def _level_slices(a: Sequence, level: int, hull: ZInterval):
-    js = np.arange(block_index_of(level, hull.lo), block_index_of(level, hull.hi) + 1)
-    width = 1 << level
-    los = (js - 1) * width + 1
-    return los, los + width - 1
+class _DyadicTable:
+    """Row L: the indices of the level-L dyadic blocks meeting the hull and
+    their alpha-averages; each row is built on first use."""
 
+    def __init__(self, a: Sequence, alpha: float):
+        if not (0.0 <= alpha < 1.0):
+            raise ValueError("alpha must lie in [0, 1)")
+        self.a = a
+        self.alpha = float(alpha)
+        self.hull = a.support_hull()
+        self._rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-def _top_level(a: Sequence, alpha: float, t: float, hull: ZInterval) -> int:
-    """Smallest N >= 1 with all dyadic averages at every level >= N at most t.
+    def row(self, level: int) -> tuple[np.ndarray, np.ndarray]:
+        if level not in self._rows:
+            width = 1 << level
+            first, last = (block_index_of(level, n) for n in (self.hull.lo, self.hull.hi))
+            js = np.arange(first, last + 1)
+            los = (js - 1) * width + 1
+            sums = self.a.range_sums(los, los + width - 1)
+            self._rows[level] = (js, np.power(float(width), self.alpha - 1.0) * sums)
+        return self._rows[level]
 
-    The scan stops once the covering blocks are light and each fully contains
-    its side of the support (the 0|1 block boundary persists at all levels,
-    so a straddling hull always meets two blocks); beyond that point block
-    averages only shrink as the level grows.
-    """
-    last_heavy = 0
-    level = 1
-    while True:
-        los, his = _level_slices(a, level, hull)
-        sums = a.range_sums(los, his)
-        avgs = np.power(float(1 << level), alpha - 1.0) * sums
-        if np.any(avgs > t):
-            last_heavy = level
-        elif los.size == 1 or (los.size == 2 and los[1] == 1):
-            # Either one block covers the hull, or the hull straddles the
-            # persistent 0|1 boundary and each block holds its whole side;
-            # in both cases higher levels only shrink the averages.
-            return max(last_heavy + 1, 1)
-        level += 1
-        if level > 62:
-            raise ValueError("threshold too small for the dyadic level search")
+    def top_level(self, t: float) -> int:
+        """N_t. The scan stops at a light row of one block, or of the two
+        blocks on either side of the 0|1 boundary (which persists at every
+        level); each holds its whole side of the hull, so higher levels only
+        shrink the averages."""
+        last_heavy = 0
+        for level in range(1, 63):
+            js, avgs = self.row(level)
+            if np.any(avgs > t):
+                last_heavy = level
+            elif js.size == 1 or (js.size == 2 and js[0] == 0):
+                return last_heavy + 1
+        raise ValueError("threshold too small for the dyadic level search")
+
+    def decompose(self, t: float) -> CZDecomposition:
+        """Cut at t: the blocks below level n_t with average above t whose
+        ancestors below n_t are not, sorted by left end."""
+        if not (t > 0.0):
+            raise ValueError("threshold t must be positive")
+        if self.hull is None:
+            raise ValueError("sequence must not be identically zero")
+        n_t = self.top_level(t)
+        covered = np.zeros(self.row(n_t)[0].size, dtype=bool)
+        found: list[tuple[ZInterval, float]] = []
+        for level in range(n_t - 1, -1, -1):
+            js, avgs = self.row(level)
+            # block j sits under block ceil(j/2) one level up
+            covered = covered[-((-js) // 2) - block_index_of(level + 1, self.hull.lo)]
+            hit = (avgs > t) & ~covered
+            covered |= hit
+            blocks = [dyadic_block(level, j) for j in js[hit].tolist()]
+            found += zip(blocks, avgs[hit].tolist())
+            if covered.all():
+                break  # every lower block sits inside a selected one
+        found.sort()
+        intervals = [iv for iv, _ in found]
+        averages = [avg for _, avg in found]
+        return CZDecomposition(float(t), self.alpha, intervals, averages, n_t)
 
 
 def cz_decompose(a: Sequence, alpha: float, t: float) -> CZDecomposition:
     """Stopping-time decomposition at threshold t for a nontrivial sequence."""
-    if not (0.0 <= alpha < 1.0):
-        raise ValueError("alpha must lie in [0, 1)")
-    if not (t > 0.0):
-        raise ValueError("threshold t must be positive")
-    hull = a.support_hull()
-    if hull is None:
-        raise ValueError("sequence must not be identically zero")
-    n_t = _top_level(a, alpha, t, hull)
-    intervals: list[ZInterval] = []
-    averages: list[float] = []
-
-    def descend(lo: int, hi: int) -> None:
-        half = (hi - lo + 1) // 2
-        for c_lo, c_hi in ((lo, lo + half - 1), (lo + half, hi)):
-            s = a.prefix_sum(c_hi + 1) - a.prefix_sum(c_lo)
-            if s <= 0.0:
-                continue
-            avg = float(np.power(float(c_hi - c_lo + 1), alpha - 1.0)) * s
-            if avg > t:
-                intervals.append(ZInterval(c_lo, c_hi))
-                averages.append(avg)
-            elif c_hi > c_lo:
-                descend(c_lo, c_hi)
-
-    width = 1 << n_t
-    for j in range(block_index_of(n_t, hull.lo), block_index_of(n_t, hull.hi) + 1):
-        lo = (j - 1) * width + 1
-        if a.prefix_sum(lo + width) - a.prefix_sum(lo) > 0.0:
-            descend(lo, lo + width - 1)
-
-    return CZDecomposition(float(t), float(alpha), intervals, averages, n_t)
+    return _DyadicTable(a, alpha).decompose(t)
 
 
 @dataclass(frozen=True)
@@ -155,8 +158,9 @@ def cz_nesting_check(a: Sequence, alpha: float, t1: float, t2: float) -> Nesting
     """Each interval selected at the higher threshold must sit inside one
     selected at the lower threshold, with monotone top level and total size."""
     t_hi, t_lo = max(t1, t2), min(t1, t2)
-    d_hi = cz_decompose(a, alpha, t_hi)
-    d_lo = cz_decompose(a, alpha, t_lo)
+    table = _DyadicTable(a, alpha)
+    d_hi = table.decompose(t_hi)
+    d_lo = table.decompose(t_lo)
     lows = [r.lo for r in d_lo.intervals]
     failures = 0
     for r in d_hi.intervals:
@@ -200,18 +204,17 @@ def covering_check(a: Sequence, alpha: float, t: float) -> CoveringReport:
     doubled = runs_normalize([dilate(r, 2) for r in d.intervals])
     sup = MaximalEvaluator(a, alpha).superlevel(COVERING_FACTOR * t)
     uncovered = runs_subtract(sup, doubled)
-    avgs = np.array(d.averages) if d.averages else np.zeros(0)
-    bound = float(2.0 ** (1.0 - alpha)) * t
-    bound_ok = bool(avgs.size == 0 or float(avgs.max()) <= bound * (1 + 1e-12))
-    ratio = float(avgs.max() / t) if avgs.size else 0.0
-    two_t = float(np.mean(avgs <= 2.0 * t)) if avgs.size else 1.0
+    avgs = d.averages
+    top = max(avgs, default=0.0)
+    bound_ok = top <= float(2.0 ** (1.0 - alpha)) * t * (1 + 1e-12)
+    two_t = sum(avg <= 2.0 * t for avg in avgs) / len(avgs) if avgs else 1.0
     return CoveringReport(
         len(uncovered) == 0,
         runs_count(uncovered),
         runs_count(sup),
         len(d.intervals),
         bound_ok,
-        ratio,
+        top / t,
         two_t,
     )
 
@@ -223,7 +226,7 @@ class LevelSetPartition:
     omega[k] is {M_alpha > base^k} inside the window; shell k is
     omega[k+1] minus omega[k]; e_sets[(k, j)] partition shell k using the
     doubled intervals of the decomposition at height base^(k+1) / 9, whose
-    covering set is exactly omega[k+1].
+    covering set is exactly omega[k+1]. profile holds M_alpha on the window.
     """
 
     t: float
@@ -235,48 +238,47 @@ class LevelSetPartition:
     heights: dict[int, float]
     e_sets: dict[tuple[int, int], list[ZInterval]]
     intervals: dict[tuple[int, int], ZInterval]
+    profile: np.ndarray
 
 
 def level_set_partition(a: Sequence, alpha: float, t: float) -> LevelSetPartition:
     """Partition a window of M_alpha level sets into E-sets; 0 < t < 1/9."""
     if not (0.0 < t < 1.0 / 9.0):
         raise ValueError("t must lie in (0, 1/9)")
-    if not (0.0 <= alpha < 1.0):
-        raise ValueError("alpha must lie in [0, 1)")
-    hull = a.support_hull()
+    ev = MaximalEvaluator(a, alpha)
+    hull = ev.hull
     if hull is None:
         raise ValueError("sequence must not be identically zero")
     base = COVERING_FACTOR * t
-    ev = MaximalEvaluator(a, alpha)
     max_m = ev.max_value()
 
     s_floor = max_m / PARTITION_DEPTH
     radius = int(math.ceil((ev.total / s_floor) ** (1.0 / (1.0 - alpha))))
     radius = min(radius, PARTITION_WINDOW_CAP)
     window = ZInterval(hull.lo - radius, hull.hi + radius)
+    m = ev.profile(window)
+    table = _DyadicTable(a, alpha)
 
-    # smallest k with base^k < max_m (base < 1, so base^k decreases in k)
+    # largest k with base^k >= max_m, where omega is empty (base^k falls in k)
     k = math.floor(math.log(max_m) / math.log(base))
-    while base**k >= max_m:
+    while base ** (k + 1) >= max_m:
         k += 1
-    while base ** (k - 1) < max_m:
+    while base**k < max_m:
         k -= 1
-    k_start = k - 1
 
     levels: list[int] = []
-    omega: dict[int, list[ZInterval]] = {k_start: []}
+    omega: dict[int, list[ZInterval]] = {k: []}
     heights: dict[int, float] = {}
     e_sets: dict[tuple[int, int], list[ZInterval]] = {}
     intervals: dict[tuple[int, int], ZInterval] = {}
 
-    k = k_start
     for _ in range(100_000):
         s_next = base ** (k + 1)
-        omega_next = ev.superlevel(s_next, within=window)
+        omega_next = runs_from_mask(m > s_next, window.lo)
         shell = runs_subtract(omega_next, omega[k])
         if shell:
             height = s_next / COVERING_FACTOR
-            d = cz_decompose(a, alpha, height)
+            d = table.decompose(height)
             heights[k] = height
             levels.append(k)
             used: list[ZInterval] = []
@@ -293,14 +295,14 @@ def level_set_partition(a: Sequence, alpha: float, t: float) -> LevelSetPartitio
                     f"level {k}, {runs_count(leftover)} points"
                 )
         omega[k + 1] = omega_next
-        if runs_count(omega_next) == cardinality(window):
+        if omega_next == [window]:
             break
         k += 1
     else:
         raise RuntimeError("level enumeration did not cover the window")
 
     return LevelSetPartition(
-        float(t), float(alpha), base, window, levels, omega, heights, e_sets, intervals
+        float(t), float(alpha), base, window, levels, omega, heights, e_sets, intervals, m
     )
 
 
@@ -335,10 +337,7 @@ def domination_check(
     """
     part = level_set_partition(a, alpha, t)
     q = fractional_conjugate(p, alpha)
-    ev = MaximalEvaluator(a, alpha)
-    m_vals = ev.profile(part.window)
-    q_vals = q.values_on(part.window)
-    lhs = float(np.power(m_vals, q_vals).sum())
+    lhs = float(np.power(part.profile, q.values_on(part.window)).sum())
 
     e_sum = 0.0
     for key, runs in part.e_sets.items():

@@ -103,8 +103,14 @@ class LHConstant:
     p_inf: float
 
 
-def _log_weights(indices: np.ndarray) -> np.ndarray:
-    return np.log(math.e + np.abs(indices))
+def _decay_constant(indices: np.ndarray, values: np.ndarray, limit: float) -> LHConstant:
+    """sup of |values - limit| * log(e + |n|) over the window, with the first
+    index attaining it."""
+    if values.size == 0:
+        return LHConstant(0.0, None, limit)
+    gaps = np.abs(values - limit) * np.log(math.e + np.abs(indices))
+    k = int(np.argmax(gaps))
+    return LHConstant(float(gaps[k]), int(indices[k]), limit)
 
 
 def lh_infinity_constant(p: ExponentFunction) -> LHConstant:
@@ -113,20 +119,12 @@ def lh_infinity_constant(p: ExponentFunction) -> LHConstant:
     Outside the window the gap is zero, so the sup runs over the window; the
     witness is the first index attaining it.
     """
-    if p.values.size == 0:
-        return LHConstant(0.0, None, p.p_inf)
-    gaps = np.abs(p.values - p.p_inf) * _log_weights(p._indices)
-    k = int(np.argmax(gaps))
-    return LHConstant(float(gaps[k]), int(p._indices[k]), p.p_inf)
+    return _decay_constant(p._indices, p.values, p.p_inf)
 
 
 def _reciprocal_gap_constant(p: ExponentFunction) -> LHConstant:
     """Decay constant of 1/p, computed from the reciprocal gaps of p."""
-    if p.values.size == 0:
-        return LHConstant(0.0, None, 1.0 / p.p_inf)
-    gaps = np.abs(1.0 / p.values - 1.0 / p.p_inf) * _log_weights(p._indices)
-    k = int(np.argmax(gaps))
-    return LHConstant(float(gaps[k]), int(p._indices[k]), 1.0 / p.p_inf)
+    return _decay_constant(p._indices, 1.0 / p.values, 1.0 / p.p_inf)
 
 
 def conjugate(p: ExponentFunction) -> ExponentFunction:

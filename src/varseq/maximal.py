@@ -227,42 +227,19 @@ class MaximalEvaluator:
             d -= 1
         return at(d)
 
-    def superlevel(self, s: float, within: ZInterval | None = None) -> list[ZInterval]:
-        """Runs of {n : M_alpha a(n) > s} for s > 0.
-
-        With `within`, the result is clipped to that window; when the set
-        reaches a window edge the edge is used directly (values decay
-        monotonically away from the hull), skipping the boundary search.
-        """
+    def superlevel(self, s: float) -> list[ZInterval]:
+        """Runs of {n : M_alpha a(n) > s} for s > 0."""
         if not (s > 0.0):
             raise ValueError("threshold must be positive")
         hull = self.hull
         if hull is None:
             return []
-        hp = self._profile_on_hull()
-        runs = runs_from_mask(hp > s, hull.lo)
-        left_probe = hull.lo - 1 if within is None else max(within.lo, hull.lo - 1)
-        right_probe = hull.hi + 1 if within is None else min(within.hi, hull.hi + 1)
-        if left_probe < hull.lo and self.point(left_probe) > s:
-            if within is not None and self.point(within.lo) > s:
-                lo = within.lo
-            else:
-                lo = self._boundary(s, right=False)
-            runs.append(ZInterval(lo, hull.lo - 1))
-        if right_probe > hull.hi and self.point(right_probe) > s:
-            if within is not None and self.point(within.hi) > s:
-                hi = within.hi
-            else:
-                hi = self._boundary(s, right=True)
-            runs.append(ZInterval(hull.hi + 1, hi))
-        runs = runs_normalize(runs)
-        if within is not None:
-            runs = [
-                ZInterval(max(r.lo, within.lo), min(r.hi, within.hi))
-                for r in runs
-                if r.hi >= within.lo and r.lo <= within.hi
-            ]
-        return runs
+        runs = runs_from_mask(self._profile_on_hull() > s, hull.lo)
+        if self.point(hull.lo - 1) > s:
+            runs.append(ZInterval(self._boundary(s, right=False), hull.lo - 1))
+        if self.point(hull.hi + 1) > s:
+            runs.append(ZInterval(hull.hi + 1, self._boundary(s, right=True)))
+        return runs_normalize(runs)
 
 
 def m_alpha_point(a: Sequence, alpha: float, n: int) -> float:

@@ -6,13 +6,19 @@ difference) on every candidate interval of every point, so agreement with
 the library's faster evaluators is exact, not approximate. Outside the hull
 it is a dense points x W evaluation, the reference for the library's
 envelope evaluator.
+
+The decomposition oracle scans the dyadic levels for the top level, then
+halves each top block recursively until a half's average exceeds t: the
+stopping-time search written out, independent of the library's table of
+block averages.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from varseq.lattice import Sequence, ZInterval
+from varseq.czd import CZDecomposition
+from varseq.lattice import Sequence, ZInterval, block_index_of
 from varseq.maximal import alpha_weights
 
 
@@ -75,3 +81,55 @@ def constant_norm_oracle(a: Sequence, p0: float) -> float:
     if a.values.size == 0:
         return 0.0
     return float(np.power(a.values, p0).sum() ** (1.0 / p0))
+
+
+def recursive_cz_decompose(a: Sequence, alpha: float, t: float) -> CZDecomposition:
+    """Reference stopping-time decomposition: scan the dyadic levels for the
+    top level n_t, then halve each top block recursively, selecting each half
+    whose average exceeds t, left half first. Same float formula and the same
+    ValueErrors as the library's table of block averages."""
+    if not (0.0 <= alpha < 1.0):
+        raise ValueError("alpha must lie in [0, 1)")
+    if not (t > 0.0):
+        raise ValueError("threshold t must be positive")
+    hull = a.support_hull()
+    if hull is None:
+        raise ValueError("sequence must not be identically zero")
+
+    def blocks(level: int) -> np.ndarray:
+        js = np.arange(block_index_of(level, hull.lo), block_index_of(level, hull.hi) + 1)
+        return (js - 1) * (1 << level) + 1
+
+    last_heavy, level = 0, 1
+    while True:
+        los = blocks(level)
+        sums = a.range_sums(los, los + (1 << level) - 1)
+        if np.any(np.power(float(1 << level), alpha - 1.0) * sums > t):
+            last_heavy = level
+        elif los.size == 1 or (los.size == 2 and los[1] == 1):
+            break
+        level += 1
+        if level > 62:
+            raise ValueError("threshold too small for the dyadic level search")
+    n_t = last_heavy + 1
+    intervals: list[ZInterval] = []
+    averages: list[float] = []
+
+    def descend(lo: int, hi: int) -> None:
+        half = (hi - lo + 1) // 2
+        for c_lo, c_hi in ((lo, lo + half - 1), (lo + half, hi)):
+            s = a.prefix_sum(c_hi + 1) - a.prefix_sum(c_lo)
+            if s <= 0.0:
+                continue
+            avg = float(np.power(float(c_hi - c_lo + 1), alpha - 1.0)) * s
+            if avg > t:
+                intervals.append(ZInterval(c_lo, c_hi))
+                averages.append(avg)
+            elif c_hi > c_lo:
+                descend(c_lo, c_hi)
+
+    width = 1 << n_t
+    for lo in blocks(n_t).tolist():
+        if a.prefix_sum(lo + width) - a.prefix_sum(lo) > 0.0:
+            descend(lo, lo + width - 1)
+    return CZDecomposition(float(t), float(alpha), intervals, averages, n_t)

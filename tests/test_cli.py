@@ -69,6 +69,23 @@ def test_bad_sequence_files_exit_2(tmp_path, exp_file, capsys):
         assert run_cli("norm", "--input", bad, "--exponent", exp_file) == 2
 
 
+@pytest.mark.parametrize(
+    "flag, data",
+    [
+        ("--input", {"offset": 1.5, "values": [1.0, 2.0]}),
+        ("--input", {"offset": True, "values": [1.0, 2.0]}),
+        ("--exponent", {"window_lo": 0.7, "values": [2.0], "p_inf": 2.0}),
+    ],
+)
+def test_json_offsets_must_be_integers(tmp_path, seq_file, exp_file, capsys, flag, data):
+    """A non-integral or boolean offset exits 2, as in the text format,
+    instead of being truncated to an integer."""
+    files = {"--input": seq_file, "--exponent": exp_file}
+    files[flag] = write_json(tmp_path / "bad.json", data)
+    assert run_cli("norm", *[x for pair in files.items() for x in pair]) == 2
+    assert "must be an integer" in capsys.readouterr().err
+
+
 def test_czd_worked_example(tmp_path, capsys):
     seq = write_json(tmp_path / "c.json", {"offset": 1, "values": [4.0, 0.0, 0.0, 0.0]})
     assert run_cli("czd", "--input", seq, "--alpha", "0", "--t", "1") == 0

@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import recursive_cz_decompose
 from varseq.czd import (
+    _DyadicTable,
     alpha_average,
     covering_check,
     cz_decompose,
@@ -12,7 +16,7 @@ from varseq.czd import (
     level_set_partition,
 )
 from varseq.exponent import ExponentFunction
-from varseq.harness import CorpusSpec, XorShift64Star, generate_corpus
+from varseq.harness import VALUE_LAWS, CorpusSpec, XorShift64Star, generate_corpus
 from varseq.lattice import (
     Sequence,
     ZInterval,
@@ -21,6 +25,7 @@ from varseq.lattice import (
     dyadic_block,
     runs_count,
     runs_equal,
+    runs_intersect,
     runs_subtract,
     runs_union,
 )
@@ -241,6 +246,29 @@ def test_partition_invariants():
             assert part.heights[k] == pytest.approx(part.base ** (k + 1) / 9.0)
 
 
+@pytest.mark.parametrize("law", VALUE_LAWS)
+def test_partition_level_sets_match_superlevel(law):
+    """Each omega[k], cut from the window profile, is the superlevel set at
+    base^k clipped to the window."""
+    spec = CorpusSpec(
+        seed=9093,
+        count=6,
+        window_width=32,
+        value_law=law,
+        exponent_law="constant",
+        alpha_list=ALPHAS,
+    )
+    for item in generate_corpus(spec):
+        if item.a.is_zero():
+            continue
+        for alpha in ALPHAS:
+            part = level_set_partition(item.a, alpha, 0.05)
+            ev = MaximalEvaluator(item.a, alpha)
+            for k, runs in part.omega.items():
+                want = runs_intersect(ev.superlevel(part.base**k), [part.window])
+                assert runs == want, (item.index, alpha, k)
+
+
 def test_partition_validation():
     with pytest.raises(ValueError):
         level_set_partition(Sequence(0, [1.0]), 0.0, 0.2)
@@ -280,3 +308,58 @@ def test_domination_delta_example_numbers():
     assert not rep.ok_corrected and rep.ok_derived
     assert rep.levels == 9
     assert rep.window == ZInterval(-1024, 1024)
+
+
+# Property test: cuts of one table against the recursive oracle, bitwise.
+
+_magnitudes = st.floats(-12.0, 12.0).map(lambda e: 10.0**e)
+_offsets = st.one_of(
+    st.integers(-1000, 1000),
+    st.integers(-64, 64).map(lambda d: 2**40 + d),
+    st.integers(-64, 64).map(lambda d: -(2**40) + d),
+)
+
+
+@st.composite
+def _sequences(draw):
+    """Hull of width 1..64 with nonzero ends, interior zeros and zero runs,
+    values 1e-12..1e12; a third of the hulls straddle the 0|1 boundary."""
+    width = draw(st.integers(1, 64))
+    inner = st.one_of(st.just(0.0), _magnitudes)
+    vals = [draw(_magnitudes)]
+    if width > 1:
+        vals += draw(st.lists(inner, min_size=width - 2, max_size=width - 2))
+        vals.append(draw(_magnitudes))
+        lo = draw(st.integers(1, width - 1))
+        hi = draw(st.integers(lo, width - 1))
+        vals[lo:hi] = [0.0] * (hi - lo)
+    if width > 1 and draw(st.integers(0, 2)) == 0:
+        offset = draw(st.integers(-(width - 2), 0))
+    else:
+        offset = draw(_offsets)
+    return Sequence(offset, vals)
+
+
+_property = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+# thresholds over 12 decades around the peak value
+_scales = st.floats(-10.0, 2.0).map(lambda e: 10.0**e)
+
+
+def _outcome(decompose, t):
+    try:
+        d = decompose(t)
+    except ValueError as e:
+        return str(e)
+    return d.n_t, d.intervals, [avg.hex() for avg in d.averages]
+
+
+@_property
+@given(_sequences(), st.floats(0.0, 0.99), st.lists(_scales, min_size=2, max_size=6))
+def test_table_cuts_match_recursive_oracle(a, alpha, scales):
+    table = _DyadicTable(a, alpha)
+    peak = a.max_value()
+    for scale in scales:
+        t = peak * scale
+        want = _outcome(lambda t: recursive_cz_decompose(a, alpha, t), t)
+        assert _outcome(table.decompose, t) == want, t
+        assert _outcome(lambda t: cz_decompose(a, alpha, t), t) == want, t

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import DENSE_TABLE_LIMIT, brute_force_profile
 from varseq.harness import CorpusSpec, XorShift64Star, generate_corpus
-from varseq.lattice import Sequence, ZInterval, cardinality, dilate, runs_count
+from varseq.lattice import Sequence, ZInterval, cardinality, dilate
 from varseq.maximal import (
     MaximalEvaluator,
     alpha_weights,
@@ -167,16 +167,6 @@ def test_superlevel_delta_closed_form():
             assert got == []
         else:
             assert got == want, s
-
-
-def test_superlevel_within_window_clips():
-    a = Sequence(0, [1.0] * 4)
-    ev = MaximalEvaluator(a, 0.0)
-    full = ev.superlevel(0.01)
-    win = ZInterval(-10, 10)
-    clipped = ev.superlevel(0.01, within=win)
-    assert clipped == [ZInterval(-10, 10)]
-    assert runs_count(full) > runs_count(clipped)
 
 
 def test_superlevel_radius_guard():
