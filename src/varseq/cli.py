@@ -82,6 +82,27 @@ def _json_int(path: str, data: dict, key: str) -> int:
     return v
 
 
+def _is_number(v: Any) -> bool:
+    return type(v) in (int, float)
+
+
+def _json_float(path: str, data: dict, key: str) -> float:
+    """data[key] as a float if it is a JSON number (a bool or string is not)."""
+    v = data[key]
+    if not _is_number(v):
+        raise ConfigError(f"{path}: {key} must be a number, got {json.dumps(v)}")
+    return float(v)
+
+
+def _json_floats(path: str, data: dict, key: str) -> np.ndarray:
+    """data[key] as a float array if it is a list of JSON numbers."""
+    v = data[key]
+    bad = [x for x in v if not _is_number(x)] if isinstance(v, list) else [v]
+    if bad:
+        raise ConfigError(f"{path}: {key} must be numbers, got {json.dumps(bad[0])}")
+    return np.asarray(v, dtype=float)
+
+
 def load_sequence(path: str) -> Sequence:
     """Sequence from JSON {"offset", "values"} or text "index value" lines."""
     try:
@@ -93,7 +114,7 @@ def load_sequence(path: str) -> Sequence:
                     f"{path}: sequence JSON must have exactly offset and values"
                 )
             offset = _json_int(path, data, "offset")
-            return Sequence(offset, np.asarray(data["values"], dtype=float))
+            return Sequence(offset, _json_floats(path, data, "values"))
         pairs = []
         with open(path) as fh:
             for line_no, line in enumerate(fh, 1):
@@ -105,7 +126,7 @@ def load_sequence(path: str) -> Sequence:
                     raise ConfigError(f"{path}:{line_no}: expected 'index value'")
                 pairs.append((int(parts[0]), float(parts[1])))
         return Sequence.from_pairs(pairs)
-    except (OSError, ValueError, json.JSONDecodeError) as e:
+    except (OSError, ValueError, OverflowError, json.JSONDecodeError) as e:
         if isinstance(e, ConfigError):
             raise
         raise ConfigError(f"cannot load sequence {path}: {e}") from e
@@ -122,10 +143,10 @@ def load_exponent(path: str) -> ExponentFunction:
             )
         return ExponentFunction(
             _json_int(path, data, "window_lo"),
-            np.asarray(data["values"], dtype=float),
-            float(data["p_inf"]),
+            _json_floats(path, data, "values"),
+            _json_float(path, data, "p_inf"),
         )
-    except (OSError, ValueError, json.JSONDecodeError) as e:
+    except (OSError, ValueError, OverflowError, json.JSONDecodeError) as e:
         if isinstance(e, ConfigError):
             raise
         raise ConfigError(f"cannot load exponent {path}: {e}") from e

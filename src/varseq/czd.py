@@ -74,8 +74,9 @@ class CZDecomposition:
 
 
 class _DyadicTable:
-    """Row L: the indices of the level-L dyadic blocks meeting the hull and
-    their alpha-averages; each row is built on first use."""
+    """Row L: the indices of the level-L dyadic blocks meeting the hull,
+    their alpha-averages and the largest of them; each row is built on
+    first use."""
 
     def __init__(self, a: Sequence, alpha: float):
         if not (0.0 <= alpha < 1.0):
@@ -83,27 +84,29 @@ class _DyadicTable:
         self.a = a
         self.alpha = float(alpha)
         self.hull = a.support_hull()
-        self._rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._rows: dict[int, tuple[np.ndarray, np.ndarray, float]] = {}
 
-    def row(self, level: int) -> tuple[np.ndarray, np.ndarray]:
+    def row(self, level: int) -> tuple[np.ndarray, np.ndarray, float]:
         if level not in self._rows:
             width = 1 << level
             first, last = (block_index_of(level, n) for n in (self.hull.lo, self.hull.hi))
             js = np.arange(first, last + 1)
             los = (js - 1) * width + 1
             sums = self.a.range_sums(los, los + width - 1)
-            self._rows[level] = (js, np.power(float(width), self.alpha - 1.0) * sums)
+            avgs = np.power(float(width), self.alpha - 1.0) * sums
+            self._rows[level] = (js, avgs, float(avgs.max()))
         return self._rows[level]
 
     def top_level(self, t: float) -> int:
         """N_t. The scan stops at a light row of one block, or of the two
         blocks on either side of the 0|1 boundary (which persists at every
         level); each holds its whole side of the hull, so higher levels only
-        shrink the averages."""
+        shrink the averages. The averages are finite, so a row has one above
+        t exactly when its largest is."""
         last_heavy = 0
         for level in range(1, 63):
-            js, avgs = self.row(level)
-            if np.any(avgs > t):
+            js, _, peak = self.row(level)
+            if peak > t:
                 last_heavy = level
             elif js.size == 1 or (js.size == 2 and js[0] == 0):
                 return last_heavy + 1
@@ -120,7 +123,7 @@ class _DyadicTable:
         covered = np.zeros(self.row(n_t)[0].size, dtype=bool)
         found: list[tuple[ZInterval, float]] = []
         for level in range(n_t - 1, -1, -1):
-            js, avgs = self.row(level)
+            js, avgs, _ = self.row(level)
             # block j sits under block ceil(j/2) one level up
             covered = covered[-((-js) // 2) - block_index_of(level + 1, self.hull.lo)]
             hit = (avgs > t) & ~covered
@@ -337,14 +340,17 @@ def domination_check(
     """
     part = level_set_partition(a, alpha, t)
     q = fractional_conjugate(p, alpha)
-    lhs = float(np.power(part.profile, q.values_on(part.window)).sum())
+    qv = q.values_on(part.window)
+    lhs = float(np.power(part.profile, qv).sum())
 
+    # every E-set run lies inside the window: its exponents are a slice of qv
+    lo = part.window.lo
     e_sum = 0.0
     for key, runs in part.e_sets.items():
         doubled = dilate(part.intervals[key], 2)
         avg = alpha_average(a, doubled, alpha)
         for run in runs:
-            e_sum += float(np.power(avg, q.values_on(run)).sum())
+            e_sum += float(np.power(avg, qv[run.lo - lo : run.hi - lo + 1]).sum())
 
     A = part.base
     q_m, q_p = q.p_minus, q.p_plus

@@ -2,10 +2,16 @@
 
 The modular is rho(a) = sum |a(k)|^p(k); the norm is the Luxemburg gauge
 inf{lam > 0 : rho(a/lam) <= 1}, computed by bisection on a certified bracket.
+A few Newton steps on log rho in log lam, each an exact evaluation checked
+against a proven rounding bound, certify a narrower bracket around the root.
+Midpoints outside it are decided without evaluating the modular, so every
+returned bit is that of evaluating each midpoint, at about 7 modular passes
+per norm instead of about 45.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence as PySequence
 
@@ -27,6 +33,10 @@ __all__ = [
 ]
 
 MAX_BISECT_ITER = 200
+# Assumed error bound of numpy's float64 power, in ulps of the result.
+POW_ULPS = 4
+# Newton steps that _bracket may take before it gives up on certifying.
+NEWTON_STEPS = 8
 
 
 @dataclass(frozen=True)
@@ -57,19 +67,113 @@ def modular(a: Sequence, p: ExponentFunction) -> ModularValue:
     return ModularValue(float(terms.sum()), int(np.count_nonzero(a.values)))
 
 
-def _modular_scaled(a: Sequence, pv: np.ndarray, lam: float) -> float:
-    return float(np.power(a.values / lam, pv).sum())
+def _rounding_bound(chain: int, p_plus: float) -> float:
+    """eps = 2 n u with n = chain + ceil(p_plus) + 2 POW_ULPS: the relative
+    error bound of a computed modular whose terms each pass through at most
+    `chain` roundings after their pow (derivation in _bisect)."""
+    return 2.0 * (chain + math.ceil(p_plus) + 2 * POW_ULPS) * 2.0**-53
 
 
-def _bisect(mod_at: Callable[[float], float], lo: float, hi: float, rel_tol: float) -> NormValue:
+def _bracket(mod_at: Callable, lo: float, hi: float, eps: float) -> tuple[float, float]:
+    """Certified (A, B): every lam <= A has mod_at(lam) > 1.0 and every
+    lam >= B has mod_at(lam) <= 1.0 (proof in _bisect); -inf and inf where
+    no evaluation certifies.
+
+    Newton steps on log m in log lam start at lo. log m is convex and
+    decreasing there, so the iterates approach the root from the left. A
+    step is log m / P, where P = -d log m / d log lam = sum_i p_i t_i / m is
+    the term-weighted mean exponent; mod_at(lam, slope=True) returns m and
+    sum_i p_i t_i. Once a step falls below delta / 4, with delta = 8 eps / P,
+    the next iterate r is not evaluated; two evaluations at r (1 -+ delta)
+    bracket the root instead. At most NEWTON_STEPS + 2 evaluations, and only
+    evaluated points certify: A needs mod_at(A) > 1 + 3 eps, B needs
+    mod_at(B) <= 1 - 3 eps.
+    """
+    A, B = -math.inf, math.inf
+    above, below = 1.0 + 3.0 * eps, 1.0 - 3.0 * eps
+
+    def certify(lam: float, m: float) -> None:
+        nonlocal A, B
+        if m > above:
+            A = max(A, lam)
+        elif m <= below:
+            B = min(B, lam)
+
+    lam = lo
+    for _ in range(NEWTON_STEPS):
+        m, weighted = mod_at(lam, slope=True)
+        certify(lam, m)
+        if not m > 0.0:
+            return A, B
+        slope = weighted / m
+        step = math.log(m) / slope
+        lam = min(max(lam * math.exp(step), lo), hi)
+        delta = 8.0 * eps / slope
+        if abs(step) <= 0.25 * delta:
+            break
+    else:
+        return A, B
+    for x in (lam * (1.0 - delta), lam * (1.0 + delta)):
+        certify(x, mod_at(x))
+    return A, B
+
+
+def _bisect(mod_at: Callable, lo: float, hi: float, rel_tol: float, eps: float) -> NormValue:
     """inf{lam : mod_at(lam) <= 1} by bisection of [lo, hi], where mod_at > 1
-    below lo and <= 1 at hi; lo itself when hi <= lo."""
+    below lo and <= 1 at hi; lo itself when hi <= lo.
+
+    Each midpoint moves lo when mod_at(mid) > 1.0 and hi otherwise. A
+    midpoint <= A or >= B of the certified bracket from _bracket is decided
+    without evaluating mod_at, and every other midpoint and the returned
+    achieved_modular are evaluated as before; so the midpoints, the
+    iteration count and every returned bit are those of the plain loop.
+
+    Why the bracket decides the test. Let m(lam) = sum_i (v_i / lam)^p_i be
+    the exact modular of the float inputs; v_i >= 0 and p_i >= 1 make it
+    strictly decreasing. Suppose the computed value obeys
+    |fl_m - m| <= eps m + eta. If fl_m(A) > 1 + 3 eps, then for lam <= A,
+        fl_m(lam) >= (1 - eps) m(A) - eta
+                  >  (1 - eps)(1 + 3 eps - eta) / (1 + eps) - eta > 1,
+    because (1 - eps)(1 + 3 eps) - (1 + eps) = eps - 3 eps^2 > 0 leaves a
+    slack of about eps; likewise fl_m(B) <= 1 - 3 eps gives fl_m(lam) <= 1
+    for lam >= B. These tests imply fl_m(A) > (1 + eps) / (1 - eps) and
+    fl_m(B) <= (1 - eps) / (1 + eps); 3 eps = 6 n u is exact, and rounding
+    1 -+ 3 eps moves it by at most u <= eps / 18.
+
+    The bound eps, with u = 2^-53 and gamma_n = n u / (1 - n u):
+    - the division v_i / lam, or the reciprocal 1 / lam, rounds once, to
+      (1 + d) times the exact quotient with |d| <= u;
+    - raising to p multiplies the argument error into (1 + d)^p, within
+      gamma_ceil(p) of 1: the error grows by a factor of p;
+    - pow itself is assumed within POW_ULPS = 4 ulps of the exact power, a
+      relative error of at most 2 POW_ULPS u. numpy dispatches float64
+      power on AVX-512 machines to SVML, whose documented bound is 4 ulps,
+      and elsewhere to the C library's pow (glibc: under 1 ulp); 20,000
+      random powers with bases in [1e-12, 1] and exponents in [1, 38],
+      checked against 200-bit arithmetic, stayed within 0.65 ulp;
+    - a sum of N non-negative terms in any order, numpy's pairwise sum
+      included, puts each term through at most N - 1 roundings, a factor
+      within gamma_(N-1);
+    - characteristic_norm adds outside * lam^-p_inf: converting the count
+      to float, the product and the final add are three roundings on that
+      term, and the final add is one more on the inner sum, so its chain is
+      max(n_inner, 3) where luxemburg_norm's is N - 1.
+    Factors within gamma_a and gamma_b multiply to within gamma_(a+b)
+    (Higham, Accuracy and Stability of Numerical Algorithms, Lemma 3.3), so
+    |fl_m - m| <= gamma_n m with n = chain + ceil(p_plus) + 2 POW_ULPS, and
+    gamma_n <= 2 n u = eps while n u <= 1/2, which holds for any array that
+    fits in memory. Underflow breaks the relative bounds only for terms
+    below 2^-1022, whose absolute errors sum to eta < 2^-900, far inside the
+    slack. Overflow cannot occur: every evaluation is at lam >= lo (1 - delta)
+    and both brackets start at lo >= max v_i, so no base exceeds 1 + delta.
+    """
     if hi <= lo:
         return NormValue(lo, mod_at(lo), rel_tol, 0)
+    A, B = _bracket(mod_at, lo, hi, eps)
     it = 0
     while it < MAX_BISECT_ITER and (hi - lo) > rel_tol * hi:
         mid = 0.5 * (lo + hi)
-        if mod_at(mid) > 1.0:
+        if mid <= A or (mid < B and mod_at(mid) > 1.0):
             lo = mid
         else:
             hi = mid
@@ -91,8 +195,16 @@ def luxemburg_norm(a: Sequence, p: ExponentFunction, rel_tol: float = 1e-12) -> 
     if win is None or a.is_zero():
         return NormValue(0.0, 0.0, rel_tol, 0)
     pv = p.values_on(win)
+    v = a.values
+
+    def mod_at(lam: float, slope: bool = False):
+        t = np.power(v / lam, pv)
+        m = float(t.sum())
+        return (m, float(pv @ t)) if slope else m
+
     lo = a.max_value()
-    return _bisect(lambda lam: _modular_scaled(a, pv, lam), lo, max(lo, a.total()), rel_tol)
+    eps = _rounding_bound(v.size - 1, p.p_plus)
+    return _bisect(mod_at, lo, max(lo, a.total()), rel_tol, eps)
 
 
 def characteristic_norm(
@@ -118,12 +230,17 @@ def characteristic_norm(
             [p.values_on(r) for r in inner_runs] or [np.zeros(0)]
         )
         outside = total - runs_count(inner_runs)
+    p_inf = np.float64(p.p_inf)
 
-    def mod_at(lam: float) -> float:
-        s = float(np.power(1.0 / lam, inner).sum()) if inner.size else 0.0
-        return s + outside * float(np.power(1.0 / lam, np.float64(p.p_inf)))
+    def mod_at(lam: float, slope: bool = False):
+        r = 1.0 / lam
+        t = np.power(r, inner)
+        tail = outside * float(np.power(r, p_inf))
+        m = float(t.sum()) + tail
+        return (m, float(inner @ t) + p.p_inf * tail) if slope else m
 
-    return _bisect(mod_at, 1.0, float(total), rel_tol)
+    eps = _rounding_bound(max(inner.size, 3), p.p_plus)
+    return _bisect(mod_at, 1.0, float(total), rel_tol, eps)
 
 
 @dataclass(frozen=True)

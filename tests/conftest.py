@@ -7,6 +7,10 @@ the library's faster evaluators is exact, not approximate. Outside the hull
 it is a dense points x W evaluation, the reference for the library's
 envelope evaluator.
 
+The norm oracles are the bisection without a certified bracket: one
+modular evaluation per midpoint, with the library's float expressions for
+the modular, so the library's NormValues must match them bit for bit.
+
 The decomposition oracle scans the dyadic levels for the top level, then
 halves each top block recursively until a half's average exceeds t: the
 stopping-time search written out, independent of the library's table of
@@ -18,8 +22,10 @@ from __future__ import annotations
 import numpy as np
 
 from varseq.czd import CZDecomposition
-from varseq.lattice import Sequence, ZInterval, block_index_of
+from varseq.exponent import ExponentFunction
+from varseq.lattice import Sequence, ZInterval, block_index_of, runs_count, runs_intersect
 from varseq.maximal import alpha_weights
+from varseq.norm import MAX_BISECT_ITER, NormValue
 
 
 def rectangle_values(a: Sequence, alpha: float) -> tuple[ZInterval, np.ndarray]:
@@ -81,6 +87,58 @@ def constant_norm_oracle(a: Sequence, p0: float) -> float:
     if a.values.size == 0:
         return 0.0
     return float(np.power(a.values, p0).sum() ** (1.0 / p0))
+
+
+def plain_bisect(mod_at, lo: float, hi: float, rel_tol: float, trace=None) -> NormValue:
+    """inf{lam : mod_at(lam) <= 1}, evaluating mod_at at every midpoint;
+    each (midpoint, value) pair is appended to trace when one is given."""
+    if hi <= lo:
+        return NormValue(lo, mod_at(lo), rel_tol, 0)
+    it = 0
+    while it < MAX_BISECT_ITER and (hi - lo) > rel_tol * hi:
+        mid = 0.5 * (lo + hi)
+        m = mod_at(mid)
+        if trace is not None:
+            trace.append((mid, m))
+        if m > 1.0:
+            lo = mid
+        else:
+            hi = mid
+        it += 1
+    value = 0.5 * (lo + hi)
+    return NormValue(value, mod_at(value), rel_tol, it)
+
+
+def plain_luxemburg_norm(a: Sequence, p: ExponentFunction, rel_tol=1e-12, trace=None) -> NormValue:
+    """luxemburg_norm's bracket and modular, bisected by plain_bisect."""
+    if a.window is None or a.is_zero():
+        return NormValue(0.0, 0.0, rel_tol, 0)
+    pv = p.values_on(a.window)
+    lo = a.max_value()
+
+    def mod_at(lam):
+        return float(np.power(a.values / lam, pv).sum())
+
+    return plain_bisect(mod_at, lo, max(lo, a.total()), rel_tol, trace)
+
+
+def plain_characteristic_norm(runs, p: ExponentFunction, rel_tol=1e-12, trace=None) -> NormValue:
+    """characteristic_norm's bracket and modular, bisected by plain_bisect."""
+    total = runs_count(runs)
+    if total == 0:
+        return NormValue(0.0, 0.0, rel_tol, 0)
+    if p.window is None:
+        inner, outside = np.zeros(0), total
+    else:
+        inner_runs = runs_intersect(runs, [p.window])
+        inner = np.concatenate([p.values_on(r) for r in inner_runs] or [np.zeros(0)])
+        outside = total - runs_count(inner_runs)
+
+    def mod_at(lam):
+        s = float(np.power(1.0 / lam, inner).sum()) if inner.size else 0.0
+        return s + outside * float(np.power(1.0 / lam, np.float64(p.p_inf)))
+
+    return plain_bisect(mod_at, 1.0, float(total), rel_tol, trace)
 
 
 def recursive_cz_decompose(a: Sequence, alpha: float, t: float) -> CZDecomposition:

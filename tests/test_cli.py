@@ -65,7 +65,8 @@ def test_bad_sequence_files_exit_2(tmp_path, exp_file, capsys):
     bad2 = write_json(tmp_path / "b2.json", {"offset": 0, "values": [1], "extra": 2})
     bad3 = tmp_path / "b3.txt"
     bad3.write_text("1 2 3\n")
-    for bad in (bad1, bad2, str(bad3), str(tmp_path / "missing.json")):
+    bad4 = write_json(tmp_path / "b4.json", {"offset": 0, "values": [10**400]})
+    for bad in (bad1, bad2, str(bad3), str(tmp_path / "missing.json"), bad4):
         assert run_cli("norm", "--input", bad, "--exponent", exp_file) == 2
 
 
@@ -84,6 +85,39 @@ def test_json_offsets_must_be_integers(tmp_path, seq_file, exp_file, capsys, fla
     files[flag] = write_json(tmp_path / "bad.json", data)
     assert run_cli("norm", *[x for pair in files.items() for x in pair]) == 2
     assert "must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, flag, data, message",
+    [
+        ("maximal", "--input", {"offset": 0, "values": [True, "2"]}, "values must be numbers, got true"),
+        ("maximal", "--input", {"offset": 0, "values": [1.0, "2"]}, 'values must be numbers, got "2"'),
+        ("maximal", "--input", {"offset": 0, "values": 5}, "values must be numbers, got 5"),
+        (
+            "norm",
+            "--exponent",
+            {"window_lo": 0, "values": [2.0, True], "p_inf": 2.0},
+            "values must be numbers, got true",
+        ),
+        (
+            "norm",
+            "--exponent",
+            {"window_lo": 0, "values": [2.0], "p_inf": True},
+            "p_inf must be a number, got true",
+        ),
+    ],
+)
+def test_json_values_must_be_numbers(
+    tmp_path, seq_file, exp_file, capsys, command, flag, data, message
+):
+    """JSON booleans and strings are not read as numbers: true is not 1 and
+    "2" is not 2, so the run exits 2 instead of computing on them."""
+    files = {"--input": seq_file, "--exponent": exp_file}
+    files[flag] = path = write_json(tmp_path / "bad.json", data)
+    if command == "maximal":
+        del files["--exponent"]
+    assert run_cli(command, *[x for pair in files.items() for x in pair]) == 2
+    assert f"{path}: {message}" in capsys.readouterr().err
 
 
 def test_czd_worked_example(tmp_path, capsys):

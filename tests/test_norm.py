@@ -2,12 +2,22 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import constant_norm_oracle
+from conftest import constant_norm_oracle, plain_characteristic_norm, plain_luxemburg_norm
+from varseq import norm
 from varseq.exponent import ExponentFunction
-from varseq.harness import CorpusSpec, XorShift64Star, generate_corpus
+from varseq.harness import (
+    CorpusSpec,
+    XorShift64Star,
+    generate_corpus,
+    strong_type_ratio,
+    weak_type_sup,
+)
 from varseq.lattice import Sequence, ZInterval, truncate
 from varseq.norm import (
     characteristic_norm,
@@ -160,3 +170,230 @@ def test_characteristic_norm_empty_and_singleton():
 def test_norm_rejects_bad_tolerance():
     with pytest.raises(ValueError):
         luxemburg_norm(Sequence(0, [1.0]), ExponentFunction.constant(2.0), rel_tol=0.0)
+
+
+# Certified-bracket bisection against the plain bisection in conftest. The
+# largest exponent the corpus bounds allow is the fractional conjugate of
+# p_hi = 0.95 / alpha at alpha = 0.5: 1.9 / (1 - 0.95) = 38.
+Q_MAX = 38.0
+_property = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+
+def _bits(nv):
+    return (nv.value.hex(), nv.achieved_modular.hex(), nv.tolerance.hex(), nv.iterations)
+
+
+def _magnitudes(rng, n, zero_runs):
+    """n values log-uniform in [1e-12, 1e12] with zero_runs runs of zeros."""
+    v = np.exp(rng.uniform(math.log(1e-12), math.log(1e12), n))
+    for _ in range(zero_runs):
+        start = int(rng.integers(0, n))
+        v[start : start + int(rng.integers(1, n + 1))] = 0.0
+    return v
+
+
+@st.composite
+def _exponents(draw, near: int):
+    """Exponent window of width 0..2^15 placed around index `near`, values
+    and p_inf in [1, q_max] with q_max <= Q_MAX."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q_max = draw(st.floats(1.0, Q_MAX))
+    width = draw(st.one_of(st.just(0), st.integers(1, 2**15)))
+    lo = near + draw(st.integers(-(2**15), 2**15))
+    return ExponentFunction(lo, rng.uniform(1.0, q_max, width), draw(st.floats(1.0, q_max)))
+
+
+@st.composite
+def _norm_inputs(draw):
+    n = draw(st.one_of(st.just(1), st.integers(1, 2**15)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    offset = draw(st.integers(-(2**20), 2**20))
+    a = Sequence(offset, _magnitudes(rng, n, draw(st.integers(0, 3))))
+    return a, draw(_exponents(offset))
+
+
+@st.composite
+def _run_sets(draw):
+    """1..4 runs of up to 2^15 points plus, optionally, one run of up to
+    2^52 points far outside any exponent window."""
+    x = draw(st.integers(-(2**16), 2**16))
+    runs = []
+    for _ in range(draw(st.integers(1, 4))):
+        length = draw(st.integers(1, 2**15))
+        runs.append(ZInterval(x, x + length - 1))
+        x += length + draw(st.integers(1, 2**15))
+    if draw(st.booleans()):
+        far = 2**40
+        runs.append(ZInterval(far, far + draw(st.integers(0, 2**52))))
+    return runs, draw(_exponents(runs[0].lo))
+
+
+@_property
+@given(_norm_inputs())
+def test_luxemburg_norm_bit_identical_to_plain_bisection(inputs):
+    a, p = inputs
+    assert _bits(luxemburg_norm(a, p)) == _bits(plain_luxemburg_norm(a, p))
+
+
+@_property
+@given(_run_sets())
+def test_characteristic_norm_bit_identical_to_plain_bisection(inputs):
+    runs, p = inputs
+    assert _bits(characteristic_norm(runs, p)) == _bits(plain_characteristic_norm(runs, p))
+
+
+def _luxemburg_case(values, p):
+    a = Sequence(0, values)
+    trace = []
+    return luxemburg_norm(a, p), plain_luxemburg_norm(a, p, trace=trace), trace
+
+
+def _indicator_case(runs, p):
+    trace = []
+    return characteristic_norm(runs, p), plain_characteristic_norm(runs, p, trace=trace), trace
+
+
+_P2 = ExponentFunction.constant(2.0)
+# Each case puts the exact root on a bisection midpoint, or within an ulp of
+# one, so the computed modular there is within 1e-15 of 1: (8, 15, 17) and
+# (48, 55, 73) are Pythagorean triples whose hypotenuse is a dyadic point of
+# the bracket [max, sum]; 9 and 49 points at p = 2 have roots 3 and 7 on
+# dyadic points of [1, count].
+ADVERSARIAL = {
+    "pythagorean_8_15": lambda: _luxemburg_case([8.0, 15.0], _P2),
+    "pythagorean_48_55": lambda: _luxemburg_case([48.0, 55.0], _P2),
+    **{
+        f"pythagorean_8_15_nudged_{k:+d}ulp": (
+            lambda k=k: _luxemburg_case([8.0, 15.0 * (1.0 + k * 2.0**-52)], _P2)
+        )
+        for k in (-3, -2, -1, 1, 2, 3)
+    },
+    "pythagorean_8_15_windowed": lambda: _luxemburg_case(
+        [8.0, 15.0], ExponentFunction(1, [2.0], 2.0)
+    ),
+    "indicator_9_points": lambda: _indicator_case([ZInterval(0, 8)], _P2),
+    "indicator_49_points_split_window": lambda: _indicator_case(
+        [ZInterval(0, 48)], ExponentFunction(-10, np.full(35, 2.0), 2.0)
+    ),
+    "indicator_49_points_far_tail": lambda: _indicator_case(
+        [ZInterval(0, 23), ZInterval(2**45, 2**45 + 24)],
+        ExponentFunction(0, np.full(24, 2.0), 2.0),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ADVERSARIAL))
+def test_adversarial_midpoint_at_root(name):
+    got, want, trace = ADVERSARIAL[name]()
+    assert min(abs(m - 1.0) for _, m in trace) <= 1e-15
+    assert _bits(got) == _bits(want)
+
+
+def _spy_brackets(monkeypatch):
+    """Record (mod_at, lo, hi, eps, A, B) for every bracket the norms build."""
+    seen = []
+    real = norm._bracket
+
+    def spy(mod_at, lo, hi, eps):
+        A, B = real(mod_at, lo, hi, eps)
+        seen.append((mod_at, lo, hi, eps, A, B))
+        return A, B
+
+    monkeypatch.setattr(norm, "_bracket", spy)
+    return seen
+
+
+def test_bracket_certificates_hold(monkeypatch):
+    """A and B are evaluated points that clear the margin, and the float
+    modular keeps its side of 1 on 64 floats beyond each, where rounding
+    noise is largest relative to the modular's slope."""
+    seen = _spy_brackets(monkeypatch)
+    rng = np.random.default_rng(2026)
+    for n in (1, 2, 3, 64, 1000, 2**12, 2**15):
+        for _ in range(3):
+            a = Sequence(0, _magnitudes(rng, n, 1) if n > 8 else rng.uniform(0.5, 2.0, n))
+            p = ExponentFunction(-5, rng.uniform(1.0, rng.uniform(1.0, Q_MAX), n + 10), 1.5)
+            luxemburg_norm(a, p)
+            characteristic_norm([ZInterval(0, n - 1), ZInterval(2**40, 2**40 + 2**50)], p)
+    certified = 0
+    for mod_at, lo, hi, eps, A, B in seen:
+        assert eps > 0.0
+        if A > -math.inf:
+            assert mod_at(A) > 1.0 + 3.0 * eps
+            x = A
+            for _ in range(64):
+                x = float(np.nextafter(x, 0.0))
+                assert mod_at(x) > 1.0
+        if B < math.inf:
+            assert mod_at(B) <= 1.0 - 3.0 * eps
+            x = B
+            for _ in range(64):
+                x = float(np.nextafter(x, math.inf))
+                assert mod_at(x) <= 1.0
+        certified += A > -math.inf and B < math.inf
+    assert certified == len(seen)
+
+
+def test_rounding_bound_covers_measured_error(monkeypatch):
+    """|fl_m - m| <= eps m against the modular in 200-bit arithmetic, at
+    the bisection's low end and at both ends of the certified bracket."""
+    mpmath.mp.prec = 200
+    seen = _spy_brackets(monkeypatch)
+    rng = np.random.default_rng(77)
+    for n in (1, 5, 40, 300):
+        for _ in range(4):
+            v = _magnitudes(rng, n, 1)
+            p = ExponentFunction(0, rng.uniform(1.0, Q_MAX, n), float(rng.uniform(1.0, Q_MAX)))
+            a = Sequence(0, v)
+            if a.is_zero():
+                continue
+            luxemburg_norm(a, p)
+            mod_at, lo, _, eps, A, B = seen[-1]
+            pv = [mpmath.mpf(float(x)) for x in p.values_on(a.window)]
+            for lam in (lo, A, B):
+                exact = sum(mpmath.mpf(float(x)) ** e / mpmath.mpf(lam) ** e for x, e in zip(v, pv))
+                assert abs(mpmath.mpf(mod_at(lam)) - exact) <= eps * exact
+            runs = [ZInterval(0, n - 1), ZInterval(10**6, 10**6 + 2**51)]
+            characteristic_norm(runs, p)
+            mod_at, lo, _, eps, A, B = seen[-1]
+            for lam in (lo, A, B):
+                r = 1 / mpmath.mpf(lam)
+                exact = sum(r**e for e in pv) + (2**51 + 1) * r ** mpmath.mpf(p.p_inf)
+                assert abs(mpmath.mpf(mod_at(lam)) - exact) <= eps * exact
+
+
+# The plain bisection evaluates the modular about 45 times per norm here.
+EVALUATIONS_PER_NORM_MEAN = 10
+EVALUATIONS_PER_NORM_MAX = 24
+
+
+def test_certified_path_evaluation_count(monkeypatch):
+    """Modular evaluations per norm over strong_type and weak_type on the
+    default verify corpus; a fall-back to the plain loop would need about
+    45 per norm."""
+    counts = []
+    real = norm._bisect
+
+    def counting(mod_at, lo, hi, rel_tol, eps):
+        n = 0
+
+        def counted(lam, slope=False):
+            nonlocal n
+            n += 1
+            return mod_at(lam, slope=True) if slope else mod_at(lam)
+
+        nv = real(counted, lo, hi, rel_tol, eps)
+        counts.append((n, nv.iterations))
+        return nv
+
+    monkeypatch.setattr(norm, "_bisect", counting)
+    spec = CorpusSpec(20260814, 24, 48, "uniform01", "lh-decay", (0.0, 0.25, 0.5))
+    for item in generate_corpus(spec):
+        for alpha in spec.alpha_list:
+            strong_type_ratio(item.a, item.p, alpha)
+            weak_type_sup(item.a, item.p, alpha)
+    calls = np.array([n for n, _ in counts])
+    plain = np.array([it + 1 for _, it in counts])
+    assert plain.mean() > 40
+    assert calls.mean() <= EVALUATIONS_PER_NORM_MEAN
+    assert calls.max() <= EVALUATIONS_PER_NORM_MAX
