@@ -134,7 +134,10 @@ class Sequence:
             raise ValueError("values must be finite")
         vals = np.abs(vals)
         vals.flags.writeable = False
-        prefix = np.concatenate([[0.0], np.cumsum(vals)])
+        with np.errstate(over="ignore"):
+            prefix = np.concatenate([[0.0], np.cumsum(vals)])
+        if not np.isfinite(prefix[-1]):
+            raise ValueError("sum of |values| must be finite")
         prefix.flags.writeable = False
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "_prefix", prefix)

@@ -2,7 +2,15 @@
 
 M_alpha a(n) = sup over intervals I containing n of |I|^(alpha-1) sum_I |a|.
 The sup is attained on intervals with endpoints in the support hull, so the
-profile over the hull is a finite max (computed by two cumulative-max sweeps).
+profile over the hull is a finite max over pairs of prefix sums: the left end
+among the points (l, P[l]) with l <= n, the right end among (h, P[h]) with
+h > n. For a fixed right end the best left end is a vertex of the lower convex
+hull of its candidates, and for a fixed left end the best right end is a
+vertex of the upper convex hull of its candidates, so the hull profile scores
+only (left-vertex x right-vertex) pairs, taken from one persistent monotone
+stack per side (_convex_chains). Inputs whose chains hold more pairs than the
+W(W+1)/2 intervals of the hull (near-collinear prefix sums) are swept row by
+row instead.
 
 Outside the hull, at distance d >= 1 from its near end, the candidates are
 the intervals from n to each hull index j (counted from that end):
@@ -43,6 +51,12 @@ RADIUS_LIMIT = 2**52
 # The margin is far wider than the rounding of one power and one product, so
 # a candidate left out of a segment's range is strictly below its max.
 _NEAR_MAX = 1.0 - 2.0**-40
+# A chain point is dropped only when it lies beyond the chord of its
+# neighbours by more than this, with prefix sums scaled so that the hull total
+# lies in [1/2, 1) (derivation in _convex_chains).
+_CHAIN_MARGIN = 2.0**-45
+# Candidate pairs scored per block of the hull profile; bounds its temporaries.
+_PAIR_BLOCK = 2**13
 
 
 def alpha_weights(max_len: int, alpha: float) -> np.ndarray:
@@ -58,6 +72,141 @@ def _scores(d: int, S: np.ndarray, lo: int, hi: int, beta: float) -> np.ndarray:
     """(d + j + 1)^beta * S[j] for the candidates j in [lo, hi] at distance d."""
     lengths = np.arange(d + lo + 1, d + hi + 2).astype(np.float64)
     return np.power(lengths, beta) * S[lo : hi + 1]
+
+
+def _convex_chains(y: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Lower convex chains of the points (i, y[i]) for i = 0, 1, ..., with slack.
+
+    One monotone stack, kept persistent: after point i is pushed the stack is
+    the chain i -> pred[i] -> ... of depth[i] points. The stack top b, with
+    predecessor a, is popped for the new point c only when b lies above the
+    chord from a to c by more than _CHAIN_MARGIN. Returns (pred, depth), with
+    pred -1 at the bottom of the stack.
+
+    Why no dropped point can carry the float max. The hull profile scales
+    the prefix sums P by a power of two so that their total T lies in
+    [1/2, 1) (exact, as is the sign flip that turns upper chains into lower
+    ones), and calls this on y = P[0..W-1] for the left ends and on
+    y = -P[W], -P[W-1], ..., -P[1] for the right ends. Take the floats P as
+    exact reals, let F(l, h) = (h-l)^(alpha-1) (P[h]-P[l]) be the exact
+    interval value and V(l, h) = fl(w[h-l-1] * fl(P[h]-P[l])) the float the
+    row sweep and the pair scorer both compute.
+
+    - Domination. For fixed h, {F(., h) >= s} is the region below the convex
+      curve x -> P[h] - s (h-x)^(1-alpha). Let q lie above the chord from a
+      to c (a < q < c < h) by g. If F(a, h) and F(c, h) were both below
+      (1+gamma) F(q, h), then a, c and their chord would lie above the curve
+      for s = (1+gamma) F(q, h), which at x = q reads
+      P[q] - gamma (P[h]-P[q]); so g < gamma (P[h]-P[q]) <= gamma T. Hence
+      g >= gamma T gives max(F(a, h), F(c, h)) >= (1+gamma) F(q, h). For
+      right ends the curve x -> P[l] + s (x-l)^(1-alpha) is concave and the
+      same steps apply to -P.
+    - The exact best left end l* among 0..n for a right end h is never
+      dropped (a dropped point is beaten by an earlier or a later point of
+      0..n), nor is the best right end h* among n+1..W for l*. So if the
+      float max at n sits on a pair (q, h) that was dropped on either side,
+      F(l*, h*) >= (1+gamma) F(q, h).
+    - Rounding. w[k] is within POW_ULPS = 4 ulps of (k+1)^(alpha-1) (the
+      bound norm._bisect assumes), and the subtraction is correctly rounded
+      (exactly so when subnormal), so w * fl(P[h]-P[l]) = F (1 + d) with
+      |d| < 2^-49.8. Rounding the product is monotone. With gamma = 2^-46,
+      (1+gamma)(1-2^-49.8) > 1+2^-49.8, so V(l*, h*) >= V(q, h): the kept
+      pairs reach the same float max.
+    - The test. cross = (y_b-y_a)(c-a) - (y_c-y_a)(b-a) is g (c-a). Each
+      product has magnitude at most T (c-a) < (c-a), and scaling made every
+      y exact up to 2^-1075 (underflow only), so the computed cross is within
+      2^-50 (c-a) of the exact one. Popping only when it exceeds
+      _CHAIN_MARGIN (c-a) = 2^-45 (c-a) leaves g > 2^-46 >= gamma T.
+    """
+    pred: list[int] = []
+    depth: list[int] = []
+    stack: list[int] = []
+    for c, yc in enumerate(y):
+        while len(stack) > 1:
+            b, a = stack[-1], stack[-2]
+            ya = y[a]
+            if (y[b] - ya) * (c - a) - (yc - ya) * (b - a) > _CHAIN_MARGIN * (c - a):
+                stack.pop()
+            else:
+                break
+        pred.append(stack[-1] if stack else -1)
+        stack.append(c)
+        depth.append(len(stack))
+    return np.array(pred, dtype=np.int64), np.array(depth, dtype=np.int64)
+
+
+def _walk(pred: np.ndarray, depth: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The chains from each start, concatenated, and the offset of each."""
+    lens = depth[starts]
+    offs = np.cumsum(lens) - lens
+    out = np.empty(int(lens.sum()), dtype=np.int64)
+    cur, pos = starts, offs
+    while cur.size:
+        out[pos] = cur
+        cur = pred[cur]
+        live = cur >= 0
+        cur, pos = cur[live], pos[live] + 1
+    return out, offs
+
+
+def _blocks(counts: np.ndarray, limit: int):
+    """[i, j) runs of consecutive entries with counts summing to at most
+    limit, or a single entry where one alone exceeds it."""
+    ends = np.cumsum(counts)
+    i = 0
+    while i < counts.size:
+        base = int(ends[i - 1]) if i else 0
+        j = max(i + 1, int(np.searchsorted(ends, base + limit, side="right")))
+        yield i, j
+        i = j
+
+
+def _sweep_profile(P: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The hull profile with one row of W - l interval values per left end l."""
+    W = P.size - 1
+    out = np.full(W, -np.inf)
+    for lo in range(W):
+        row = w[: W - lo] * (P[lo + 1 :] - P[lo])
+        # suffix max over hi >= n for this lo
+        suff = np.maximum.accumulate(row[::-1])[::-1]
+        np.maximum(out[lo:], suff, out=out[lo:])
+    return out
+
+
+def _pair_profile(P: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The hull profile as a max over the (left-chain x right-chain) pairs of
+    each point, or the row sweep when the chains hold more pairs than the
+    hull has intervals."""
+    W = P.size - 1
+    y = np.ldexp(P, -int(np.frexp(P[-1])[1]))
+    pred_l, depth_l = _convex_chains(y[:W].tolist())
+    # right ends h = W, W-1, ..., 1 at positions 0..W-1; point n starts at W-1-n
+    pred_r, depth_r = _convex_chains((-y[:0:-1]).tolist())
+    pairs = depth_l * depth_r[::-1]
+    if int(pairs.sum()) > W * (W + 1) // 2:
+        return _sweep_profile(P, w)
+    out = np.full(W, -np.inf)
+    for n0, n1 in _blocks(pairs, _PAIR_BLOCK):
+        ns = np.arange(n0, n1)
+        lefts, _ = _walk(pred_l, depth_l, ns)
+        rights, r_offs = _walk(pred_r, depth_r, W - 1 - ns)
+        rights = W - rights
+        # one row per (point, left end), scored against the point's right chain
+        a = depth_l[ns]
+        row_n = np.repeat(ns, a)
+        row_b = np.repeat(depth_r[W - 1 - ns], a)
+        row_r = np.repeat(r_offs, a)
+        for i, j in _blocks(row_b, _PAIR_BLOCK):
+            cnt = row_b[i:j]
+            first = np.cumsum(cnt) - cnt
+            h = rights[np.arange(int(first[-1] + cnt[-1])) + np.repeat(row_r[i:j] - first, cnt)]
+            lo = np.repeat(lefts[i:j], cnt)
+            vals = w[h - lo - 1] * (P[h] - P[lo])
+            pts = row_n[i:j]
+            new = np.flatnonzero(np.r_[True, pts[1:] != pts[:-1]])
+            u = pts[new]
+            out[u] = np.maximum(out[u], np.maximum.reduceat(vals, first[new]))
+    return out
 
 
 def _validate_alpha(alpha: float) -> float:
@@ -112,15 +261,7 @@ class MaximalEvaluator:
     def _profile_on_hull(self) -> np.ndarray:
         if self._hull_profile is None:
             W = self._vals.size
-            w_all = alpha_weights(W, self.alpha)
-            out = np.full(W, -np.inf)
-            P = self._P
-            for lo in range(W):
-                row = w_all[: W - lo] * (P[lo + 1 :] - P[lo])
-                # suffix max over hi >= n for this lo
-                suff = np.maximum.accumulate(row[::-1])[::-1]
-                np.maximum(out[lo:], suff, out=out[lo:])
-            self._hull_profile = out
+            self._hull_profile = _pair_profile(self._P, alpha_weights(W, self.alpha))
         return self._hull_profile
 
     def max_value(self) -> float:

@@ -189,8 +189,8 @@ def luxemburg_norm(a: Sequence, p: ExponentFunction, rel_tol: float = 1e-12) -> 
     some ratio exceeds 1 so the modular exceeds 1; at the total sum every
     ratio is <= 1 and p >= 1 gives modular <= 1.
     """
-    if rel_tol <= 0:
-        raise ValueError("rel_tol must be positive")
+    if not (0.0 < rel_tol < math.inf):
+        raise ValueError("rel_tol must be positive and finite")
     win = a.window
     if win is None or a.is_zero():
         return NormValue(0.0, 0.0, rel_tol, 0)
@@ -215,8 +215,8 @@ def characteristic_norm(
     Indices inside the exponent window contribute explicit powers; the rest
     contribute count * lam^(-p_inf), so arbitrarily large sets stay O(window).
     """
-    if rel_tol <= 0:
-        raise ValueError("rel_tol must be positive")
+    if not (0.0 < rel_tol < math.inf):
+        raise ValueError("rel_tol must be positive and finite")
     total = runs_count(runs)
     if total == 0:
         return NormValue(0.0, 0.0, rel_tol, 0)

@@ -70,6 +70,19 @@ def test_bad_sequence_files_exit_2(tmp_path, exp_file, capsys):
         assert run_cli("norm", "--input", bad, "--exponent", exp_file) == 2
 
 
+@pytest.mark.parametrize("window", ["--window=-2:4", "--window=0:2"])
+def test_overflowing_total_exit_2(tmp_path, window, capsys):
+    seq = write_json(tmp_path / "big.json", {"offset": 0, "values": [1e308] * 3})
+    assert run_cli("maximal", "--input", seq, window) == 2
+    assert "sum of |values| must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rel_tol", ["nan", "inf", "0"])
+def test_norm_bad_rel_tol_exit_2(seq_file, exp_file, rel_tol, capsys):
+    assert run_cli("norm", "--input", seq_file, "--exponent", exp_file, "--rel-tol", rel_tol) == 2
+    assert "rel_tol must be positive and finite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "flag, data",
     [

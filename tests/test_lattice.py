@@ -115,6 +115,9 @@ def test_sequence_rejects_bad_values():
         Sequence(0, [1.0, np.inf])
     with pytest.raises(ValueError):
         Sequence(0, [[1.0, 2.0]])
+    # finite entries whose total overflows
+    with pytest.raises(ValueError, match="sum of"):
+        Sequence(0, [1e308] * 3)
 
 
 def test_truncate_and_scaled_shifted():

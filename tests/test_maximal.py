@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import DENSE_TABLE_LIMIT, brute_force_profile
 from varseq.harness import CorpusSpec, XorShift64Star, generate_corpus
+from varseq import maximal
 from varseq.lattice import Sequence, ZInterval, cardinality, dilate
 from varseq.maximal import (
     MaximalEvaluator,
@@ -259,3 +260,90 @@ def test_near_tied_candidates_match_oracle():
             d = int(cross)
             _assert_matches_oracle(a, alpha, ZInterval(15 + d - 32, 15 + d + 32))
             _assert_matches_oracle(a, alpha, ZInterval(-d - 32, -d + 32))
+
+
+# The hull profile (convex-chain pairs, or the row sweep when the chains hold
+# more pairs than the hull has intervals) against the rectangle oracle,
+# bitwise, on laws where chains are long or rounding decides the max.
+
+
+def _hull_values(law: str, width: int, rng: np.random.Generator) -> np.ndarray:
+    if law == "constant":
+        return np.full(width, 10.0 ** rng.uniform(-12, 12))
+    if law == "zero-runs":
+        vals = np.zeros(width)
+        spikes = rng.integers(0, width, size=rng.integers(0, 6))
+        vals[spikes] = rng.random(spikes.size)
+        vals[0], vals[-1] = rng.random(2) + 0.01
+        return vals
+    if law == "arithmetic":
+        first = rng.uniform(0.5, 2.0)
+        return first + rng.uniform(-first, first) * np.arange(width) / width
+    if law == "nudged":
+        # constant or slowly rising values nudged by a few ulps: nearly
+        # collinear prefix sums
+        base = rng.uniform(0.1, 1.0) * (1.0 + np.arange(width) * rng.choice([0.0, 1e-3]))
+        return base * (1.0 + rng.integers(-2, 3, width) * 2.0**-52)
+    if law == "nudged-blocks":
+        # runs of 8 equal values nudged by a few ulps: at alpha = 0 the
+        # averages of intervals inside a run tie to within rounding
+        vals = np.repeat(rng.random(width // 8 + 1), 8)[:width] + 0.01
+        return vals * (1.0 + rng.integers(-4, 5, width) * 2.0**-52)
+    if law == "dynamic":
+        return 10.0 ** rng.uniform(-300, 300, width)
+    return rng.random(width)
+
+
+_HULL_LAWS = ("constant", "zero-runs", "arithmetic", "nudged", "nudged-blocks", "dynamic", "uniform")
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(_HULL_LAWS),
+    st.one_of(st.integers(1, 64), st.integers(65, 512)),
+    st.integers(0, 2**32 - 1),
+    _alphas,
+)
+def test_hull_profile_matches_rectangle_oracle(law, width, seed, alpha):
+    a = Sequence(seed % 1000, _hull_values(law, width, np.random.default_rng(seed)))
+    hull = a.support_hull()
+    prof = MaximalEvaluator(a, alpha).profile(hull)
+    assert np.array_equal(prof, brute_force_profile(a, alpha, hull))
+
+
+def test_hull_profile_ulp_ties_match_oracle():
+    # the pair scorer must keep every pair whose float can round to the max,
+    # also where the exact values tie to within a few ulps
+    for seed in range(150):
+        rng = np.random.default_rng(seed)
+        a = Sequence(0, _hull_values("nudged-blocks", int(rng.integers(3, 120)), rng))
+        hull = a.support_hull()
+        prof = MaximalEvaluator(a, 0.0).profile(hull)
+        assert np.array_equal(prof, brute_force_profile(a, 0.0, hull)), seed
+
+
+def test_hull_profile_path_selected_by_pair_count(monkeypatch):
+    swept = []
+    sweep = maximal._sweep_profile
+
+    def spy(P, w):
+        swept.append(P.size - 1)
+        return sweep(P, w)
+
+    monkeypatch.setattr(maximal, "_sweep_profile", spy)
+    # random values: short chains, scored as pairs
+    a = Sequence(0, np.random.default_rng(3).random(512))
+    hull = a.support_hull()
+    for alpha in ALPHAS:
+        prof = MaximalEvaluator(a, alpha).profile(hull)
+        assert np.array_equal(prof, brute_force_profile(a, alpha, hull))
+    assert swept == []
+    # a constant sequence keeps every point on both chains (about W^3/6
+    # pairs), so it is swept; with unit values every interval of length k
+    # scores w[k-1] * k, and every length fits around every point
+    W = 4096
+    for alpha in ALPHAS:
+        prof = MaximalEvaluator(Sequence(0, np.ones(W)), alpha).profile(ZInterval(0, W - 1))
+        want = (alpha_weights(W, alpha) * np.arange(1, W + 1)).max()
+        assert np.all(prof == want)
+    assert swept == [W] * len(ALPHAS)

@@ -168,8 +168,13 @@ def test_characteristic_norm_empty_and_singleton():
 
 
 def test_norm_rejects_bad_tolerance():
-    with pytest.raises(ValueError):
-        luxemburg_norm(Sequence(0, [1.0]), ExponentFunction.constant(2.0), rel_tol=0.0)
+    p = ExponentFunction.constant(2.0)
+    # NaN and inf once ended the bisection after 0 iterations at the midpoint
+    for rel_tol in (0.0, -1e-12, math.nan, math.inf):
+        with pytest.raises(ValueError, match="rel_tol"):
+            luxemburg_norm(Sequence(0, [3.0, 1.0, 4.0, 1.0, 5.0, 9.0]), p, rel_tol=rel_tol)
+        with pytest.raises(ValueError, match="rel_tol"):
+            characteristic_norm([ZInterval(0, 5)], p, rel_tol=rel_tol)
 
 
 # Certified-bracket bisection against the plain bisection in conftest. The
