@@ -3,14 +3,15 @@
 Every setting is one entry of `_SETTINGS`: its parser, its default, the
 commands that take it, its flag, and whether a config file holds it at the
 top level or inside "corpus". A value comes from the flag, else the config
-file, else (for threads) VARSEQ_THREADS, else the default. Flags reach
-argparse as plain text, and the setting's one parser reads that text or the
-config's JSON value alike: a config value is valid exactly when it has the
-setting's JSON type or is text the flag would accept.
+file, else the default; no setting is read from the environment. Flags
+reach argparse as plain text, and the setting's one parser reads that text
+or the config's JSON value alike: a config value is valid exactly when it
+has the setting's JSON type or is text the flag would accept. verify runs
+its checks serially: they hold the GIL, so threads only made them slower.
 
 Exit codes: 0 on success, 1 when verification reports failures or an
 internal invariant breaks, 2 for usage, config, or input errors, including
-a flag, config or VARSEQ_THREADS value that the setting's parser rejects.
+a flag or config value that the setting's parser rejects.
 Config files are strict JSON (unknown keys rejected).
 """
 
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -54,7 +54,6 @@ class RunConfig:
     window: ZInterval | None = None
     corpus: CorpusSpec | None = None
     checks: list[str] | None = None
-    threads: int = 1
     inject_fault: bool = False
     out: str | None = None
     format: str = "json"
@@ -230,7 +229,6 @@ def _run_verify(cfg: RunConfig) -> int:
         cfg.corpus,
         t=cfg.t,
         checks=cfg.checks,
-        threads=cfg.threads,
         inject_fault=cfg.inject_fault,
     )
     failures = sum(r.failures for r in reports)
@@ -356,7 +354,6 @@ class _Setting:
     section: str | None = None  # config object holding the key; None: top level
     flag_commands: tuple[str, ...] | None = None  # with the flag; None: all
     required: tuple[str, ...] = ()  # commands that fail without a value
-    env: str | None = None  # read after the config file, before the default
 
 
 _ALL = tuple(_COMMANDS)
@@ -373,7 +370,6 @@ _SETTINGS = {
     "window": _Setting(_WINDOW, None, ("maximal",), "--window"),
     "t": _Setting(_FLOAT, 0.05, ("czd", "verify"), "--t", required=("czd",)),
     "checks": _Setting(_NAMES, None, ("verify",), "--checks"),
-    "threads": _Setting(_INT, 1, ("verify",), "--threads", env="VARSEQ_THREADS"),
     "inject_fault": _Setting(_BOOL, False, ("verify",), "--inject-fault"),
     "seed": _Setting(_INT, 20260814, _CORPUS, "--seed", "corpus"),
     "count": _Setting(_INT, 24, _CORPUS, "--count", "corpus"),
@@ -434,26 +430,22 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     values = {}
     for name, s in settings.items():
         config = corpus if s.section else data
-        sources = [(name, getattr(args, name, None)), (name, config.get(name))]
-        if s.env:
-            sources.append((s.env, os.environ.get(s.env) or None))
-        given = [(label, raw) for label, raw in sources if raw is not None]
-        if not given:
+        raw = getattr(args, name, None)
+        if raw is None:
+            raw = config.get(name)
+        if raw is None:
             if command in s.required:
                 raise ConfigError(f"{command} requires {s.flag}")
             values[name] = s.default
             continue
-        label, raw = given[0]
         try:
             values[name] = s.kind.parse(raw)
         except (TypeError, ValueError) as e:
-            raise ConfigError(f"invalid {label} {raw!r}: expected {s.kind.expected}") from e
+            raise ConfigError(f"invalid {name} {raw!r}: expected {s.kind.expected}") from e
 
     cfg = RunConfig(command, **{n: v for n, v in values.items() if n not in in_corpus})
     if in_corpus:
         cfg.corpus = CorpusSpec(**{n: values[n] for n in in_corpus})
-    if cfg.threads < 1:
-        raise ConfigError("threads must be >= 1")
     return cfg
 
 

@@ -255,9 +255,7 @@ def level_set_partition(a: Sequence, alpha: float, t: float) -> LevelSetPartitio
     base = COVERING_FACTOR * t
     max_m = ev.max_value()
 
-    s_floor = max_m / PARTITION_DEPTH
-    radius = int(math.ceil((ev.total / s_floor) ** (1.0 / (1.0 - alpha))))
-    radius = min(radius, PARTITION_WINDOW_CAP)
+    radius = ev.reach(max_m / PARTITION_DEPTH, PARTITION_WINDOW_CAP)
     window = ZInterval(hull.lo - radius, hull.hi + radius)
     m = ev.profile(window)
     table = _DyadicTable(a, alpha)

@@ -3,16 +3,15 @@
 All randomness flows through a hand-rolled xorshift64* generator so corpora
 and reports are reproducible bit-for-bit across platforms. SUITE_CHECKS is
 the table behind the CLI verify command: each check produces Case records,
-and one Rule per check summarizes them into a VerificationReport.
+one group per corpus item, and one Rule per check summarizes them into a
+VerificationReport. The checks run serially (see run_verification_suite).
 """
 
 from __future__ import annotations
 
 import math
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
-from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -209,6 +208,8 @@ def generate_corpus(spec: CorpusSpec) -> list[CorpusItem]:
         raise ValueError(f"unknown exponent law {spec.exponent_law!r}")
     if spec.window_width < 4:
         raise ValueError("window_width must be >= 4")
+    if spec.count < 0:
+        raise ValueError("count must be >= 0")
     p_lo, p_hi = spec.resolved_bounds()
     rng = XorShift64Star(spec.seed)
     items = []
@@ -292,10 +293,7 @@ def strong_type_ratio(a: Sequence, p: ExponentFunction, alpha: float) -> float:
     max_m = ev.max_value()
     if max_m == 0.0:
         return 0.0
-    s = max_m / STRONG_THRESHOLD_DIV
-    radius = min(
-        STRONG_WINDOW_CAP, int(math.ceil((ev.total / s) ** (1.0 / (1.0 - alpha))))
-    )
+    radius = ev.reach(max_m / STRONG_THRESHOLD_DIV, STRONG_WINDOW_CAP)
     hull = a.support_hull()
     window = ZInterval(hull.lo - radius, hull.hi + radius)
     m_seq = Sequence(window.lo, ev.profile(window))
@@ -364,12 +362,12 @@ class Rule:
     needs_alphas: bool = False
 
 
-Task = Callable[[], list[Case]]
-Producer = Callable[[CorpusSpec, tuple, float], list[Task]]
+# (corpus spec, alphas, t) -> one group of cases per corpus item
+Groups = Callable[[CorpusSpec, tuple, float], list[list[Case]]]
 
 
 def _summarize(name: str, groups: list[list[Case]], rule: Rule) -> VerificationReport:
-    """Apply the rule to the case groups, one group per task."""
+    """Apply the rule to the case groups, one group per corpus item."""
     cases = [c for group in groups for c in group]
     best, worst = rule.floor, rule.default
     for c in cases:
@@ -384,31 +382,19 @@ def _summarize(name: str, groups: list[list[Case]], rule: Rule) -> VerificationR
     return VerificationReport(name, len(cases), failures, worst, constant)
 
 
-def _run_tasks(tasks: list[Task], threads: int) -> list[list[Case]]:
-    """Call the tasks in order, on a thread pool when threads > 1."""
-    if threads <= 1:
-        return [task() for task in tasks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda task: task(), tasks))
+def _each_item(cases: Callable) -> Groups:
+    """Groups of cases(item, alphas, t) over the corpus items, in order."""
+    return lambda spec, alphas, t: [cases(item, alphas, t) for item in generate_corpus(spec)]
 
 
-def _item_tasks(spec: CorpusSpec, cases: Callable, *args) -> list[Task]:
-    return [partial(cases, item, *args) for item in generate_corpus(spec)]
-
-
-def _each_item(cases: Callable) -> Producer:
-    """Producer calling cases(item, alphas, t) on every corpus item."""
-    return lambda spec, alphas, t: _item_tasks(spec, cases, alphas, t)
-
-
-def _per_alpha(cases: Callable, tag: str) -> Producer:
-    """Producer calling cases(item, alpha) on one corpus per alpha, each
-    reseeded from the tag and the alpha."""
-
-    def tasks(spec, a):
-        return _item_tasks(replace(spec, seed=_sub_seed(spec.seed, f"{tag}-{a:g}")), cases, a)
-
-    return lambda spec, alphas, t: [task for a in alphas for task in tasks(spec, a)]
+def _per_alpha(cases: Callable, tag: str) -> Groups:
+    """Groups of cases(item, alpha) over one corpus per alpha, each reseeded
+    from the tag and the alpha."""
+    return lambda spec, alphas, t: [
+        cases(item, a)
+        for a in alphas
+        for item in generate_corpus(replace(spec, seed=_sub_seed(spec.seed, f"{tag}-{a:g}")))
+    ]
 
 
 def _strong_cases(item: CorpusItem, alpha: float) -> list[Case]:
@@ -419,8 +405,8 @@ def _strong_cases(item: CorpusItem, alpha: float) -> list[Case]:
     return [Case(ok, r1, {"index": item.index, "ratio": r1})]
 
 
-def _weak_cases(item: CorpusItem, alpha: float, t_grid=None) -> list[Case]:
-    val, t_at = weak_type_sup(item.a, item.p, alpha, t_grid)
+def _weak_cases(item: CorpusItem, alpha: float) -> list[Case]:
+    val, t_at = weak_type_sup(item.a, item.p, alpha)
     ok = math.isfinite(val) and val >= 0.0
     return [Case(ok, val, {"index": item.index, "value": val, "t": t_at})]
 
@@ -429,17 +415,15 @@ _STRONG = Rule(0.0, {"index": -1, "ratio": 0.0}, constant=True)
 _WEAK = Rule(0.0, {"index": -1, "value": 0.0, "t": 0.0}, constant=True)
 
 
-def estimate_strong_type(spec: CorpusSpec, alpha: float, threads: int = 1) -> VerificationReport:
+def estimate_strong_type(spec: CorpusSpec, alpha: float) -> VerificationReport:
     """Empirical operator-norm envelope, with exact scale invariance checked."""
-    groups = _run_tasks(_item_tasks(spec, _strong_cases, alpha), threads)
+    groups = [_strong_cases(item, alpha) for item in generate_corpus(spec)]
     return _summarize(f"strong_type[alpha={alpha:g}]", groups, _STRONG)
 
 
-def estimate_weak_type(
-    spec: CorpusSpec, alpha: float, t_grid: np.ndarray | None = None, threads: int = 1
-) -> VerificationReport:
-    """Empirical weak-type envelope over a threshold grid."""
-    groups = _run_tasks(_item_tasks(spec, _weak_cases, alpha, t_grid), threads)
+def estimate_weak_type(spec: CorpusSpec, alpha: float) -> VerificationReport:
+    """Empirical weak-type envelope over the default threshold grid."""
+    groups = [_weak_cases(item, alpha) for item in generate_corpus(spec)]
     return _summarize(f"weak_type[alpha={alpha:g}]", groups, _WEAK)
 
 
@@ -546,11 +530,11 @@ def _domination_cases(item: CorpusItem, alphas, t) -> list[Case]:
     return [Case(r.ok_derived, r.ratio, {_CORRECTED: r.ok_corrected}) for r in reps]
 
 
-def _holder_tasks(spec: CorpusSpec, alphas, t) -> list[Task]:
+def _holder_groups(spec: CorpusSpec, alphas, t) -> list[list[Case]]:
     """A random interval, alpha and p0 per item, drawn in corpus order from
-    one stream; the draws stay here so that tasks may run in any order."""
+    one stream."""
     rng = XorShift64Star(_sub_seed(spec.seed, "holder-intervals"))
-    tasks = []
+    groups = []
     for item in generate_corpus(spec):
         hull = item.a.support_hull()
         if hull is None:
@@ -562,8 +546,8 @@ def _holder_tasks(spec: CorpusSpec, alphas, t) -> list[Task]:
         if cap <= 1.05:
             alpha, cap = 0.0, 8.0
         p0 = 1.0 + (cap - 1.0) * max(0.05, rng.uniform())
-        tasks.append(partial(_holder_cases, item, ZInterval(lo, hi), p0, alpha))
-    return tasks
+        groups.append(_holder_cases(item, ZInterval(lo, hi), p0, alpha))
+    return groups
 
 
 def _holder_cases(item: CorpusItem, interval: ZInterval, p0: float, alpha: float) -> list[Case]:
@@ -571,11 +555,11 @@ def _holder_cases(item: CorpusItem, interval: ZInterval, p0: float, alpha: float
     return [Case(r.ok, r.lhs - r.rhs, {"index": item.index, "lhs": r.lhs, "rhs": r.rhs})]
 
 
-def _key_comparison_tasks(spec: CorpusSpec, alphas, t) -> list[Task]:
+def _key_comparison_groups(spec: CorpusSpec, alphas, t) -> list[list[Case]]:
     """A reference-tail decay per item, drawn in corpus order from one stream."""
     rng = XorShift64Star(_sub_seed(spec.seed, "key-comparison"))
     return [
-        partial(_key_comparison_cases, item, 1.0 / item.p.p_inf + 0.5 + 2.0 * rng.uniform())
+        _key_comparison_cases(item, 1.0 / item.p.p_inf + 0.5 + 2.0 * rng.uniform())
         for item in generate_corpus(spec)
     ]
 
@@ -591,8 +575,8 @@ _RATIO = Rule(0.0, constant=True, max_key="max_average_ratio")
 _DOMINATION = Rule(0.0, constant=True, max_key="max_lhs_over_esum", item_fraction=_CORRECTED)
 _KEY = Rule(0.0, {"index": -1, "c5": 0.0, "c6": 0.0}, constant=True)
 
-# check name -> (producer of its tasks, rule that summarizes their cases)
-SUITE_CHECKS: dict[str, tuple[Producer, Rule]] = {
+# check name -> (its case groups, rule that summarizes them)
+SUITE_CHECKS: dict[str, tuple[Groups, Rule]] = {
     "lh_equivalences": (_each_item(_lh_cases), Rule(0.0, ties=True)),
     "norm_modular": (_each_item(_norm_modular_cases), Rule()),
     "scaling": (_each_item(_scaling_cases), Rule()),
@@ -601,8 +585,8 @@ SUITE_CHECKS: dict[str, tuple[Producer, Rule]] = {
     "cz_structure": (_each_item(_cz_structure_cases), _RATIO),
     "covering": (_each_item(_covering_cases), _RATIO),
     "domination": (_each_item(_domination_cases), _DOMINATION),
-    "holder": (_holder_tasks, Rule(-math.inf)),
-    "key_comparison": (_key_comparison_tasks, _KEY),
+    "holder": (_holder_groups, Rule(-math.inf)),
+    "key_comparison": (_key_comparison_groups, _KEY),
     "strong_type": (_per_alpha(_strong_cases, "strong"), replace(_STRONG, needs_alphas=True)),
     "weak_type": (_per_alpha(_weak_cases, "weak"), replace(_WEAK, needs_alphas=True)),
 }
@@ -616,7 +600,15 @@ def run_verification_suite(
     inject_fault: bool = False,
 ) -> list[VerificationReport]:
     """Run the named checks (all by default, fixed order) over corpora derived
-    from the spec; each check reseeds deterministically from its name."""
+    from the spec; each check reseeds deterministically from its name.
+
+    The checks run serially: they are Python code holding the GIL, and a
+    thread pool only made them slower. `threads` stays, in fourth place and
+    accepting only 1, because bench/tracer.py still passes it positionally;
+    the next change to the benchmark drops it.
+    """
+    if threads != 1:
+        raise ValueError("the suite runs serially; threads must be 1")
     names = list(SUITE_CHECKS) if checks is None else list(checks)
     unknown = [n for n in names if n not in SUITE_CHECKS]
     if unknown:
@@ -624,12 +616,12 @@ def run_verification_suite(
     alphas = tuple(spec.alpha_list)
     out = []
     for name in names:
-        produce, rule = SUITE_CHECKS[name]
+        groups, rule = SUITE_CHECKS[name]
         if rule.needs_alphas and not alphas:
             out.append(VerificationReport(name, 0, 0, {}, None))
             continue
         sub = replace(spec, seed=_sub_seed(spec.seed, name))
-        out.append(_summarize(name, _run_tasks(produce(sub, alphas, t), threads), rule))
+        out.append(_summarize(name, groups(sub, alphas, t), rule))
     if inject_fault:
         reason = {"reason": "fault injection requested"}
         out.append(VerificationReport("injected_fault", 1, 1, reason, None))

@@ -31,6 +31,7 @@ enumerating large radii.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -258,6 +259,15 @@ class MaximalEvaluator:
     def total(self) -> float:
         return float(self._P[-1])
 
+    def reach(self, s: float, cap: int) -> int:
+        """ceil((total/s)^(1/(1-alpha))), capped at cap. At that distance
+        from the hull or more, M_alpha a <= s up to rounding; as alpha -> 1
+        the power overflows, and the radius is the cap."""
+        try:
+            return min(cap, math.ceil((self.total / s) ** (1.0 / (1.0 - self.alpha))))
+        except OverflowError:
+            return cap
+
     def _profile_on_hull(self) -> np.ndarray:
         if self._hull_profile is None:
             W = self._vals.size
@@ -351,7 +361,7 @@ class MaximalEvaluator:
         def at(d: int) -> int:
             return hull.hi + d if right else hull.lo - d
 
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             reach = np.power(S / s, 1.0 / (1.0 - self.alpha))
         if float(np.nanmax(reach)) > RADIUS_LIMIT:
             raise ValueError("superlevel radius exceeds 2**52")

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import warnings
 
 import pytest
 
@@ -243,40 +244,55 @@ def test_verify_csv_format(tmp_path):
     assert lines[1].startswith("scaling,12,0,")
 
 
-def test_verify_threads_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("VARSEQ_THREADS", "3")
-    out1 = tmp_path / "t.json"
-    assert run_cli(
-        "verify", "--seed", "6", "--count", "4", "--width", "20",
-        "--checks", "covering", "--out", str(out1),
-    ) == 0
-    monkeypatch.delenv("VARSEQ_THREADS")
-    out2 = tmp_path / "s.json"
-    assert run_cli(
-        "verify", "--seed", "6", "--count", "4", "--width", "20",
-        "--checks", "covering", "--out", str(out2),
-    ) == 0
-    assert out1.read_bytes() == out2.read_bytes()
-    monkeypatch.setenv("VARSEQ_THREADS", "0")
-    assert run_cli("verify", "--checks", "covering", "--count", "2") == 2
+NEAR_ONE = {"alpha_list": [0.995], "p_lo": 1.0, "p_hi": 1.002, "count": 2, "window_width": 12}
 
 
 @pytest.mark.parametrize(
-    "env, config, named",
+    "check, code, message",
     [
-        ({"VARSEQ_THREADS": "abc"}, {}, "VARSEQ_THREADS"),
-        ({}, {"threads": "x"}, "threads"),
-        ({}, {"t": "x"}, "t"),
+        ("strong_type", 0, ""),
+        ("domination", 2, "error: threshold too small for the dyadic level search\n"),
+        ("weak_type", 2, "error: superlevel radius exceeds 2**52\n"),
     ],
 )
-def test_verify_bad_config_or_env_value_exit_2(
-    tmp_path, monkeypatch, capsys, env, config, named
-):
-    for key, value in env.items():
-        monkeypatch.setenv(key, value)
-    cfg = write_json(tmp_path / "cfg.json", {"command": "verify", **config})
+def test_verify_alpha_near_one(tmp_path, capsys, check, code, message):
+    """A valid config at alpha = 0.995 ends with a report or a one-line
+    error, never a traceback or a numpy warning."""
+    cfg = write_json(tmp_path / "cfg.json", {"checks": [check], "corpus": NEAR_ONE})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("verify", "--config", cfg, "--out", str(tmp_path / "r.json")) == code
+    assert capsys.readouterr().err == message
+
+
+def test_verify_negative_count_exit_2(capsys):
+    assert run_cli("verify", "--count", "-1", "--checks", "covering") == 2
+    assert "count must be >= 0" in capsys.readouterr().err
+    assert run_cli("verify", "--count", "0", "--checks", "covering") == 0
+
+
+def test_verify_has_no_threads_setting(tmp_path, monkeypatch, capsys):
+    """verify runs serially: no --threads flag, no threads config key, and
+    VARSEQ_THREADS is not read."""
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    assert "--threads" not in capsys.readouterr().out
+    assert run_cli("verify", "--threads", "2", "--checks", "covering", "--count", "2") == 2
+    assert "--threads" in capsys.readouterr().err
+    cfg = write_json(tmp_path / "cfg.json", {"threads": 2})
     assert run_cli("verify", "--config", cfg, "--checks", "covering", "--count", "2") == 2
-    assert f"invalid {named} " in capsys.readouterr().err
+    assert "unknown config keys for verify: threads" in capsys.readouterr().err
+    argv = ["verify", "--seed", "6", "--count", "4", "--width", "20", "--checks", "covering"]
+    assert run_cli(*argv, "--out", str(tmp_path / "plain.json")) == 0
+    monkeypatch.setenv("VARSEQ_THREADS", "abc")
+    assert run_cli(*argv, "--out", str(tmp_path / "env.json")) == 0
+    assert (tmp_path / "env.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+
+
+def test_verify_bad_config_value_exit_2(tmp_path, capsys):
+    cfg = write_json(tmp_path / "cfg.json", {"command": "verify", "t": "x"})
+    assert run_cli("verify", "--config", cfg, "--checks", "covering", "--count", "2") == 2
+    assert "invalid t 'x'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -290,7 +306,6 @@ def test_verify_bad_config_or_env_value_exit_2(
         ("verify", "inject_fault", "false"),
         ("maximal", "format", "xml"),
         ("corpus", "count", 2.7),
-        ("verify", "threads", 2.9),
         ("czd", "t", True),
     ],
 )
@@ -320,7 +335,6 @@ SAMPLES = {
     "window": ("-2:3", "-2:3", "0:1"),
     "t": ("0.3", 0.3, 2),
     "checks": ("covering, holder", ["covering", "holder"], "fatou"),
-    "threads": ("3", 3, 2),
     "inject_fault": (None, True, False),
     "seed": ("7", 7, 8),
     "count": ("5", 5, "6"),
@@ -374,14 +388,13 @@ def test_flags_and_config_keys_per_command():
         "maximal": ["--alpha", "--format", "--input", "--out", "--window"],
         "czd": ["--alpha", "--format", "--input", "--out", "--t"],
         "verify": ["--alphas", "--checks", "--count", "--exponent-law", "--format", "--inject-fault",
-                   "--out", "--seed", "--t", "--threads", "--value-law", "--width"],
+                   "--out", "--seed", "--t", "--value-law", "--width"],
         "corpus": ["--alphas", "--count", "--exponent-law", "--format", "--out", "--p-hi", "--p-lo",
                    "--seed", "--value-law", "--width"],
     }
     corpus_keys = ["alpha_list", "count", "exponent_law", "p_hi", "p_lo", "seed", "value_law", "window_width"]
     for command in ("verify", "corpus"):
         assert sorted(n for n, s in _SETTINGS.items() if s.section == "corpus" and command in s.commands) == corpus_keys
-    assert [(n, s.env) for n, s in _SETTINGS.items() if s.env] == [("threads", "VARSEQ_THREADS")]
 
 
 def test_p_bounds_config_only_on_verify(tmp_path, capsys):

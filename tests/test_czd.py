@@ -274,6 +274,10 @@ def test_partition_validation():
         level_set_partition(Sequence(0, [1.0]), 0.0, 0.2)
     with pytest.raises(ValueError):
         level_set_partition(Sequence(0, np.zeros(2)), 0.0, 0.05)
+    # near alpha = 1 the window radius overflowed a float; capped, the
+    # dyadic level search rejects the threshold instead
+    with pytest.raises(ValueError, match="threshold too small"):
+        level_set_partition(Sequence(0, [1.0, 2.0, 3.0]), 0.995, 0.05)
 
 
 def test_domination_derived_constant_holds():

@@ -100,6 +100,9 @@ def test_corpus_laws():
         generate_corpus(replace(BASE, value_law="nope"))
     with pytest.raises(ValueError):
         generate_corpus(replace(BASE, exponent_law="nope"))
+    with pytest.raises(ValueError, match="count"):
+        generate_corpus(replace(BASE, count=-1))
+    assert generate_corpus(replace(BASE, count=0)) == []
 
 
 def test_corpus_p_bounds_respect_alpha():
@@ -187,6 +190,12 @@ def test_weak_type_delta_closed_form():
     assert got_default == pytest.approx(want, rel=1e-9)
 
 
+def test_strong_type_ratio_near_alpha_one():
+    """The window radius overflowed a float at alpha = 0.995; it is capped."""
+    r = strong_type_ratio(Sequence(0, [1.0, 2.0, 3.0]), ExponentFunction.constant(1.002), 0.995)
+    assert math.isfinite(r) and r > 0.0
+
+
 def test_estimators_report_shape():
     spec = replace(BASE, count=6)
     rep = estimate_strong_type(spec, 0.25)
@@ -207,13 +216,15 @@ def test_suite_runs_all_checks_and_is_deterministic():
         assert x == y
 
 
-def test_suite_threads_match_serial():
-    spec = replace(BASE, count=6, window_width=24)
-    serial = run_verification_suite(spec, checks=["covering", "strong_type"])
-    threaded = run_verification_suite(
-        spec, checks=["covering", "strong_type"], threads=4
+def test_suite_runs_serially_only():
+    """threads keeps its positional slot for the benchmark tracer; only 1 is taken."""
+    spec = replace(BASE, count=2, window_width=12)
+    assert run_verification_suite(spec, 0.05, ["covering"], 1) == run_verification_suite(
+        spec, checks=["covering"]
     )
-    assert serial == threaded
+    for threads in (0, 2):
+        with pytest.raises(ValueError, match="serially"):
+            run_verification_suite(spec, 0.05, None, threads)
 
 
 def test_suite_inject_fault_and_unknown_check():

@@ -1,5 +1,8 @@
 """Fractional maximal operator: closed forms, oracle equality, invariants."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -176,6 +179,24 @@ def test_superlevel_radius_guard():
         MaximalEvaluator(d, 0.5).superlevel(1e-40)
     with pytest.raises(ValueError):
         MaximalEvaluator(d, 0.0).superlevel(0.0)
+    # near alpha = 1 the reach overflows; the guard raises without a warning
+    ev = MaximalEvaluator(Sequence(0, [1.0, 2.0, 3.0]), 0.995)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="radius exceeds"):
+            ev.superlevel(1e-3)
+
+
+def test_reach_near_alpha_one_is_capped():
+    """(total/s)^(1/(1-alpha)) overflows a float as alpha -> 1; reach then
+    returns the cap, and elsewhere the plain expression, capped."""
+    a = Sequence(0, [1.0, 2.0, 3.0])
+    ev = MaximalEvaluator(a, 0.995)
+    assert ev.reach(ev.max_value() / 64.0, 2**14) == 2**14
+    ev = MaximalEvaluator(a, 0.5)
+    s = ev.max_value() / 64.0
+    assert ev.reach(s, 2**14) == math.ceil((6.0 / s) ** 2.0) < 2**14
+    assert ev.reach(s, 100) == 100
 
 
 def test_zero_sequence():
