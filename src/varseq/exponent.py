@@ -24,6 +24,9 @@ __all__ = [
     "check_lh_equivalences",
 ]
 
+# Absolute slack of the decay-constant equivalences.
+_LH_TOL = 1e-12
+
 
 @dataclass(frozen=True, eq=False)
 class ExponentFunction:
@@ -163,7 +166,7 @@ class LHEquivalenceReport:
     identity_gap: float
 
 
-def check_lh_equivalences(p: ExponentFunction, tol: float = 1e-12) -> LHEquivalenceReport:
+def check_lh_equivalences(p: ExponentFunction) -> LHEquivalenceReport:
     """Verify the equivalences between the decay constants of p, 1/p and 1/q.
 
     Checks C(1/p) <= C(p) / (p_minus * p_inf), C(p) <= p_plus * p_inf * C(1/p),
@@ -179,5 +182,5 @@ def check_lh_equivalences(p: ExponentFunction, tol: float = 1e-12) -> LHEquivale
     lower = c_p / (p.p_minus * p.p_inf)
     upper = p.p_plus * p.p_inf * c_rp
     gap = abs(c_rq_direct - c_rq_identity)
-    ok = (c_rp <= lower + tol) and (c_p <= upper + tol) and (gap <= tol)
+    ok = (c_rp <= lower + _LH_TOL) and (c_p <= upper + _LH_TOL) and (gap <= _LH_TOL)
     return LHEquivalenceReport(ok, c_p, c_rp, c_rq_identity, c_rq_direct, lower, upper, gap)

@@ -10,6 +10,7 @@ VerificationReport. The checks run serially (see run_verification_suite).
 from __future__ import annotations
 
 import math
+import sys
 import zlib
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, NamedTuple
@@ -73,6 +74,7 @@ _SEED0 = 0x9E3779B97F4A7C15
 STRONG_WINDOW_CAP = 2**14
 STRONG_THRESHOLD_DIV = 64.0
 WEAK_GRID_SIZE = 40
+_HOLDER_TOL = 1e-12
 
 
 class XorShift64Star:
@@ -120,6 +122,15 @@ class CorpusSpec:
     p_hi: float | None = None
 
     def resolved_bounds(self) -> tuple[float, float]:
+        """(p_lo, p_hi), or a ValueError for any invalid field of the spec."""
+        if self.value_law not in VALUE_LAWS:
+            raise ValueError(f"unknown value law {self.value_law!r}")
+        if self.exponent_law not in EXPONENT_LAWS:
+            raise ValueError(f"unknown exponent law {self.exponent_law!r}")
+        if self.window_width < 4:
+            raise ValueError("window_width must be >= 4")
+        if self.count < 0:
+            raise ValueError("count must be >= 0")
         a_max = max(self.alpha_list) if self.alpha_list else 0.0
         hi_cap = min(8.0, 0.95 / a_max) if a_max > 0 else 8.0
         lo = 1.05 if self.p_lo is None else float(self.p_lo)
@@ -202,14 +213,6 @@ def _draw_exponent(
 
 def generate_corpus(spec: CorpusSpec) -> list[CorpusItem]:
     """Materialize the corpus described by the spec, deterministically."""
-    if spec.value_law not in VALUE_LAWS:
-        raise ValueError(f"unknown value law {spec.value_law!r}")
-    if spec.exponent_law not in EXPONENT_LAWS:
-        raise ValueError(f"unknown exponent law {spec.exponent_law!r}")
-    if spec.window_width < 4:
-        raise ValueError("window_width must be >= 4")
-    if spec.count < 0:
-        raise ValueError("count must be >= 0")
     p_lo, p_hi = spec.resolved_bounds()
     rng = XorShift64Star(spec.seed)
     items = []
@@ -229,9 +232,7 @@ class HolderReport:
     rhs: float
 
 
-def check_holder_variant(
-    a: Sequence, interval: ZInterval, p0: float, alpha: float, tol: float = 1e-12
-) -> HolderReport:
+def check_holder_variant(a: Sequence, interval: ZInterval, p0: float, alpha: float) -> HolderReport:
     """|I|^(alpha-1) sum_I |a|  <=  |I|^(alpha-1/p0) (sum_I |a|^p0)^(1/p0).
 
     Requires 1 < p0 and alpha * p0 < 1 so the right side decays in |I|.
@@ -245,7 +246,7 @@ def check_holder_variant(
     piece = truncate(a, interval)
     power_sum = float(np.power(piece.values, p0).sum()) if piece.values.size else 0.0
     rhs = card ** (alpha - 1.0 / p0) * power_sum ** (1.0 / p0)
-    return HolderReport(lhs <= rhs * (1.0 + tol), lhs, rhs)
+    return HolderReport(lhs <= rhs * (1.0 + _HOLDER_TOL), lhs, rhs)
 
 
 @dataclass(frozen=True)
@@ -309,7 +310,7 @@ def weak_type_sup(
     """sup over t of t * ||chi_{M_alpha a > 9t}||_q / ||a||_p and its argmax.
 
     The default grid is 40 geometric points spanning four decades below
-    max(M_alpha)/9.
+    max(M_alpha)/9; its lowest point must be a normal float.
     """
     q = fractional_conjugate(p, alpha)
     ev = MaximalEvaluator(a, alpha)
@@ -318,6 +319,8 @@ def weak_type_sup(
         return 0.0, 0.0
     if t_grid is None:
         top = max_m / 9.0
+        if not (top * 1e-4 >= sys.float_info.min):
+            raise ValueError("threshold grid starts below the smallest normal float: M_alpha a underflows")
         t_grid = np.geomspace(top * 1e-4, top * 1.1, WEAK_GRID_SIZE)
     na = luxemburg_norm(a, p).value
     best, best_t = 0.0, float(t_grid[0])
@@ -613,6 +616,7 @@ def run_verification_suite(
     unknown = [n for n in names if n not in SUITE_CHECKS]
     if unknown:
         raise ValueError(f"unknown checks: {', '.join(unknown)}")
+    spec.resolved_bounds()  # checks the spec, also when no check draws a corpus
     alphas = tuple(spec.alpha_list)
     out = []
     for name in names:

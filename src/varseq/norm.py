@@ -37,6 +37,8 @@ MAX_BISECT_ITER = 200
 POW_ULPS = 4
 # Newton steps that _bracket may take before it gives up on certifying.
 NEWTON_STEPS = 8
+# Relative and absolute slack of the scaling and norm-modular checks.
+_CHECK_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -255,9 +257,7 @@ class ScalingReport:
     norm_ratio: float
 
 
-def check_scaling_bounds(
-    a: Sequence, p: ExponentFunction, lam: float, tol: float = 1e-9
-) -> ScalingReport:
+def check_scaling_bounds(a: Sequence, p: ExponentFunction, lam: float) -> ScalingReport:
     """Verify lam^{p+-} sandwich for the modular and norm homogeneity.
 
     For lam >= 1: lam^p_minus rho(a) <= rho(lam a) <= lam^p_plus rho(a);
@@ -275,9 +275,9 @@ def check_scaling_bounds(
     n1 = luxemburg_norm(a.scaled(lam), p).value
     ratio = n1 / (lam * n0) if n0 > 0 else 1.0
     ok = (
-        lower <= rho_s * (1 + tol) + tol
-        and rho_s <= upper * (1 + tol) + tol
-        and abs(ratio - 1.0) <= tol
+        lower <= rho_s * (1 + _CHECK_TOL) + _CHECK_TOL
+        and rho_s <= upper * (1 + _CHECK_TOL) + _CHECK_TOL
+        and abs(ratio - 1.0) <= _CHECK_TOL
     )
     return ScalingReport(ok, lam, lower, rho_s, upper, ratio)
 
@@ -292,9 +292,7 @@ class NormModularReport:
     unit_modular: float
 
 
-def check_norm_modular_relations(
-    a: Sequence, p: ExponentFunction, tol: float = 1e-9
-) -> NormModularReport:
+def check_norm_modular_relations(a: Sequence, p: ExponentFunction) -> NormModularReport:
     """Verify the norm-modular sandwich and rho(a/||a||) = 1.
 
     If ||a|| <= 1 then ||a||^p_plus <= rho(a) <= ||a||^p_minus; for ||a|| >= 1
@@ -309,8 +307,8 @@ def check_norm_modular_relations(
     n = nv.value
     e_lo, e_hi = (p.p_plus, p.p_minus) if n <= 1.0 else (p.p_minus, p.p_plus)
     ok = (
-        n**e_lo <= rho * (1 + tol) + tol
-        and rho <= n**e_hi * (1 + tol) + tol
-        and abs(unit - 1.0) <= max(tol, 64 * nv.tolerance * p.p_plus)
+        n**e_lo <= rho * (1 + _CHECK_TOL) + _CHECK_TOL
+        and rho <= n**e_hi * (1 + _CHECK_TOL) + _CHECK_TOL
+        and abs(unit - 1.0) <= max(_CHECK_TOL, 64 * nv.tolerance * p.p_plus)
     )
     return NormModularReport(ok, n, rho, unit)

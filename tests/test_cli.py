@@ -244,6 +244,21 @@ def test_verify_csv_format(tmp_path):
     assert lines[1].startswith("scaling,12,0,")
 
 
+@pytest.mark.parametrize(
+    "command, args",
+    [
+        ("norm", ["--input", "missing.json", "--exponent", "missing.json"]),
+        ("czd", ["--input", "missing.json", "--t", "0.1"]),
+        ("corpus", ["--count", "-1"]),
+    ],
+)
+def test_json_only_commands_reject_csv_first(capsys, command, args):
+    """norm, czd and corpus have no CSV form: --format csv exits 2 before
+    any input is read or any corpus spec is checked."""
+    assert run_cli(command, *args, "--format", "csv") == 2
+    assert capsys.readouterr().err == f"error: {command} supports only json output\n"
+
+
 NEAR_ONE = {"alpha_list": [0.995], "p_lo": 1.0, "p_hi": 1.002, "count": 2, "window_width": 12}
 
 
@@ -267,6 +282,9 @@ def test_verify_alpha_near_one(tmp_path, capsys, check, code, message):
 
 def test_verify_negative_count_exit_2(capsys):
     assert run_cli("verify", "--count", "-1", "--checks", "covering") == 2
+    assert "count must be >= 0" in capsys.readouterr().err
+    # no alphas: strong_type reports nothing, yet the spec is still checked
+    assert run_cli("verify", "--count", "-1", "--alphas", "", "--checks", "strong_type") == 2
     assert "count must be >= 0" in capsys.readouterr().err
     assert run_cli("verify", "--count", "0", "--checks", "covering") == 0
 

@@ -280,6 +280,13 @@ def test_partition_validation():
         level_set_partition(Sequence(0, [1.0, 2.0, 3.0]), 0.995, 0.05)
 
 
+def test_partition_rejects_underflowed_threshold():
+    """max M / 2^10 underflows to 0 for a subnormal sequence: a ValueError
+    names it, where a division by zero was raised."""
+    with pytest.raises(ValueError, match="below the smallest normal float"):
+        level_set_partition(Sequence(0, [5e-324]), 0.0, 0.05)
+
+
 def test_domination_derived_constant_holds():
     spec = CorpusSpec(
         seed=9092,

@@ -196,6 +196,24 @@ def test_strong_type_ratio_near_alpha_one():
     assert math.isfinite(r) and r > 0.0
 
 
+SUBNORMAL = Sequence(0, [5e-324])
+
+
+def test_strong_type_ratio_rejects_underflowed_threshold():
+    """max M / 64 underflows to 0 for a subnormal sequence: a ValueError
+    names it, where a division by zero was raised."""
+    with pytest.raises(ValueError, match="below the smallest normal float"):
+        strong_type_ratio(SUBNORMAL, ExponentFunction.constant(2.0), 0.0)
+
+
+def test_weak_type_sup_rejects_underflowed_grid():
+    """The default grid's lowest threshold underflows to 0 for a subnormal
+    sequence: a ValueError names it, where numpy rejected the geometric
+    grid."""
+    with pytest.raises(ValueError, match="below the smallest normal float"):
+        weak_type_sup(SUBNORMAL, ExponentFunction.constant(2.0), 0.0)
+
+
 def test_estimators_report_shape():
     spec = replace(BASE, count=6)
     rep = estimate_strong_type(spec, 0.25)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import DENSE_TABLE_LIMIT, brute_force_profile
-from varseq.harness import CorpusSpec, XorShift64Star, generate_corpus
+from varseq.harness import CorpusSpec, XorShift64Star, _sub_seed, generate_corpus
 from varseq import maximal
 from varseq.lattice import Sequence, ZInterval, cardinality, dilate
 from varseq.maximal import (
@@ -185,6 +185,49 @@ def test_superlevel_radius_guard():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="radius exceeds"):
             ev.superlevel(1e-3)
+
+
+def test_superlevel_settles_closed_form_overshoot():
+    """Item 12 of the default weak_type corpus at alpha 0.5, at its lowest
+    grid threshold: the rounded closed form puts both outer ends one step
+    beyond the run, and the point values settle them."""
+    seed = _sub_seed(_sub_seed(20260814, "weak_type"), "weak-0.5")
+    spec = CorpusSpec(seed, 24, 48, "uniform01", "lh-decay", ALPHAS)
+    a = generate_corpus(spec)[12].a
+    assert (a.offset, a.values.size) == (40, 30)
+    s = float.fromhex("0x1.2f957a7cd2572p-12")
+    ev = MaximalEvaluator(a, 0.5)
+    for S in (ev._S_left, ev._S_right):
+        estimate = np.ceil(np.power(S / s, 2.0)).astype(np.int64) - np.arange(2, S.size + 2)
+        assert estimate.max() == 2_999_999_970
+    lo, hi = -2_999_999_929, 3_000_000_038
+    assert ev.superlevel(s) == [ZInterval(lo, hi)]
+    assert ev.point(lo) > s and ev.point(hi) > s
+    assert not ev.point(lo - 1) > s and not ev.point(hi + 1) > s
+
+
+def test_superlevel_probes_two_per_run_one_per_empty_side(monkeypatch):
+    """An exterior run costs two point() probes (its outer end and one step
+    beyond), and a side without one costs one."""
+    probes: list[int] = []
+    point = MaximalEvaluator.point
+    monkeypatch.setattr(MaximalEvaluator, "point", lambda ev, n: probes.append(n) or point(ev, n))
+    spec = CorpusSpec(882, 20, 30, "spike", "constant", ALPHAS)
+    sides_with_run = 0
+    for item in generate_corpus(spec):
+        for alpha in ALPHAS:
+            ev = MaximalEvaluator(item.a, alpha)
+            hull = ev.hull
+            for frac in (0.9, 0.5, 0.11, 0.02):
+                probes.clear()
+                runs = ev.superlevel(ev.max_value() * frac)
+                left = bool(runs) and runs[0].lo < hull.lo
+                right = bool(runs) and runs[-1].hi > hull.hi
+                sides_with_run += left + right
+                assert sum(n < hull.lo for n in probes) <= 1 + left
+                assert sum(n > hull.hi for n in probes) <= 1 + right
+                assert all(not hull.contains(n) for n in probes)
+    assert sides_with_run > 100
 
 
 def test_reach_near_alpha_one_is_capped():
