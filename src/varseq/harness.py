@@ -310,8 +310,16 @@ def weak_type_sup(
     """sup over t of t * ||chi_{M_alpha a > 9t}||_q / ||a||_p and its argmax.
 
     The default grid is 40 geometric points spanning four decades below
-    max(M_alpha)/9; its lowest point must be a normal float.
+    max(M_alpha)/9; its lowest point must be a normal float. A given grid
+    must be a nonempty 1-D array of positive finite thresholds. The
+    superlevel sets of the whole grid come from one batch.
     """
+    if t_grid is not None:
+        t_grid = np.asarray(t_grid, dtype=np.float64)
+        if t_grid.ndim != 1 or t_grid.size == 0:
+            raise ValueError("t_grid must be a nonempty 1-D array")
+        if not np.all(np.isfinite(t_grid) & (t_grid > 0.0)):
+            raise ValueError("t_grid entries must be positive and finite")
     q = fractional_conjugate(p, alpha)
     ev = MaximalEvaluator(a, alpha)
     max_m = ev.max_value()
@@ -322,11 +330,10 @@ def weak_type_sup(
         if not (top * 1e-4 >= sys.float_info.min):
             raise ValueError("threshold grid starts below the smallest normal float: M_alpha a underflows")
         t_grid = np.geomspace(top * 1e-4, top * 1.1, WEAK_GRID_SIZE)
+    sets = ev.superlevels(9.0 * t_grid)
     na = luxemburg_norm(a, p).value
     best, best_t = 0.0, float(t_grid[0])
-    for t in t_grid:
-        t = float(t)
-        runs = ev.superlevel(9.0 * t)
+    for t, runs in zip(t_grid.tolist(), sets):
         val = t * characteristic_norm(runs, q).value / na
         if val > best:
             best, best_t = val, t

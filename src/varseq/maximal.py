@@ -28,6 +28,11 @@ product a dense points x W max would take. Values outside the hull decay
 strictly, so a superlevel set has at most one run per side, out to a last
 distance read from the closed form for the f_j and settled by the point
 values on either side of it (_last_above).
+
+The sets {M_alpha > s} are nested in s, and superlevels takes a whole array
+of K thresholds in one pass: one (K, W) comparison of the hull profile and
+one (K, W) closed form per side; point() then settles each outer end.
+superlevel is the same path with K = 1.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Sequence, ZInterval, runs_from_mask, runs_normalize
+from .lattice import Sequence, ZInterval, runs_normalize
 
 __all__ = [
     "MaximalProfile",
@@ -351,41 +356,60 @@ class MaximalEvaluator:
             out[right] = self._envelope(ns[right] - hull.hi, self._S_right)
         return out
 
-    def _last_above(self, s: float, right: bool) -> int:
-        """Largest d >= 0 with M_alpha > s at distances 1..d from the hull on
-        the given side. The candidate ending at hull index j (from the near
-        end) has length d + j + 1 and exceeds s up to length
-        ceil((S[j]/s)^(1/(1-alpha))) - 1. That closed form is exact in real
-        arithmetic; its rounding put d one step off at 4 of the 5,775 run
-        ends of default verify, so the point values at d and d + 1 settle it.
+    def _last_above(self, ss: np.ndarray, right: bool) -> np.ndarray:
+        """Per threshold s of ss, the largest d >= 0 with M_alpha > s at
+        distances 1..d from the hull on the given side. The candidate ending
+        at hull index j (from the near end) has length d + j + 1 and exceeds s
+        up to length ceil((S[j]/s)^(1/(1-alpha))) - 1, so one (K, W) power
+        estimates every d. That closed form is exact in real arithmetic; its
+        rounding put d one step off at 4 of the 5,775 run ends of default
+        verify, so the point values at d and d + 1 settle each estimate.
         """
         hull = self.hull
         S, end, step = (self._S_right, hull.hi, 1) if right else (self._S_left, hull.lo, -1)
         with np.errstate(over="ignore"):
-            reach = np.power(S / s, 1.0 / (1.0 - self.alpha))
+            reach = np.power(S / ss[:, None], 1.0 / (1.0 - self.alpha))
         if float(reach.max()) > RADIUS_LIMIT:
             raise ValueError("superlevel radius exceeds 2**52")
-        d = max(int((np.ceil(reach).astype(np.int64) - np.arange(2, S.size + 2)).max()), 0)
-        while d > 0 and not self.point(end + step * d) > s:
-            d -= 1
-        while self.point(end + step * (d + 1)) > s:
-            d += 1
+        d = np.maximum((np.ceil(reach).astype(np.int64) - np.arange(2, S.size + 2)).max(axis=1), 0)
+        for k, (s, dk) in enumerate(zip(ss.tolist(), d.tolist())):
+            while dk > 0 and not self.point(end + step * dk) > s:
+                dk -= 1
+            while self.point(end + step * (dk + 1)) > s:
+                dk += 1
+            d[k] = dk
         return d
+
+    def superlevels(self, ss) -> list[list[ZInterval]]:
+        """Runs of {n : M_alpha a(n) > s} for each threshold s > 0 of ss, in
+        the order given: one (K, W) comparison of the hull profile, with the
+        run edges of every threshold from one diff, and the outer ends of
+        every threshold from one closed form per side (_last_above)."""
+        ss = np.asarray(ss, dtype=np.float64).reshape(-1)
+        if not np.all(ss > 0.0):
+            raise ValueError("threshold must be positive")
+        hull = self.hull
+        if hull is None or ss.size == 0:
+            return [[] for _ in range(ss.size)]
+        mask = (self._profile_on_hull() > ss[:, None]).astype(np.int8)
+        edges = np.diff(mask, axis=1, prepend=0, append=0)
+        rows, starts = np.nonzero(edges == 1)
+        _, stops = np.nonzero(edges == -1)
+        runs: list[list[ZInterval]] = [[] for _ in range(ss.size)]
+        for k, lo, hi in zip(rows.tolist(), starts.tolist(), stops.tolist()):
+            runs[k].append(ZInterval(hull.lo + lo, hull.lo + hi - 1))
+        left, right = self._last_above(ss, right=False), self._last_above(ss, right=True)
+        for k, (dl, dr) in enumerate(zip(left.tolist(), right.tolist())):
+            if dl:
+                runs[k].append(ZInterval(hull.lo - dl, hull.lo - 1))
+            if dr:
+                runs[k].append(ZInterval(hull.hi + 1, hull.hi + dr))
+            runs[k] = runs_normalize(runs[k])
+        return runs
 
     def superlevel(self, s: float) -> list[ZInterval]:
         """Runs of {n : M_alpha a(n) > s} for s > 0."""
-        if not (s > 0.0):
-            raise ValueError("threshold must be positive")
-        hull = self.hull
-        if hull is None:
-            return []
-        runs = runs_from_mask(self._profile_on_hull() > s, hull.lo)
-        left, right = self._last_above(s, right=False), self._last_above(s, right=True)
-        if left:
-            runs.append(ZInterval(hull.lo - left, hull.lo - 1))
-        if right:
-            runs.append(ZInterval(hull.hi + 1, hull.hi + right))
-        return runs_normalize(runs)
+        return self.superlevels([s])[0]
 
 
 def m_alpha_point(a: Sequence, alpha: float, n: int) -> float:

@@ -214,6 +214,52 @@ def test_weak_type_sup_rejects_underflowed_grid():
         weak_type_sup(SUBNORMAL, ExponentFunction.constant(2.0), 0.0)
 
 
+@pytest.mark.parametrize(
+    "grid, match",
+    [
+        (np.array([]), "nonempty"),
+        (np.array([[0.01, 0.02]]), "nonempty"),
+        (np.array([0.01, np.nan]), "positive and finite"),
+        (np.array([0.01, 0.0]), "positive and finite"),
+        (np.array([0.01, -0.02]), "positive and finite"),
+        (np.array([0.01, np.inf]), "positive and finite"),
+    ],
+)
+def test_weak_type_sup_rejects_bad_grid_up_front(grid, match, monkeypatch):
+    """A bad grid is rejected before any maximal-function or norm work."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work done before the grid was checked")
+
+    for name in ("MaximalEvaluator", "luxemburg_norm", "characteristic_norm"):
+        monkeypatch.setattr(harness, name, forbidden)
+    with pytest.raises(ValueError, match=match):
+        weak_type_sup(Sequence(0, [1.0]), ExponentFunction.constant(2.0), 0.0, grid)
+
+
+def test_weak_type_sup_takes_the_grid_in_one_batch(monkeypatch):
+    """weak_type_sup asks for all superlevel sets in one superlevels call
+    and makes no per-threshold superlevel call."""
+    batches = []
+    superlevels = harness.MaximalEvaluator.superlevels
+
+    def spy(ev, ss):
+        batches.append(len(ss))
+        return superlevels(ev, ss)
+
+    def forbidden(ev, s):
+        raise AssertionError("per-threshold superlevel call")
+
+    monkeypatch.setattr(harness.MaximalEvaluator, "superlevels", spy)
+    monkeypatch.setattr(harness.MaximalEvaluator, "superlevel", forbidden)
+    for item in generate_corpus(replace(BASE, count=4)):
+        if item.a.is_zero():
+            continue
+        batches.clear()
+        weak_type_sup(item.a, item.p, 0.25)
+        assert batches == [harness.WEAK_GRID_SIZE]
+
+
 def test_estimators_report_shape():
     spec = replace(BASE, count=6)
     rep = estimate_strong_type(spec, 0.25)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import DENSE_TABLE_LIMIT, brute_force_profile
 from varseq.harness import CorpusSpec, XorShift64Star, _sub_seed, generate_corpus
 from varseq import maximal
-from varseq.lattice import Sequence, ZInterval, cardinality, dilate
+from varseq.lattice import Sequence, ZInterval, cardinality, dilate, runs_from_mask
 from varseq.maximal import (
     MaximalEvaluator,
     alpha_weights,
@@ -187,10 +187,11 @@ def test_superlevel_radius_guard():
             ev.superlevel(1e-3)
 
 
-def test_superlevel_settles_closed_form_overshoot():
+def test_superlevel_settles_closed_form_overshoot(monkeypatch):
     """Item 12 of the default weak_type corpus at alpha 0.5, at its lowest
     grid threshold: the rounded closed form puts both outer ends one step
-    beyond the run, and the point values settle them."""
+    beyond the run, and the point values settle them, alone or in a batch
+    with other thresholds."""
     seed = _sub_seed(_sub_seed(20260814, "weak_type"), "weak-0.5")
     spec = CorpusSpec(seed, 24, 48, "uniform01", "lh-decay", ALPHAS)
     a = generate_corpus(spec)[12].a
@@ -204,11 +205,25 @@ def test_superlevel_settles_closed_form_overshoot():
     assert ev.superlevel(s) == [ZInterval(lo, hi)]
     assert ev.point(lo) > s and ev.point(hi) > s
     assert not ev.point(lo - 1) > s and not ev.point(hi + 1) > s
+    top = ev.max_value() / 2.0
+    got = ev.superlevels([s, top, s])
+    assert got[0] == got[2] == [ZInterval(lo, hi)]
+    assert got[1:2] == _dense_superlevels(a, 0.5, [top])
+    stepped: list[int] = []
+    point = MaximalEvaluator.point
+    monkeypatch.setattr(MaximalEvaluator, "point", lambda ev, n: stepped.append(n) or point(ev, n))
+    assert ev.superlevels([s, s]) == [[ZInterval(lo, hi)]] * 2
+    # each copy of s steps each side back from the overshoot: the estimate
+    # fails, the run end holds, and one step beyond it fails again
+    hull = ev.hull
+    assert sorted(n for n in stepped if n < hull.lo) == [lo - 1] * 4 + [lo] * 2
+    assert sorted(n for n in stepped if n > hull.hi) == [hi] * 2 + [hi + 1] * 4
 
 
 def test_superlevel_probes_two_per_run_one_per_empty_side(monkeypatch):
     """An exterior run costs two point() probes (its outer end and one step
-    beyond), and a side without one costs one."""
+    beyond), and a side without one costs one, per threshold, in the batch
+    and in the one-threshold call alike."""
     probes: list[int] = []
     point = MaximalEvaluator.point
     monkeypatch.setattr(MaximalEvaluator, "point", lambda ev, n: probes.append(n) or point(ev, n))
@@ -218,15 +233,24 @@ def test_superlevel_probes_two_per_run_one_per_empty_side(monkeypatch):
         for alpha in ALPHAS:
             ev = MaximalEvaluator(item.a, alpha)
             hull = ev.hull
-            for frac in (0.9, 0.5, 0.11, 0.02):
+            ss = [ev.max_value() * frac for frac in (0.9, 0.5, 0.11, 0.02)]
+            budget = [0, 0]  # probes allowed left and right of the hull
+            for s in ss:
                 probes.clear()
-                runs = ev.superlevel(ev.max_value() * frac)
+                runs = ev.superlevel(s)
                 left = bool(runs) and runs[0].lo < hull.lo
                 right = bool(runs) and runs[-1].hi > hull.hi
                 sides_with_run += left + right
+                budget[0] += 1 + left
+                budget[1] += 1 + right
                 assert sum(n < hull.lo for n in probes) <= 1 + left
                 assert sum(n > hull.hi for n in probes) <= 1 + right
                 assert all(not hull.contains(n) for n in probes)
+            probes.clear()
+            ev.superlevels(ss)
+            assert sum(n < hull.lo for n in probes) <= budget[0]
+            assert sum(n > hull.hi for n in probes) <= budget[1]
+            assert all(not hull.contains(n) for n in probes)
     assert sides_with_run > 100
 
 
@@ -411,3 +435,47 @@ def test_hull_profile_path_selected_by_pair_count(monkeypatch):
         want = (alpha_weights(W, alpha) * np.arange(1, W + 1)).max()
         assert np.all(prof == want)
     assert swept == [W] * len(ALPHAS)
+
+
+# The batched superlevel sets against the dense oracle: thresholds at
+# profile values and one ulp either side, duplicated and unsorted.
+
+_ORACLE_PAD = 48
+
+
+def _dense_superlevels(a: Sequence, alpha: float, ss) -> list[list[ZInterval]]:
+    """{M_alpha > s} for each s of ss from the dense profile of the hull
+    padded by _ORACLE_PAD, for thresholds whose sets end inside it."""
+    window = dilate(a.support_hull(), _ORACLE_PAD)
+    prof = brute_force_profile(a, alpha, window)
+    assert not (prof[0] > np.min(ss) or prof[-1] > np.min(ss))
+    return [runs_from_mask(prof > s, window.lo) for s in ss]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(_HULL_LAWS),
+    st.integers(1, 64),
+    st.integers(0, 2**32 - 1),
+    _alphas,
+)
+def test_superlevels_match_oracle(law, width, seed, alpha):
+    rng = np.random.default_rng(seed)
+    a = Sequence(seed % 1000, _hull_values(law, width, rng))
+    ev = MaximalEvaluator(a, alpha)
+    hull = ev.hull
+    # values within half the pad of the hull, so every set ends inside the
+    # oracle's window
+    near = ev.profile(dilate(hull, _ORACLE_PAD // 2))
+    picks = rng.choice(near, size=6)
+    ss = np.concatenate([picks, np.nextafter(picks, 0.0), np.nextafter(picks, np.inf)])
+    ss = rng.permutation(np.concatenate([ss, ss[:3]]))
+    want = _dense_superlevels(a, alpha, ss)
+    assert ev.superlevels(ss) == want
+    assert [ev.superlevel(float(s)) for s in ss] == want
+
+
+def test_superlevels_of_no_thresholds():
+    assert MaximalEvaluator(Sequence(0, [1.0, 2.0]), 0.5).superlevels([]) == []
+
+
