@@ -35,7 +35,7 @@ from .lattice import (
     runs_subtract,
     runs_union,
 )
-from .maximal import MaximalEvaluator
+from .maximal import MaximalEvaluator, _validate_alpha
 
 __all__ = [
     "CZDecomposition",
@@ -79,10 +79,8 @@ class _DyadicTable:
     first use."""
 
     def __init__(self, a: Sequence, alpha: float):
-        if not (0.0 <= alpha < 1.0):
-            raise ValueError("alpha must lie in [0, 1)")
+        self.alpha = _validate_alpha(alpha)
         self.a = a
-        self.alpha = float(alpha)
         self.hull = a.support_hull()
         self._rows: dict[int, tuple[np.ndarray, np.ndarray, float]] = {}
 

@@ -295,41 +295,28 @@ def strong_type_ratio(a: Sequence, p: ExponentFunction, alpha: float) -> float:
     if max_m == 0.0:
         return 0.0
     radius = ev.reach(max_m / STRONG_THRESHOLD_DIV, STRONG_WINDOW_CAP)
-    hull = a.support_hull()
+    hull = ev.hull
     window = ZInterval(hull.lo - radius, hull.hi + radius)
     m_seq = Sequence(window.lo, ev.profile(window))
     return luxemburg_norm(m_seq, q).value / luxemburg_norm(a, p).value
 
 
-def weak_type_sup(
-    a: Sequence,
-    p: ExponentFunction,
-    alpha: float,
-    t_grid: np.ndarray | None = None,
-) -> tuple[float, float]:
+def weak_type_sup(a: Sequence, p: ExponentFunction, alpha: float) -> tuple[float, float]:
     """sup over t of t * ||chi_{M_alpha a > 9t}||_q / ||a||_p and its argmax.
 
-    The default grid is 40 geometric points spanning four decades below
-    max(M_alpha)/9; its lowest point must be a normal float. A given grid
-    must be a nonempty 1-D array of positive finite thresholds. The
-    superlevel sets of the whole grid come from one batch.
+    The grid is 40 geometric points spanning four decades below
+    max(M_alpha)/9; its lowest point must be a normal float. The superlevel
+    sets of the whole grid come from one batch.
     """
-    if t_grid is not None:
-        t_grid = np.asarray(t_grid, dtype=np.float64)
-        if t_grid.ndim != 1 or t_grid.size == 0:
-            raise ValueError("t_grid must be a nonempty 1-D array")
-        if not np.all(np.isfinite(t_grid) & (t_grid > 0.0)):
-            raise ValueError("t_grid entries must be positive and finite")
     q = fractional_conjugate(p, alpha)
     ev = MaximalEvaluator(a, alpha)
     max_m = ev.max_value()
     if max_m == 0.0:
         return 0.0, 0.0
-    if t_grid is None:
-        top = max_m / 9.0
-        if not (top * 1e-4 >= sys.float_info.min):
-            raise ValueError("threshold grid starts below the smallest normal float: M_alpha a underflows")
-        t_grid = np.geomspace(top * 1e-4, top * 1.1, WEAK_GRID_SIZE)
+    top = max_m / 9.0
+    if not (top * 1e-4 >= sys.float_info.min):
+        raise ValueError("threshold grid starts below the smallest normal float: M_alpha a underflows")
+    t_grid = np.geomspace(top * 1e-4, top * 1.1, WEAK_GRID_SIZE)
     sets = ev.superlevels(9.0 * t_grid)
     na = luxemburg_norm(a, p).value
     best, best_t = 0.0, float(t_grid[0])

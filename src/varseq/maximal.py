@@ -8,9 +8,11 @@ h > n. For a fixed right end the best left end is a vertex of the lower convex
 hull of its candidates, and for a fixed left end the best right end is a
 vertex of the upper convex hull of its candidates, so the hull profile scores
 only (left-vertex x right-vertex) pairs, taken from one persistent monotone
-stack per side (_convex_chains). Inputs whose chains hold more pairs than the
-W(W+1)/2 intervals of the hull (near-collinear prefix sums) are swept row by
-row instead.
+stack per side (_convex_chains). The deeper side's chains are walked one step
+at a time for all W points at once, each step scored against the other
+side's chains. Inputs whose deepest chains would make that more than W^2
+pairs, max(depth_l) * max(depth_r) > W (near-collinear prefix sums), are
+swept row by row instead.
 
 Outside the hull, at distance d >= 1 from its near end, the candidates are
 the intervals from n to each hull index j (counted from that end):
@@ -63,8 +65,6 @@ _NEAR_MAX = 1.0 - 2.0**-40
 # neighbours by more than this, with prefix sums scaled so that the hull total
 # lies in [1/2, 1) (derivation in _convex_chains).
 _CHAIN_MARGIN = 2.0**-45
-# Candidate pairs scored per block of the hull profile; bounds its temporaries.
-_PAIR_BLOCK = 2**13
 
 
 def alpha_weights(max_len: int, alpha: float) -> np.ndarray:
@@ -88,8 +88,8 @@ def _convex_chains(y: list[float]) -> tuple[np.ndarray, np.ndarray]:
     One monotone stack, kept persistent: after point i is pushed the stack is
     the chain i -> pred[i] -> ... of depth[i] points. The stack top b, with
     predecessor a, is popped for the new point c only when b lies above the
-    chord from a to c by more than _CHAIN_MARGIN. Returns (pred, depth), with
-    pred -1 at the bottom of the stack.
+    chord from a to c by more than _CHAIN_MARGIN. Returns (pred, depth); the
+    bottom of the stack, point 0, is never popped and is its own predecessor.
 
     Why no dropped point can carry the float max. The hull profile scales
     the prefix sums P by a power of two so that their total T lies in
@@ -137,36 +137,19 @@ def _convex_chains(y: list[float]) -> tuple[np.ndarray, np.ndarray]:
                 stack.pop()
             else:
                 break
-        pred.append(stack[-1] if stack else -1)
+        pred.append(stack[-1] if stack else c)
         stack.append(c)
         depth.append(len(stack))
     return np.array(pred, dtype=np.int64), np.array(depth, dtype=np.int64)
 
 
-def _walk(pred: np.ndarray, depth: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The chains from each start, concatenated, and the offset of each."""
-    lens = depth[starts]
-    offs = np.cumsum(lens) - lens
-    out = np.empty(int(lens.sum()), dtype=np.int64)
-    cur, pos = starts, offs
-    while cur.size:
-        out[pos] = cur
+def _steps(pred: np.ndarray, starts: np.ndarray, count: int):
+    """The chains from each start, one step per yield for count steps; a
+    chain that has ended repeats its last point, its own predecessor."""
+    cur = starts
+    for _ in range(count):
+        yield cur
         cur = pred[cur]
-        live = cur >= 0
-        cur, pos = cur[live], pos[live] + 1
-    return out, offs
-
-
-def _blocks(counts: np.ndarray, limit: int):
-    """[i, j) runs of consecutive entries with counts summing to at most
-    limit, or a single entry where one alone exceeds it."""
-    ends = np.cumsum(counts)
-    i = 0
-    while i < counts.size:
-        base = int(ends[i - 1]) if i else 0
-        j = max(i + 1, int(np.searchsorted(ends, base + limit, side="right")))
-        yield i, j
-        i = j
 
 
 def _sweep_profile(P: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -183,37 +166,37 @@ def _sweep_profile(P: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def _pair_profile(P: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The hull profile as a max over the (left-chain x right-chain) pairs of
-    each point, or the row sweep when the chains hold more pairs than the
-    hull has intervals."""
+    each point, or the row sweep when that would score more than W^2 pairs.
+
+    The deeper side's chains are walked one step at a time for all W points
+    at once, each step scored against one (shallower depth, W) array of the
+    other side's chains with the row sweep's float w[h-l-1] * (P[h]-P[l]);
+    an ended chain repeats its last point, which only re-scores a pair. Under
+    the rule max(depth_l) * max(depth_r) <= W the shallower depth is at most
+    sqrt(W), so the temporaries hold min(depth_l, depth_r) * W <= W**1.5
+    scores.
+    """
     W = P.size - 1
     y = np.ldexp(P, -int(np.frexp(P[-1])[1]))
     pred_l, depth_l = _convex_chains(y[:W].tolist())
     # right ends h = W, W-1, ..., 1 at positions 0..W-1; point n starts at W-1-n
     pred_r, depth_r = _convex_chains((-y[:0:-1]).tolist())
-    pairs = depth_l * depth_r[::-1]
-    if int(pairs.sum()) > W * (W + 1) // 2:
+    deep_l, deep_r = int(depth_l.max()), int(depth_r.max())
+    if deep_l * deep_r > W:
         return _sweep_profile(P, w)
+    ns = np.arange(W)
     out = np.full(W, -np.inf)
-    for n0, n1 in _blocks(pairs, _PAIR_BLOCK):
-        ns = np.arange(n0, n1)
-        lefts, _ = _walk(pred_l, depth_l, ns)
-        rights, r_offs = _walk(pred_r, depth_r, W - 1 - ns)
-        rights = W - rights
-        # one row per (point, left end), scored against the point's right chain
-        a = depth_l[ns]
-        row_n = np.repeat(ns, a)
-        row_b = np.repeat(depth_r[W - 1 - ns], a)
-        row_r = np.repeat(r_offs, a)
-        for i, j in _blocks(row_b, _PAIR_BLOCK):
-            cnt = row_b[i:j]
-            first = np.cumsum(cnt) - cnt
-            h = rights[np.arange(int(first[-1] + cnt[-1])) + np.repeat(row_r[i:j] - first, cnt)]
-            lo = np.repeat(lefts[i:j], cnt)
-            vals = w[h - lo - 1] * (P[h] - P[lo])
-            pts = row_n[i:j]
-            new = np.flatnonzero(np.r_[True, pts[1:] != pts[:-1]])
-            u = pts[new]
-            out[u] = np.maximum(out[u], np.maximum.reduceat(vals, first[new]))
+    if deep_l >= deep_r:
+        his = W - np.array(list(_steps(pred_r, W - 1 - ns, deep_r)))
+        P_his = P[his]
+        for lo in _steps(pred_l, ns, deep_l):
+            np.maximum(out, (w[his - lo - 1] * (P_his - P[lo])).max(axis=0), out=out)
+    else:
+        los = np.array(list(_steps(pred_l, ns, deep_l)))
+        P_los = P[los]
+        for hi in _steps(pred_r, W - 1 - ns, deep_r):
+            hi = W - hi
+            np.maximum(out, (w[hi - los - 1] * (P[hi] - P_los)).max(axis=0), out=out)
     return out
 
 

@@ -184,6 +184,14 @@ def _bisect(mod_at: Callable, lo: float, hi: float, rel_tol: float, eps: float) 
     return NormValue(value, mod_at(value), rel_tol, it)
 
 
+def _check_rel_tol(rel_tol: float) -> None:
+    """A rel_tol below 2^-52, the relative spacing of the floats, can never
+    be met: the bracket collapses to adjacent floats and the bisection runs
+    all MAX_BISECT_ITER midpoints."""
+    if not (2.0**-52 <= rel_tol < math.inf):
+        raise ValueError(f"rel_tol must be positive and finite, and at least 2**-52 (got {rel_tol!r})")
+
+
 def luxemburg_norm(a: Sequence, p: ExponentFunction, rel_tol: float = 1e-12) -> NormValue:
     """Luxemburg norm by bisection.
 
@@ -191,8 +199,7 @@ def luxemburg_norm(a: Sequence, p: ExponentFunction, rel_tol: float = 1e-12) -> 
     some ratio exceeds 1 so the modular exceeds 1; at the total sum every
     ratio is <= 1 and p >= 1 gives modular <= 1.
     """
-    if not (0.0 < rel_tol < math.inf):
-        raise ValueError("rel_tol must be positive and finite")
+    _check_rel_tol(rel_tol)
     win = a.window
     if win is None or a.is_zero():
         return NormValue(0.0, 0.0, rel_tol, 0)
@@ -217,8 +224,7 @@ def characteristic_norm(
     Indices inside the exponent window contribute explicit powers; the rest
     contribute count * lam^(-p_inf), so arbitrarily large sets stay O(window).
     """
-    if not (0.0 < rel_tol < math.inf):
-        raise ValueError("rel_tol must be positive and finite")
+    _check_rel_tol(rel_tol)
     total = runs_count(runs)
     if total == 0:
         return NormValue(0.0, 0.0, rel_tol, 0)

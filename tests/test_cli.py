@@ -78,7 +78,7 @@ def test_overflowing_total_exit_2(tmp_path, window, capsys):
     assert "sum of |values| must be finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("rel_tol", ["nan", "inf", "0"])
+@pytest.mark.parametrize("rel_tol", ["nan", "inf", "0", "1e-300"])
 def test_norm_bad_rel_tol_exit_2(seq_file, exp_file, rel_tol, capsys):
     assert run_cli("norm", "--input", seq_file, "--exponent", exp_file, "--rel-tol", rel_tol) == 2
     assert "rel_tol must be positive and finite" in capsys.readouterr().err

@@ -10,16 +10,24 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize(
-    "demo", ["decomposition_tour.py", "maximal_profiles.py", "norm_walkthrough.py"]
-)
+# Each demo with its arguments: a 4-item corpus instead of the 40-item default
+# keeps operator_envelopes.py short.
+DEMOS = {
+    "decomposition_tour.py": [],
+    "maximal_profiles.py": [],
+    "norm_walkthrough.py": [],
+    "operator_envelopes.py": ["--count", "4"],
+}
+
+
+@pytest.mark.parametrize("demo", sorted(DEMOS))
 def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
     )
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / demo)],
+        [sys.executable, str(ROOT / "demos" / demo), *DEMOS[demo]],
         capture_output=True,
         text=True,
         env=env,

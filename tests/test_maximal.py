@@ -350,9 +350,10 @@ def test_near_tied_candidates_match_oracle():
             _assert_matches_oracle(a, alpha, ZInterval(-d - 32, -d + 32))
 
 
-# The hull profile (convex-chain pairs, or the row sweep when the chains hold
-# more pairs than the hull has intervals) against the rectangle oracle,
-# bitwise, on laws where chains are long or rounding decides the max.
+# The hull profile (convex-chain pairs scored one chain step at a time, or
+# the row sweep when that would score more than W^2 pairs) against the
+# rectangle oracle, bitwise, on laws where chains are long or rounding
+# decides the max.
 
 
 def _hull_values(law: str, width: int, rng: np.random.Generator) -> np.ndarray:
@@ -410,6 +411,15 @@ def test_hull_profile_ulp_ties_match_oracle():
         assert np.array_equal(prof, brute_force_profile(a, 0.0, hull)), seed
 
 
+def _chain_depths(a: Sequence) -> tuple[int, int]:
+    """The deepest left and right chain over the hull of a."""
+    P = MaximalEvaluator(a, 0.0)._P
+    y = np.ldexp(P, -int(np.frexp(P[-1])[1]))
+    left = maximal._convex_chains(y[:-1].tolist())[1]
+    right = maximal._convex_chains((-y[:0:-1]).tolist())[1]
+    return int(left.max()), int(right.max())
+
+
 def test_hull_profile_path_selected_by_pair_count(monkeypatch):
     swept = []
     sweep = maximal._sweep_profile
@@ -419,15 +429,26 @@ def test_hull_profile_path_selected_by_pair_count(monkeypatch):
         return sweep(P, w)
 
     monkeypatch.setattr(maximal, "_sweep_profile", spy)
-    # random values: short chains, scored as pairs
-    a = Sequence(0, np.random.default_rng(3).random(512))
-    hull = a.support_hull()
-    for alpha in ALPHAS:
-        prof = MaximalEvaluator(a, alpha).profile(hull)
-        assert np.array_equal(prof, brute_force_profile(a, alpha, hull))
+    # random values: short chains, scored by chain steps; and corpus hulls of
+    # W = 42 with chain depths 6 x 6 and 8 x 5 (depth products at most W,
+    # though their pairs outnumber the W(W+1)/2 intervals) and 4 x 7
+    items = generate_corpus(CorpusSpec(20260814, 24, 48, "spike", "lh-decay", ALPHAS))
+    cases = [
+        (Sequence(0, np.random.default_rng(3).random(512)), None),
+        (items[1].a, (6, 6)),
+        (items[10].a, (8, 5)),
+        (items[15].a, (4, 7)),
+    ]
+    for a, depths in cases:
+        hull = a.support_hull()
+        if depths is not None:
+            assert _chain_depths(a) == depths
+        for alpha in ALPHAS:
+            prof = MaximalEvaluator(a, alpha).profile(hull)
+            assert np.array_equal(prof, brute_force_profile(a, alpha, hull))
     assert swept == []
-    # a constant sequence keeps every point on both chains (about W^3/6
-    # pairs), so it is swept; with unit values every interval of length k
+    # a constant sequence keeps every point on both chains (depths W x W),
+    # so it is swept; with unit values every interval of length k
     # scores w[k-1] * k, and every length fits around every point
     W = 4096
     for alpha in ALPHAS:

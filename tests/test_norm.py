@@ -169,12 +169,17 @@ def test_characteristic_norm_empty_and_singleton():
 
 def test_norm_rejects_bad_tolerance():
     p = ExponentFunction.constant(2.0)
-    # NaN and inf once ended the bisection after 0 iterations at the midpoint
-    for rel_tol in (0.0, -1e-12, math.nan, math.inf):
+    # NaN and inf once ended the bisection after 0 iterations at the
+    # midpoint; below 2**-52 the bisection ran all MAX_BISECT_ITER midpoints
+    for rel_tol in (0.0, -1e-12, math.nan, math.inf, 1e-300, 2.0**-53):
         with pytest.raises(ValueError, match="rel_tol"):
             luxemburg_norm(Sequence(0, [3.0, 1.0, 4.0, 1.0, 5.0, 9.0]), p, rel_tol=rel_tol)
         with pytest.raises(ValueError, match="rel_tol"):
             characteristic_norm([ZInterval(0, 5)], p, rel_tol=rel_tol)
+    # 2**-52 itself is taken and met before the iteration cap
+    a = Sequence(0, [3.0, 1.0, 4.0, 1.0, 5.0, 9.0])
+    assert luxemburg_norm(a, p, rel_tol=2.0**-52).iterations < norm.MAX_BISECT_ITER
+    assert characteristic_norm([ZInterval(0, 5)], p, rel_tol=2.0**-52).iterations < norm.MAX_BISECT_ITER
 
 
 # Certified-bracket bisection against the plain bisection in conftest. The
