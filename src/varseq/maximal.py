@@ -12,7 +12,9 @@ stack per side (_convex_chains). The deeper side's chains are walked one step
 at a time for all W points at once, each step scored against the other
 side's chains. Inputs whose deepest chains would make that more than W^2
 pairs, max(depth_l) * max(depth_r) > W (near-collinear prefix sums), are
-swept row by row instead.
+swept row by row instead. The chains depend on the prefix sums alone, so
+they are built once per Sequence (_hull_chains, cached by identity) and
+shared by the evaluators of every alpha.
 
 Outside the hull, at distance d >= 1 from its near end, the candidates are
 the intervals from n to each hull index j (counted from that end):
@@ -34,14 +36,20 @@ values on either side of it (_last_above).
 The sets {M_alpha > s} are nested in s, and superlevels takes a whole array
 of K thresholds in one pass: one (K, W) comparison of the hull profile and
 one (K, W) closed form per side; point() then settles each outer end.
-superlevel is the same path with K = 1.
+superlevel is the same path with K = 1. Every hull point lies in the whole
+hull, whose value V = w[W-1] * P[W] is one of the sweep's floats, so the
+profile is at least V everywhere on the hull; when every threshold lies
+below V and the profile is not built yet, the hull is inside every set and
+the profile is never built.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+import weakref
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -164,9 +172,33 @@ def _sweep_profile(P: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pair_profile(P: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _hull_chains(P: np.ndarray) -> tuple[np.ndarray, int, np.ndarray, int] | None:
+    """The left and right convex chains of the hull with prefix sums P, as
+    (pred_l, max depth_l, pred_r, max depth_r), or None when scoring their
+    pairs would take more than W^2 scores, max(depth_l) * max(depth_r) > W,
+    and the hull is swept instead. The chains depend on P alone, not on
+    alpha."""
+    W = P.size - 1
+    y = np.ldexp(P, -int(np.frexp(P[-1])[1]))
+    pred_l, depth_l = _convex_chains(y[:W].tolist())
+    # right ends h = W, W-1, ..., 1 at positions 0..W-1; point n starts at W-1-n
+    pred_r, depth_r = _convex_chains((-y[:0:-1]).tolist())
+    deep_l, deep_r = int(depth_l.max()), int(depth_r.max())
+    if deep_l * deep_r > W:
+        return None
+    return pred_l, deep_l, pred_r, deep_r
+
+
+# _hull_chains per sequence, shared by the evaluators of every alpha. A
+# Sequence is frozen and compares by identity, so an entry lives as long as
+# its sequence and no longer.
+_CHAINS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _pair_profile(P: np.ndarray, w: np.ndarray, chains) -> np.ndarray:
     """The hull profile as a max over the (left-chain x right-chain) pairs of
-    each point, or the row sweep when that would score more than W^2 pairs.
+    each point, from the chains of _hull_chains, or the row sweep when those
+    are None.
 
     The deeper side's chains are walked one step at a time for all W points
     at once, each step scored against one (shallower depth, W) array of the
@@ -176,14 +208,10 @@ def _pair_profile(P: np.ndarray, w: np.ndarray) -> np.ndarray:
     sqrt(W), so the temporaries hold min(depth_l, depth_r) * W <= W**1.5
     scores.
     """
-    W = P.size - 1
-    y = np.ldexp(P, -int(np.frexp(P[-1])[1]))
-    pred_l, depth_l = _convex_chains(y[:W].tolist())
-    # right ends h = W, W-1, ..., 1 at positions 0..W-1; point n starts at W-1-n
-    pred_r, depth_r = _convex_chains((-y[:0:-1]).tolist())
-    deep_l, deep_r = int(depth_l.max()), int(depth_r.max())
-    if deep_l * deep_r > W:
+    if chains is None:
         return _sweep_profile(P, w)
+    pred_l, deep_l, pred_r, deep_r = chains
+    W = P.size - 1
     ns = np.arange(W)
     out = np.full(W, -np.inf)
     if deep_l >= deep_r:
@@ -223,8 +251,9 @@ class MaximalProfile:
 class MaximalEvaluator:
     """Shared state for repeated M_alpha evaluations of one sequence.
 
-    Holds the support hull, its prefix sums, and (lazily) the hull profile;
-    point values, window profiles, and superlevel runs all reuse them, so the
+    Holds the support hull, its prefix sums, and (lazily) the weight table
+    and the hull profile, built from the chains shared per sequence; point
+    values, window profiles, and superlevel runs all reuse them, so the
     same float formula backs every access path.
     """
 
@@ -261,10 +290,15 @@ class MaximalEvaluator:
         except OverflowError:
             return cap
 
+    @cached_property
+    def _weights(self) -> np.ndarray:
+        return alpha_weights(self._vals.size, self.alpha)
+
     def _profile_on_hull(self) -> np.ndarray:
         if self._hull_profile is None:
-            W = self._vals.size
-            self._hull_profile = _pair_profile(self._P, alpha_weights(W, self.alpha))
+            if self.a not in _CHAINS:
+                _CHAINS[self.a] = _hull_chains(self._P)
+            self._hull_profile = _pair_profile(self._P, self._weights, _CHAINS[self.a])
         return self._hull_profile
 
     def max_value(self) -> float:
@@ -374,13 +408,18 @@ class MaximalEvaluator:
         hull = self.hull
         if hull is None or ss.size == 0:
             return [[] for _ in range(ss.size)]
-        mask = (self._profile_on_hull() > ss[:, None]).astype(np.int8)
-        edges = np.diff(mask, axis=1, prepend=0, append=0)
-        rows, starts = np.nonzero(edges == 1)
-        _, stops = np.nonzero(edges == -1)
-        runs: list[list[ZInterval]] = [[] for _ in range(ss.size)]
-        for k, lo, hi in zip(rows.tolist(), starts.tolist(), stops.tolist()):
-            runs[k].append(ZInterval(hull.lo + lo, hull.lo + hi - 1))
+        if self._hull_profile is None and self._weights[-1] * self._P[-1] > ss.max():
+            # every hull point lies in the whole hull, whose float the sweep
+            # scores and the pair path reaches, so the profile is >= it there
+            runs = [[hull] for _ in range(ss.size)]
+        else:
+            mask = (self._profile_on_hull() > ss[:, None]).astype(np.int8)
+            edges = np.diff(mask, axis=1, prepend=0, append=0)
+            rows, starts = np.nonzero(edges == 1)
+            _, stops = np.nonzero(edges == -1)
+            runs = [[] for _ in range(ss.size)]
+            for k, lo, hi in zip(rows.tolist(), starts.tolist(), stops.tolist()):
+                runs[k].append(ZInterval(hull.lo + lo, hull.lo + hi - 1))
         left, right = self._last_above(ss, right=False), self._last_above(ss, right=True)
         for k, (dl, dr) in enumerate(zip(left.tolist(), right.tolist())):
             if dl:

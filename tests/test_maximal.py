@@ -1,7 +1,9 @@
 """Fractional maximal operator: closed forms, oracle equality, invariants."""
 
+import gc
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -350,6 +352,20 @@ def test_near_tied_candidates_match_oracle():
             _assert_matches_oracle(a, alpha, ZInterval(-d - 32, -d + 32))
 
 
+def test_near_max_margin_keeps_rounding_winners():
+    """Hulls whose candidates tie in exact arithmetic near distance 2e8: the
+    float max of a point in the middle of these windows sits on a candidate
+    that is not a float max at either end, so a segment whose two ends only
+    kept their exact float maxima (_NEAR_MAX = 1.0) skips it. Found by a
+    random search over ulp-nudged ties; _NEAR_MAX's margin keeps them."""
+    cases = [
+        ([1.0000000000000004, 2.1967119234744814e-09, 2.1967152541435553e-09], 0.5, -227612733),
+        ([0.9999999999999996, 2.51459519873265e-10, 2.5145840965024036e-10], 0.5, -1988399324),
+    ]
+    for vals, alpha, n in cases:
+        _assert_matches_oracle(Sequence(0, vals), alpha, ZInterval(n - 2, n + 2))
+
+
 # The hull profile (convex-chain pairs scored one chain step at a time, or
 # the row sweep when that would score more than W^2 pairs) against the
 # rectangle oracle, bitwise, on laws where chains are long or rounding
@@ -400,24 +416,35 @@ def test_hull_profile_matches_rectangle_oracle(law, width, seed, alpha):
     assert np.array_equal(prof, brute_force_profile(a, alpha, hull))
 
 
+def _all_chains(a: Sequence):
+    """The prefix sums of a's hull and its chains as _pair_profile takes
+    them, also where _hull_chains would select the sweep."""
+    P = MaximalEvaluator(a, 0.0)._P
+    y = np.ldexp(P, -int(np.frexp(P[-1])[1]))
+    pred_l, depth_l = maximal._convex_chains(y[:-1].tolist())
+    pred_r, depth_r = maximal._convex_chains((-y[:0:-1]).tolist())
+    return P, (pred_l, int(depth_l.max()), pred_r, int(depth_r.max()))
+
+
 def test_hull_profile_ulp_ties_match_oracle():
     # the pair scorer must keep every pair whose float can round to the max,
-    # also where the exact values tie to within a few ulps
+    # also where the exact values tie to within a few ulps; these chains are
+    # long enough that the evaluator sweeps, so the pairs are scored directly
     for seed in range(150):
         rng = np.random.default_rng(seed)
         a = Sequence(0, _hull_values("nudged-blocks", int(rng.integers(3, 120)), rng))
         hull = a.support_hull()
-        prof = MaximalEvaluator(a, 0.0).profile(hull)
-        assert np.array_equal(prof, brute_force_profile(a, 0.0, hull)), seed
+        oracle = brute_force_profile(a, 0.0, hull)
+        P, chains = _all_chains(a)
+        prof = maximal._pair_profile(P, alpha_weights(P.size - 1, 0.0), chains)
+        assert np.array_equal(prof, oracle), seed
+        assert np.array_equal(MaximalEvaluator(a, 0.0).profile(hull), oracle), seed
 
 
 def _chain_depths(a: Sequence) -> tuple[int, int]:
     """The deepest left and right chain over the hull of a."""
-    P = MaximalEvaluator(a, 0.0)._P
-    y = np.ldexp(P, -int(np.frexp(P[-1])[1]))
-    left = maximal._convex_chains(y[:-1].tolist())[1]
-    right = maximal._convex_chains((-y[:0:-1]).tolist())[1]
-    return int(left.max()), int(right.max())
+    _, (_, deep_l, _, deep_r) = _all_chains(a)
+    return deep_l, deep_r
 
 
 def test_hull_profile_path_selected_by_pair_count(monkeypatch):
@@ -458,16 +485,36 @@ def test_hull_profile_path_selected_by_pair_count(monkeypatch):
     assert swept == [W] * len(ALPHAS)
 
 
+def test_hull_chains_built_once_per_sequence(monkeypatch):
+    """The chains are alpha-free: the evaluators of every alpha share one
+    build per sequence, keyed by identity and dropped with the sequence."""
+    built = []
+    chains = maximal._convex_chains
+    monkeypatch.setattr(maximal, "_convex_chains", lambda y: built.append(len(y)) or chains(y))
+    vals = np.random.default_rng(5).random(300)
+    a = Sequence(0, vals)
+    maxima = [MaximalEvaluator(a, alpha).max_value() for alpha in ALPHAS]
+    assert built == [300, 300]
+    b = Sequence(0, vals)
+    assert [MaximalEvaluator(b, alpha).max_value() for alpha in ALPHAS] == maxima
+    assert built == [300] * 4
+    gone = weakref.ref(a)
+    del a
+    gc.collect()
+    assert gone() is None
+
+
 # The batched superlevel sets against the dense oracle: thresholds at
 # profile values and one ulp either side, duplicated and unsorted.
 
 _ORACLE_PAD = 48
 
 
-def _dense_superlevels(a: Sequence, alpha: float, ss) -> list[list[ZInterval]]:
-    """{M_alpha > s} for each s of ss from the dense profile of the hull
-    padded by _ORACLE_PAD, for thresholds whose sets end inside it."""
-    window = dilate(a.support_hull(), _ORACLE_PAD)
+def _dense_superlevels(a: Sequence, alpha: float, ss, window=None) -> list[list[ZInterval]]:
+    """{M_alpha > s} for each s of ss from the dense profile of the window
+    (by default the hull dilated by _ORACLE_PAD), for thresholds whose sets
+    end inside it."""
+    window = window or dilate(a.support_hull(), _ORACLE_PAD)
     prof = brute_force_profile(a, alpha, window)
     assert not (prof[0] > np.min(ss) or prof[-1] > np.min(ss))
     return [runs_from_mask(prof > s, window.lo) for s in ss]
@@ -500,3 +547,44 @@ def test_superlevels_of_no_thresholds():
     assert MaximalEvaluator(Sequence(0, [1.0, 2.0]), 0.5).superlevels([]) == []
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(_HULL_LAWS),
+    st.integers(1, 64),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.0, 0.5),
+)
+def test_superlevels_settle_hull_from_whole_hull_value(law, width, seed, alpha):
+    """Every hull point lies in the whole hull, so its profile value is at
+    least V = w[W-1] * P[W]. A fresh evaluator whose thresholds all lie below
+    V marks the hull without building its profile; a threshold at V or above
+    builds it. Thresholds at V and one ulp either side, alone and mixed with
+    lower ones, against the dense oracle on the hull padded past the reach
+    of the lowest threshold."""
+    a = Sequence(seed % 1000, _hull_values(law, width, np.random.default_rng(seed)))
+    P = MaximalEvaluator(a, alpha)._P
+    V = alpha_weights(P.size - 1, alpha)[-1] * P[-1]
+    below, above = np.nextafter(V, 0.0), np.nextafter(V, np.inf)
+    cases = [[below], [V], [above], [below, V / 2, V / 4], [V / 4, V, below], [V / 3, above]]
+    for ss in cases:
+        ev = MaximalEvaluator(a, alpha)
+        got = ev.superlevels(ss)
+        assert (ev._hull_profile is None) == (max(ss) < V), ss
+        pad = ev.reach(min(ss), 2**20) + 1
+        window = ZInterval(ev.hull.lo - pad, ev.hull.hi + pad)
+        assert got == _dense_superlevels(a, alpha, ss, window), ss
+
+
+def test_superlevels_at_whole_hull_value_exclude_its_ties():
+    """At alpha > 0 a constant hull's best interval around every point is the
+    whole hull, so every profile value equals V and {M_alpha > V} misses the
+    hull, while one ulp below V takes all of it without building the
+    profile."""
+    a = Sequence(3, np.full(8, 0.75))
+    V = alpha_weights(8, 0.5)[-1] * 6.0
+    ev = MaximalEvaluator(a, 0.5)
+    assert ev.superlevel(V) == [] and ev._hull_profile is not None
+    assert np.all(ev.profile(ev.hull) == V)
+    ev = MaximalEvaluator(a, 0.5)
+    assert ev.superlevel(np.nextafter(V, 0.0)) == [ev.hull]
+    assert ev._hull_profile is None

@@ -252,6 +252,57 @@ def test_characteristic_norm_bit_identical_to_plain_bisection(inputs):
     assert _bits(characteristic_norm(runs, p)) == _bits(plain_characteristic_norm(runs, p))
 
 
+@st.composite
+def _materialisable_run_sets(draw):
+    """1..4 runs of up to 2^10 points with gaps of up to 2^10, and an
+    exponent window that may hold all, some or none of them."""
+    x = draw(st.integers(-(2**20), 2**20))
+    runs = []
+    for _ in range(draw(st.integers(1, 4))):
+        length = draw(st.integers(1, 2**10))
+        runs.append(ZInterval(x, x + length - 1))
+        x += length + draw(st.integers(1, 2**10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q_max = draw(st.floats(1.0, Q_MAX))
+    lo = draw(st.integers(runs[0].lo - 2**12, runs[-1].hi + 2**10))
+    width = draw(st.one_of(st.just(0), st.integers(1, 2**13)))
+    return runs, ExponentFunction(lo, rng.uniform(1.0, q_max, width), draw(st.floats(1.0, q_max)))
+
+
+@_property
+@given(_materialisable_run_sets(), st.sampled_from([2.0**-52, 1e-12, 1e-6]))
+def test_characteristic_norm_matches_materialised_indicator(inputs, rel_tol):
+    """characteristic_norm against luxemburg_norm of the indicator written
+    out as a sequence: both bisect [1, count] on the same exact modular
+    m(lam) = sum over the set of lam^-p(k), each with its own rounding.
+
+    The tolerance. Let r be the root of m = 1, and eps the larger of the two
+    _rounding_bound values (chain max(N, 3) bounds both luxemburg_norm's
+    N - 1, N the written-out length, and characteristic_norm's
+    max(n_inner, 3)), so every computed modular is within eps m of m. A
+    bisection stops with hi - lo <= rel_tol hi and returns x in [lo, hi].
+    The low end is 1 or has fl_m(lo) > 1; the high end is the count or has
+    fl_m(hi) <= 1. Since p >= 1, m(lam) <= r / lam for lam > r and
+    m(lam) >= r / lam for lam < r, so lo < (1 + eps) r and
+    hi > (1 - eps) r. Hence (1 - rel_tol)(1 - eps) r <= x
+    <= (1 + eps) r / (1 - rel_tol), and the two results differ by at most
+    2 (rel_tol + eps) r / (1 - rel_tol) <= 2 (rel_tol + eps) max(x) /
+    ((1 - rel_tol)^2 (1 - eps)). With rel_tol <= 1e-6 and eps < 1e-9, the
+    factor 2.001 covers that denominator and the rounding of the stop test.
+    """
+    runs, p = inputs
+    got = characteristic_norm(runs, p, rel_tol)
+    lo, hi = runs[0].lo, runs[-1].hi
+    mask = np.zeros(hi - lo + 1)
+    for r in runs:
+        mask[r.lo - lo : r.hi - lo + 1] = 1.0
+    want = luxemburg_norm(Sequence(lo, mask), p, rel_tol)
+    assert max(got.iterations, want.iterations) < norm.MAX_BISECT_ITER
+    eps = norm._rounding_bound(max(mask.size, 3), p.p_plus)
+    tol = 2.001 * (rel_tol + eps) * max(got.value, want.value)
+    assert abs(got.value - want.value) <= tol
+
+
 def _luxemburg_case(values, p):
     a = Sequence(0, values)
     trace = []
