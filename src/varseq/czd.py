@@ -9,6 +9,12 @@ holds them, a row per level over the blocks meeting the support hull, and
 each threshold's decomposition is a cut of it: the maximal blocks below
 N_t with average above t, sorted and disjoint, with averages in
 (t, 2^(1-alpha) t].
+
+The level-set partition cuts the window profile of M_alpha at the rungs
+base^k, base = 9t, from the top rung (max M_alpha, where the set is empty)
+to the first rung whose set is the whole window (min M_alpha). Both ends
+are read off the profile before any rung is cut; a ladder of more than
+100,000 rungs (t too close to 1/9) raises ValueError.
 """
 
 from __future__ import annotations
@@ -33,7 +39,6 @@ from .lattice import (
     runs_intersect,
     runs_normalize,
     runs_subtract,
-    runs_union,
 )
 from .maximal import MaximalEvaluator, _validate_alpha
 
@@ -242,6 +247,17 @@ class LevelSetPartition:
     profile: np.ndarray
 
 
+def _rung(base: float, x: float) -> int:
+    """Largest k with base^k >= x, for 0 < base < 1 and x > 0: the floor of
+    log(x) / log(base), moved a step when rounding put it on the wrong side."""
+    k = math.floor(math.log(x) / math.log(base))
+    while base ** (k + 1) >= x:
+        k += 1
+    while base**k < x:
+        k -= 1
+    return k
+
+
 def level_set_partition(a: Sequence, alpha: float, t: float) -> LevelSetPartition:
     """Partition a window of M_alpha level sets into E-sets; 0 < t < 1/9."""
     if not (0.0 < t < 1.0 / 9.0):
@@ -258,47 +274,38 @@ def level_set_partition(a: Sequence, alpha: float, t: float) -> LevelSetPartitio
     m = ev.profile(window)
     table = _DyadicTable(a, alpha)
 
-    # largest k with base^k >= max_m, where omega is empty (base^k falls in k)
-    k = math.floor(math.log(max_m) / math.log(base))
-    while base ** (k + 1) >= max_m:
-        k += 1
-    while base**k < max_m:
-        k -= 1
+    # shells k_top to k_end: omega[k_top] is empty, omega[k_end + 1] the whole window
+    k_top = _rung(base, max_m)
+    k_end = _rung(base, float(m.min()))
+    rungs = k_end + 1 - k_top
+    if rungs > 100_000:
+        raise ValueError(f"level ladder has {rungs} rungs, more than 100000: t is too close to 1/9")
 
     levels: list[int] = []
-    omega: dict[int, list[ZInterval]] = {k: []}
+    omega: dict[int, list[ZInterval]] = {k_top: []}
     heights: dict[int, float] = {}
     e_sets: dict[tuple[int, int], list[ZInterval]] = {}
     intervals: dict[tuple[int, int], ZInterval] = {}
 
-    for _ in range(100_000):
+    for k in range(k_top, k_end + 1):
         s_next = base ** (k + 1)
-        omega_next = runs_from_mask(m > s_next, window.lo)
-        shell = runs_subtract(omega_next, omega[k])
-        if shell:
-            height = s_next / COVERING_FACTOR
-            d = table.decompose(height)
-            heights[k] = height
-            levels.append(k)
-            used: list[ZInterval] = []
-            for j, sel in enumerate(d.intervals):
-                piece = runs_subtract(runs_intersect(shell, [dilate(sel, 2)]), used)
-                if piece:
-                    e_sets[(k, j)] = piece
-                    intervals[(k, j)] = sel
-                    used = runs_union(used, piece)
-            leftover = runs_subtract(shell, used)
-            if leftover:
-                raise RuntimeError(
-                    "shell escaped the doubled covering intervals; "
-                    f"level {k}, {runs_count(leftover)} points"
-                )
-        omega[k + 1] = omega_next
-        if omega_next == [window]:
-            break
-        k += 1
-    else:
-        raise RuntimeError("level enumeration did not cover the window")
+        omega[k + 1] = runs_from_mask(m > s_next, window.lo)
+        rest = runs_subtract(omega[k + 1], omega[k])  # shell k, less the E-sets cut so far
+        if not rest:
+            continue
+        levels.append(k)
+        heights[k] = s_next / COVERING_FACTOR
+        for j, sel in enumerate(table.decompose(heights[k]).intervals):
+            piece = runs_intersect(rest, [dilate(sel, 2)])
+            if piece:
+                e_sets[(k, j)] = piece
+                intervals[(k, j)] = sel
+                rest = runs_subtract(rest, piece)
+        if rest:
+            raise RuntimeError(
+                "shell escaped the doubled covering intervals; "
+                f"level {k}, {runs_count(rest)} points"
+            )
 
     return LevelSetPartition(
         float(t), float(alpha), base, window, levels, omega, heights, e_sets, intervals, m

@@ -18,40 +18,7 @@ import numpy as np
 
 from .lattice import ZInterval
 
-__all__ = ["to_plain", "render_json", "render_csv", "write_text"]
-
-
-def to_plain(obj: Any) -> Any:
-    """Recursively convert records, arrays, and intervals to JSON-ready data."""
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, float):
-        return obj
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, ZInterval):
-        return [obj.lo, obj.hi]
-    if isinstance(obj, np.ndarray):
-        return [to_plain(v) for v in obj.tolist()]
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: to_plain(getattr(obj, f.name)) for f in dataclasses.fields(obj) if not f.name.startswith("_")}
-    if isinstance(obj, dict):
-        return {_key(k): to_plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_plain(v) for v in obj]
-    raise TypeError(f"cannot render {type(obj).__name__}")
-
-
-def _key(k: Any) -> str:
-    if isinstance(k, str):
-        return k
-    if isinstance(k, (int, np.integer)):
-        return str(int(k))
-    if isinstance(k, tuple):
-        return ",".join(_key(x) for x in k)
-    raise TypeError(f"cannot use {type(k).__name__} as a key")
+__all__ = ["render_json", "render_csv", "write_text"]
 
 
 def _render_float(x: float) -> str:
@@ -61,49 +28,45 @@ def _render_float(x: float) -> str:
 
 
 def _render(obj: Any, indent: int, out: list[str]) -> None:
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        keys = sorted(obj)
-        for i, k in enumerate(keys):
-            out.append(f'{pad}  {json.dumps(k)}: ')
-            _render(obj[k], indent + 1, out)
-            out.append(",\n" if i < len(keys) - 1 else "\n")
-        out.append(pad + "}")
-        return
-    if isinstance(obj, list):
-        if not obj:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, v in enumerate(obj):
-            out.append(pad + "  ")
-            _render(v, indent + 1, out)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "]")
-        return
-    if isinstance(obj, bool) or obj is None:
-        out.append(json.dumps(obj))
-        return
+    """Append obj as JSON: an interval is [lo, hi], a record its public
+    fields, numpy data plain Python values, a tuple a list."""
+    if isinstance(obj, ZInterval):
+        obj = [obj.lo, obj.hi]
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        fields = dataclasses.fields(obj)
+        obj = {f.name: getattr(obj, f.name) for f in fields if not f.name.startswith("_")}
+    elif isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
     if isinstance(obj, float):
         out.append(_render_float(obj))
         return
-    if isinstance(obj, int):
-        out.append(str(obj))
-        return
-    if isinstance(obj, str):
+    if obj is None or isinstance(obj, (bool, int, str)):
         out.append(json.dumps(obj))
         return
-    raise TypeError(f"cannot render {type(obj).__name__}")
+    if isinstance(obj, dict):
+        if not all(isinstance(k, str) for k in obj):
+            raise TypeError("report keys must be strings")
+        brackets, items = "{}", [(json.dumps(k) + ": ", obj[k]) for k in sorted(obj)]
+    elif isinstance(obj, (list, tuple)):
+        brackets, items = "[]", [("", v) for v in obj]
+    else:
+        raise TypeError(f"cannot render {type(obj).__name__}")
+    if not items:
+        out.append(brackets)
+        return
+    pad = "  " * indent
+    out.append(brackets[0] + "\n")
+    for i, (head, v) in enumerate(items):
+        out.append(pad + "  " + head)
+        _render(v, indent + 1, out)
+        out.append(",\n" if i < len(items) - 1 else "\n")
+    out.append(pad + brackets[1])
 
 
 def render_json(obj: Any) -> str:
     """Canonical JSON text: sorted keys, 17-significant-digit floats."""
     out: list[str] = []
-    _render(to_plain(obj), 0, out)
+    _render(obj, 0, out)
     out.append("\n")
     return "".join(out)
 

@@ -4,10 +4,13 @@ import json
 import math
 import os
 import warnings
+from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
 from varseq.cli import _SETTINGS, _build_parser, _resolve, main
+from varseq.lattice import ZInterval
 from varseq.reports import render_json
 
 
@@ -280,6 +283,29 @@ def test_verify_alpha_near_one(tmp_path, capsys, check, code, message):
     assert capsys.readouterr().err == message
 
 
+def test_verify_long_level_ladder_exit_2(capsys):
+    """t within 1e-6 of 1/9 asks domination for millions of level-set rungs:
+    an input error on one line, raised before any rung is cut."""
+    assert run_cli("verify", "--checks", "domination", "--count", "3", "--t", "0.111111") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: level ladder has ") and err.count("\n") == 1
+    assert err.endswith(" rungs, more than 100000: t is too close to 1/9\n")
+
+
+def test_verify_without_alphas_reports_empty_checks(tmp_path):
+    """With no alphas, strong_type and weak_type report no cases, an empty
+    worst case and no constant."""
+    out = tmp_path / "r.json"
+    argv = ["verify", "--alphas", "", "--checks", "strong_type,weak_type", "--count", "2"]
+    assert run_cli(*argv, "--out", str(out)) == 0
+    data = json.loads(out.read_text())
+    assert data["failures_total"] == 0
+    assert [r["check_name"] for r in data["reports"]] == ["strong_type", "weak_type"]
+    for r in data["reports"]:
+        assert r["cases"] == 0 and r["failures"] == 0
+        assert r["worst_case"] == {} and r["empirical_constant"] is None
+
+
 def test_verify_negative_count_exit_2(capsys):
     assert run_cli("verify", "--count", "-1", "--checks", "covering") == 2
     assert "count must be >= 0" in capsys.readouterr().err
@@ -449,3 +475,27 @@ def test_report_float_formatting_is_17g(tmp_path):
     assert "0.10000000000000001" in text
     # round-trip preserves the exact float
     assert json.loads(text)["x"] == 0.1
+
+
+@dataclass(frozen=True)
+class _Record:
+    span: ZInterval
+    values: np.ndarray
+    count: np.int64
+    pair: tuple
+    _hidden: float = 1.0
+
+
+def test_render_json_walks_records_directly():
+    """An interval renders as [lo, hi], a record as its public fields, numpy
+    arrays and scalars as plain values, a tuple as a list; keys must be
+    strings."""
+    rec = _Record(ZInterval(-2, 3), np.array([0.5, 2.0]), np.int64(7), (np.float64(0.1), None))
+    assert render_json({"r": rec, "e": ()}) == (
+        '{\n  "e": [],\n  "r": {\n    "count": 7,\n    "pair": [\n      0.10000000000000001,\n'
+        '      null\n    ],\n    "span": [\n      -2,\n      3\n    ],\n    "values": [\n'
+        '      0.5,\n      2\n    ]\n  }\n}\n'
+    )
+    for key in (1, (1, 2), np.int64(3)):
+        with pytest.raises(TypeError, match="report keys must be strings"):
+            render_json({key: 0.0})

@@ -1,13 +1,17 @@
 """Stopping-time decomposition, covering, partition, and domination tests."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import recursive_cz_decompose
+from varseq import czd
 from varseq.czd import (
     _DyadicTable,
+    _rung,
     alpha_average,
     covering_check,
     cz_decompose,
@@ -285,6 +289,61 @@ def test_partition_rejects_underflowed_threshold():
     names it, where a division by zero was raised."""
     with pytest.raises(ValueError, match="below the smallest normal float"):
         level_set_partition(Sequence(0, [5e-324]), 0.0, 0.05)
+
+
+def test_rung_is_the_largest_power_at_or_above():
+    """_rung(base, x) is the largest k with base^k >= x, checked at
+    x = base^k and one ulp either side for base = 9t. The raw estimate
+    floor(log(x) / log(base)) lands below the answer on some of these inputs
+    and above it on others, so both fix-up loops run."""
+    raw_low = raw_high = 0
+    for t in (0.01, 0.05, 0.1, 0.11):
+        base = 9.0 * t
+        for k in range(-40, 41):
+            power = base**k
+            for x in (float(np.nextafter(power, 0.0)), power, float(np.nextafter(power, 1e300))):
+                r = _rung(base, x)
+                assert base**r >= x > base ** (r + 1), (t, k, x)
+                raw = math.floor(math.log(x) / math.log(base))
+                raw_low += raw < r
+                raw_high += raw > r
+    assert raw_low > 0 and raw_high > 0
+
+
+def test_partition_ladder_ends_read_off_the_profile():
+    """The ladder runs from the top rung, where omega is empty, to the first
+    rung whose set is the whole window, one omega per rung in between."""
+    rng = XorShift64Star(11)
+    a = Sequence(-5, [rng.uniform() for _ in range(24)])
+    for alpha in ALPHAS:
+        for t in (0.01, 0.05, 0.1):
+            part = level_set_partition(a, alpha, t)
+            ks = sorted(part.omega)
+            assert ks == list(range(ks[0], ks[-1] + 1))
+            assert part.omega[ks[0]] == [] and part.omega[ks[1]] != []
+            assert part.omega[ks[-1]] == [part.window] != part.omega[ks[-2]]
+            assert ks[0] == _rung(part.base, float(part.profile.max()))
+            assert ks[-1] == _rung(part.base, float(part.profile.min())) + 1
+
+
+def test_partition_rejects_long_ladder_up_front(monkeypatch):
+    """t = 0.111111 puts base = 9t within 1e-6 of 1: millions of rungs. The
+    ValueError names the count before any rung is cut."""
+    cuts = []
+    monkeypatch.setattr(czd, "runs_from_mask", lambda *args: cuts.append(args))
+    with pytest.raises(ValueError, match=r"level ladder has \d+ rungs, more than 100000") as info:
+        level_set_partition(Sequence(0, [1.0, 2.0, 3.0, 0.5]), 0.0, 0.111111)
+    assert int(str(info.value).split()[3]) > 100_000
+    assert cuts == []
+
+
+def test_partition_near_ladder_bound_unchanged():
+    """t = 0.1111 climbs 69,332 rungs, under the bound; 2,231 of the shells
+    are non-empty, cut into 4,442 E-sets."""
+    part = level_set_partition(Sequence(0, [1.0, 2.0, 3.0, 0.5]), 0.0, 0.1111)
+    assert len(part.levels) == 2231
+    assert len(part.omega) == 69_333
+    assert len(part.e_sets) == 4442
 
 
 def test_domination_derived_constant_holds():

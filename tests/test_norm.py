@@ -395,6 +395,42 @@ def test_bracket_certificates_hold(monkeypatch):
     assert certified == len(seen)
 
 
+@pytest.mark.parametrize("steps", [0, 1])
+def test_bracket_uncertified_exit_keeps_bits(monkeypatch, steps):
+    """With NEWTON_STEPS at 0 or 1 the Newton loop mostly runs out before its
+    step is small enough, and _bracket takes its uncertified exit after
+    `steps` evaluations (a break costs two more). The bisection then
+    evaluates more midpoints, and both norms keep the bits of the plain
+    bisection."""
+    monkeypatch.setattr(norm, "NEWTON_STEPS", steps)
+    evaluations = []
+    real = norm._bracket
+
+    def spy(mod_at, lo, hi, eps):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return mod_at(*args, **kwargs)
+
+        A, B = real(counted, lo, hi, eps)
+        evaluations.append(len(calls))
+        if steps == 0:
+            assert (A, B) == (-math.inf, math.inf)
+        return A, B
+
+    monkeypatch.setattr(norm, "_bracket", spy)
+    rng = np.random.default_rng(4242)
+    for n in (2, 3, 64, 1000):
+        for _ in range(4):
+            a = Sequence(3, _magnitudes(rng, n, 1))
+            p = ExponentFunction(0, rng.uniform(1.0, rng.uniform(1.0, Q_MAX), n + 6), 1.5)
+            assert _bits(luxemburg_norm(a, p)) == _bits(plain_luxemburg_norm(a, p))
+            runs = [ZInterval(0, n - 1), ZInterval(2**40, 2**40 + int(rng.integers(0, 2**30)))]
+            assert _bits(characteristic_norm(runs, p)) == _bits(plain_characteristic_norm(runs, p))
+    assert steps in evaluations and max(evaluations) <= steps + 2
+
+
 def test_rounding_bound_covers_measured_error(monkeypatch):
     """|fl_m - m| <= eps m against the modular in 200-bit arithmetic, at
     the bisection's low end and at both ends of the certified bracket."""
