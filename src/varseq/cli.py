@@ -9,9 +9,11 @@ or the config's JSON value alike: a config value is valid exactly when it
 has the setting's JSON type or is text the flag would accept. verify runs
 its checks serially: they hold the GIL, so threads only made them slower.
 
-Exit codes: 0 on success, 1 when verification reports failures or an
-internal invariant breaks, 2 for usage, config, or input errors, including
-a flag or config value that the setting's parser rejects.
+Each command returns its record; run() alone renders it as JSON or CSV,
+writes it to --out (atomically) or stdout, and maps errors to exit codes:
+0 on success, 1 when verification reports failures or an internal
+invariant breaks, 2 for usage, config, input or write errors, including a
+flag or config value that the setting's parser rejects.
 Config files are strict JSON (unknown keys rejected).
 """
 
@@ -102,76 +104,65 @@ def _json_floats(path: str, data: dict, key: str) -> np.ndarray:
     return np.asarray(v, dtype=float)
 
 
-def load_sequence(path: str) -> Sequence:
+def _load(path: str, what: str, parse: Callable[[str], Any]) -> Any:
+    """parse(path), with any read or parse error as one ConfigError."""
+    try:
+        return parse(path)
+    except ConfigError:
+        raise
+    except (OSError, ValueError, OverflowError) as e:
+        raise ConfigError(f"cannot load {what} {path}: {e}") from e
+
+
+def _read_sequence(path: str) -> Sequence:
     """Sequence from JSON {"offset", "values"} or text "index value" lines."""
-    try:
-        if path.endswith(".json"):
-            with open(path) as fh:
-                data = json.load(fh)
-            if not isinstance(data, dict) or set(data) != {"offset", "values"}:
-                raise ConfigError(
-                    f"{path}: sequence JSON must have exactly offset and values"
-                )
-            offset = _json_int(path, data, "offset")
-            return Sequence(offset, _json_floats(path, data, "values"))
-        pairs = []
-        with open(path) as fh:
-            for line_no, line in enumerate(fh, 1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                parts = line.split()
-                if len(parts) != 2:
-                    raise ConfigError(f"{path}:{line_no}: expected 'index value'")
-                pairs.append((int(parts[0]), float(parts[1])))
-        return Sequence.from_pairs(pairs)
-    except (OSError, ValueError, OverflowError, json.JSONDecodeError) as e:
-        if isinstance(e, ConfigError):
-            raise
-        raise ConfigError(f"cannot load sequence {path}: {e}") from e
-
-
-def load_exponent(path: str) -> ExponentFunction:
-    """Exponent from JSON {"window_lo", "values", "p_inf"}."""
-    try:
+    if path.endswith(".json"):
         with open(path) as fh:
             data = json.load(fh)
-        if not isinstance(data, dict) or set(data) != {"window_lo", "values", "p_inf"}:
-            raise ConfigError(
-                f"{path}: exponent JSON must have exactly window_lo, values, p_inf"
-            )
-        return ExponentFunction(
-            _json_int(path, data, "window_lo"),
-            _json_floats(path, data, "values"),
-            _json_float(path, data, "p_inf"),
-        )
-    except (OSError, ValueError, OverflowError, json.JSONDecodeError) as e:
-        if isinstance(e, ConfigError):
-            raise
-        raise ConfigError(f"cannot load exponent {path}: {e}") from e
+        if not isinstance(data, dict) or set(data) != {"offset", "values"}:
+            raise ConfigError(f"{path}: sequence JSON must have exactly offset and values")
+        return Sequence(_json_int(path, data, "offset"), _json_floats(path, data, "values"))
+    pairs = []
+    with open(path) as fh:
+        for line_no, line in enumerate(fh, 1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            parts = line.split()
+            if len(parts) != 2:
+                raise ConfigError(f"{path}:{line_no}: expected 'index value'")
+            pairs.append((int(parts[0]), float(parts[1])))
+    return Sequence.from_pairs(pairs)
 
 
-def _run_norm(cfg: RunConfig) -> int:
-    a = load_sequence(cfg.input)
-    p = load_exponent(cfg.exponent)
-    nv = luxemburg_norm(a, p, cfg.rel_tol)
-    write_text(
-        cfg.out,
-        render_json(
-            {
-                "command": "norm",
-                "norm": nv.value,
-                "achieved_modular": nv.achieved_modular,
-                "tolerance": nv.tolerance,
-                "iterations": nv.iterations,
-            }
-        ),
+def _read_exponent(path: str) -> ExponentFunction:
+    """Exponent from JSON {"window_lo", "values", "p_inf"}."""
+    with open(path) as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict) or set(data) != {"window_lo", "values", "p_inf"}:
+        raise ConfigError(f"{path}: exponent JSON must have exactly window_lo, values, p_inf")
+    return ExponentFunction(
+        _json_int(path, data, "window_lo"),
+        _json_floats(path, data, "values"),
+        _json_float(path, data, "p_inf"),
     )
-    return 0
 
 
-def _run_maximal(cfg: RunConfig) -> int:
-    a = load_sequence(cfg.input)
+def _run_norm(cfg: RunConfig) -> dict:
+    a = _load(cfg.input, "sequence", _read_sequence)
+    p = _load(cfg.exponent, "exponent", _read_exponent)
+    nv = luxemburg_norm(a, p, cfg.rel_tol)
+    return {
+        "command": "norm",
+        "norm": nv.value,
+        "achieved_modular": nv.achieved_modular,
+        "tolerance": nv.tolerance,
+        "iterations": nv.iterations,
+    }
+
+
+def _run_maximal(cfg: RunConfig) -> dict:
+    a = _load(cfg.input, "sequence", _read_sequence)
     window = cfg.window
     if window is None:
         hull = a.support_hull()
@@ -179,118 +170,96 @@ def _run_maximal(cfg: RunConfig) -> int:
             raise ConfigError("zero sequence needs an explicit --window")
         window = dilate(hull, 3)
     prof = m_alpha_profile(a, cfg.alpha, window)
-    if cfg.format == "csv":
-        rows = [
-            [n, float(v)]
-            for n, v in zip(range(window.lo, window.hi + 1), prof.values)
-        ]
-        write_text(cfg.out, render_csv(["n", "value"], rows))
-        return 0
-    write_text(
-        cfg.out,
-        render_json(
-            {
-                "command": "maximal",
-                "alpha": prof.alpha,
-                "window_lo": window.lo,
-                "window_hi": window.hi,
-                "values": prof.values,
-            }
-        ),
-    )
-    return 0
+    return {
+        "command": "maximal",
+        "alpha": prof.alpha,
+        "window_lo": window.lo,
+        "window_hi": window.hi,
+        "values": prof.values,
+    }
 
 
-def _run_czd(cfg: RunConfig) -> int:
-    a = load_sequence(cfg.input)
-    d = cz_decompose(a, cfg.alpha, cfg.t)
-    write_text(
-        cfg.out,
-        render_json(
-            {
-                "command": "czd",
-                "t": d.t,
-                "alpha": d.alpha,
-                "n_t": d.n_t,
-                "intervals": d.intervals,
-                "averages": d.averages,
-            }
-        ),
-    )
-    return 0
+def _maximal_rows(rec: dict) -> tuple[list[str], list[list]]:
+    ns = range(rec["window_lo"], rec["window_hi"] + 1)
+    return ["n", "value"], [[n, float(v)] for n, v in zip(ns, rec["values"])]
 
 
-def _run_verify(cfg: RunConfig) -> int:
+def _run_czd(cfg: RunConfig) -> dict:
+    d = cz_decompose(_load(cfg.input, "sequence", _read_sequence), cfg.alpha, cfg.t)
+    return {
+        "command": "czd",
+        "t": d.t,
+        "alpha": d.alpha,
+        "n_t": d.n_t,
+        "intervals": d.intervals,
+        "averages": d.averages,
+    }
+
+
+def _run_verify(cfg: RunConfig) -> dict:
     reports = run_verification_suite(
         cfg.corpus,
         t=cfg.t,
         checks=cfg.checks,
         inject_fault=cfg.inject_fault,
     )
-    failures = sum(r.failures for r in reports)
-    if cfg.format == "csv":
-        rows = [
-            [r.check_name, r.cases, r.failures, "" if r.empirical_constant is None else r.empirical_constant]
-            for r in reports
-        ]
-        write_text(cfg.out, render_csv(["check_name", "cases", "failures", "empirical_constant"], rows))
-    else:
-        write_text(
-            cfg.out,
-            render_json(
-                {
-                    "command": "verify",
-                    "failures_total": failures,
-                    "reports": [r.to_dict() for r in reports],
-                }
-            ),
-        )
-    return 1 if failures else 0
+    return {
+        "command": "verify",
+        "failures_total": sum(r.failures for r in reports),
+        "reports": reports,
+    }
 
 
-def _run_corpus(cfg: RunConfig) -> int:
+def _verify_rows(rec: dict) -> tuple[list[str], list[list]]:
+    rows = [
+        [r.check_name, r.cases, r.failures, "" if r.empirical_constant is None else r.empirical_constant]
+        for r in rec["reports"]
+    ]
+    return ["check_name", "cases", "failures", "empirical_constant"], rows
+
+
+def _run_corpus(cfg: RunConfig) -> dict:
     items = generate_corpus(cfg.corpus)
-    write_text(
-        cfg.out,
-        render_json(
-            {
-                "command": "corpus",
-                "spec": cfg.corpus,
-                "items": [
-                    {"index": it.index, "sequence": it.a, "exponent": it.p}
-                    for it in items
-                ],
-            }
-        ),
-    )
-    return 0
+    return {
+        "command": "corpus",
+        "spec": cfg.corpus,
+        "items": [{"index": it.index, "sequence": it.a, "exponent": it.p} for it in items],
+    }
 
 
-# commands with a CSV form; the others write json only
-_CSV_COMMANDS = ("maximal", "verify")
-# command -> (runner, help)
+# command -> (record builder, CSV header and rows of a record or None: json only, help)
 _COMMANDS = {
-    "norm": (_run_norm, "Luxemburg norm of a sequence"),
-    "maximal": (_run_maximal, "fractional maximal profile"),
-    "czd": (_run_czd, "stopping-time decomposition"),
-    "verify": (_run_verify, "run the verification suite"),
-    "corpus": (_run_corpus, "emit a reproducible corpus"),
+    "norm": (_run_norm, None, "Luxemburg norm of a sequence"),
+    "maximal": (_run_maximal, _maximal_rows, "fractional maximal profile"),
+    "czd": (_run_czd, None, "stopping-time decomposition"),
+    "verify": (_run_verify, _verify_rows, "run the verification suite"),
+    "corpus": (_run_corpus, None, "emit a reproducible corpus"),
 }
 
 
+def _fail(code: int, message: str) -> int:
+    print(message, file=sys.stderr)
+    return code
+
+
 def run(cfg: RunConfig) -> int:
-    """Execute a resolved command; returns the process exit code."""
-    if cfg.format != "json" and cfg.command not in _CSV_COMMANDS:
-        raise ConfigError(f"{cfg.command} supports only json output")
+    """Execute a resolved command, render and write its record; returns the
+    process exit code."""
+    build, rows, _ = _COMMANDS[cfg.command]
+    if cfg.format == "csv" and rows is None:
+        return _fail(2, f"error: {cfg.command} supports only json output")
     try:
-        return _COMMANDS[cfg.command][0](cfg)
-    except ConfigError:
-        raise
+        record = build(cfg)
+        text = render_csv(*rows(record)) if cfg.format == "csv" else render_json(record)
     except ValueError as e:
-        raise ConfigError(str(e)) from e
+        return _fail(2, f"error: {e}")
     except RuntimeError as e:
-        print(f"invariant failure: {e}", file=sys.stderr)
-        return 1
+        return _fail(1, f"invariant failure: {e}")
+    try:
+        write_text(cfg.out, text)
+    except OSError as e:
+        return _fail(2, f"error: cannot write {cfg.out or 'stdout'}: {e.strerror or e}")
+    return 1 if record.get("failures_total") else 0
 
 
 @dataclass(frozen=True)
@@ -389,7 +358,7 @@ def _build_parser() -> _Parser:
     top = _Parser(prog="varseq", description=__doc__)
     top.add_argument("--version", action="version", version=f"varseq {__version__}")
     sub = top.add_subparsers(dest="command", required=True)
-    for command, (_, help_text) in _COMMANDS.items():
+    for command, (_, _, help_text) in _COMMANDS.items():
         sp = sub.add_parser(command, help=help_text)
         sp.add_argument("--config", help="JSON config file")
         for name, s in _SETTINGS.items():
@@ -448,14 +417,11 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        cfg = _resolve(args)
-        return run(cfg)
+        cfg = _resolve(_build_parser().parse_args(argv))
     except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return _fail(2, f"error: {e}")
+    return run(cfg)
 
 
 if __name__ == "__main__":

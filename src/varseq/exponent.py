@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import ZInterval
+from .lattice import ZInterval, check_coordinates
 
 __all__ = [
     "ExponentFunction",
@@ -47,6 +47,9 @@ class ExponentFunction:
             raise ValueError("exponent values must be >= 1")
         if not (math.isfinite(self.p_inf) and self.p_inf >= 1.0):
             raise ValueError("p_inf must be finite and >= 1")
+        if vals.size:
+            lo = int(self.window_lo)
+            check_coordinates(lo, lo + vals.size - 1, "exponent window")
         vals.flags.writeable = False
         idx = np.arange(self.window_lo, self.window_lo + vals.size)
         idx.flags.writeable = False

@@ -14,6 +14,7 @@ from typing import Iterable, Sequence as PySequence
 import numpy as np
 
 __all__ = [
+    "COORDINATE_LIMIT",
     "ZInterval",
     "DyadicBlock",
     "Sequence",
@@ -30,6 +31,17 @@ __all__ = [
     "runs_count",
     "runs_equal",
 ]
+
+# Sequence, exponent and profile windows lie in [-2**61, 2**61], so the
+# distance between two of their points stays below 2**62 and every index
+# array over them stays int64 (past 2**63, np.arange turns float64).
+COORDINATE_LIMIT = 2**61
+
+
+def check_coordinates(lo: int, hi: int, what: str) -> None:
+    """ValueError when [lo, hi] reaches past +-COORDINATE_LIMIT."""
+    if lo < -COORDINATE_LIMIT or hi > COORDINATE_LIMIT:
+        raise ValueError(f"{what} [{lo}, {hi}] reaches past the coordinate limit +-2**61")
 
 
 @dataclass(frozen=True, order=True)
@@ -132,6 +144,8 @@ class Sequence:
             raise ValueError("values must be one-dimensional")
         if not np.all(np.isfinite(vals)):
             raise ValueError("values must be finite")
+        if vals.size:
+            check_coordinates(int(self.offset), int(self.offset) + vals.size - 1, "sequence window")
         vals = np.abs(vals)
         vals.flags.writeable = False
         with np.errstate(over="ignore"):

@@ -53,7 +53,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .lattice import Sequence, ZInterval, runs_normalize
+from .lattice import Sequence, ZInterval, check_coordinates, runs_normalize
 
 __all__ = [
     "MaximalProfile",
@@ -356,6 +356,7 @@ class MaximalEvaluator:
         return float(_scores(d, S, 0, S.size - 1, self.alpha - 1.0).max())
 
     def profile(self, window: ZInterval) -> np.ndarray:
+        check_coordinates(window.lo, window.hi, "profile window")
         out = np.zeros(window.hi - window.lo + 1)
         hull = self.hull
         if hull is None:

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: parsing, exit codes, files, determinism."""
 
+import hashlib
 import json
 import math
 import os
@@ -468,6 +469,67 @@ def test_atomic_write_leaves_no_temp_files(tmp_path, seq_file, exp_file):
         "norm", "--input", seq_file, "--exponent", exp_file, "--out", str(out)
     ) == 0
     assert sorted(p.name for p in out.parent.iterdir()) == ["x.json"]
+
+
+# SHA-256 of each command's output on the README's example inputs, written
+# to stdout and to --out alike.
+GOLDEN_SHA256 = {
+    "norm": "81489123e189ecdf962592d832586b746f6db02937cb42bc45a8191a38a53940",
+    "maximal-json": "5db023673b26313068d67c0adec5de4a9f0b8f01ee24ed868977d4d6c4f27f10",
+    "maximal-csv": "09c2906a23e25f51b1d9ce918771835b52d31158cadffe154c875ea29020ece5",
+    "czd": "2433efdc7e52a8783dd8f0e0bebb3a2ef35f404906af8fba9be573a32edb722f",
+    "corpus": "358212f328e7eb86b05fac33d1ce41f975bb88e1ae48f0fe9c9e559d3f06a205",
+    "verify-csv": "b2b83438196b27e8170cc611db44b0406245a707f2104941cbaafc41f489a3dc",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_SHA256))
+def test_command_output_digests_pinned(tmp_path, capsys, case):
+    seq = write_json(tmp_path / "seq.json", {"offset": -2, "values": [0.5, 0.0, 1.25]})
+    exp = write_json(tmp_path / "exp.json", {"window_lo": -2, "values": [1.5, 2.0, 3.0], "p_inf": 2.5})
+    argv = {
+        "norm": ["norm", "--input", seq, "--exponent", exp],
+        "maximal-json": ["maximal", "--input", seq, "--alpha", "0.5", "--window=-4:4"],
+        "maximal-csv": ["maximal", "--input", seq, "--alpha", "0.5", "--window=-4:4", "--format", "csv"],
+        "czd": ["czd", "--input", seq, "--alpha", "0.25", "--t", "0.3"],
+        "corpus": ["corpus", "--seed", "7", "--count", "2", "--width", "8"],
+        "verify-csv": ["verify", "--seed", "7", "--count", "2", "--width", "12", "--format", "csv"],
+    }[case]
+    out = tmp_path / "out"
+    assert run_cli(*argv) == 0
+    assert run_cli(*argv, "--out", str(out)) == 0
+    printed = capsys.readouterr().out.encode()
+    assert hashlib.sha256(printed).hexdigest() == GOLDEN_SHA256[case]
+    assert out.read_bytes() == printed
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["maximal"],
+        ["verify", "--format", "csv", "--count", "1", "--checks", "lh_equivalences"],
+    ],
+)
+@pytest.mark.parametrize("target, reason", [("missing/r.out", "No such file or directory"), ("taken", "Is a directory")])
+def test_unwritable_out_exit_2(tmp_path, seq_file, capsys, args, target, reason):
+    """An --out in a missing directory, or naming a directory, exits 2 with
+    one line and leaves no temporary file behind."""
+    (tmp_path / "taken").mkdir()
+    if args[0] == "maximal":
+        args = [*args, "--input", seq_file]
+    out = str(tmp_path / target)
+    assert run_cli(*args, "--out", out) == 2
+    assert capsys.readouterr().err == f"error: cannot write {out}: {reason}\n"
+    assert list(tmp_path.rglob(".varseq-*")) == []
+
+
+def test_far_offset_exit_2(tmp_path, capsys):
+    """A sequence past the coordinate limit is an input error on one line."""
+    seq = write_json(tmp_path / "far.json", {"offset": 9223372036854775807000, "values": [1.0, 2.0]})
+    assert run_cli("czd", "--input", seq, "--t", "0.5") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot load sequence {seq}: sequence window [") and err.count("\n") == 1
+    assert err.endswith("reaches past the coordinate limit +-2**61\n")
 
 
 def test_report_float_formatting_is_17g(tmp_path):

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from varseq.czd import level_set_partition
+from varseq.exponent import ExponentFunction
 from varseq.harness import XorShift64Star
 from varseq.lattice import (
+    COORDINATE_LIMIT,
     DyadicBlock,
     Sequence,
     ZInterval,
@@ -22,6 +25,7 @@ from varseq.lattice import (
     runs_union,
     truncate,
 )
+from varseq.maximal import MaximalEvaluator
 
 
 def test_interval_validation():
@@ -191,3 +195,49 @@ def test_overlap_dilation_facts_exhaustive():
                 assert i5.contains_interval(j_iv)
             if cardinality(i_iv) >= cardinality(j_iv):
                 assert i3.contains_interval(j_iv)
+
+
+def test_coordinate_limit_rejects_far_windows():
+    """Sequence, exponent and profile windows stop at +-2**61. Past 2**63 a
+    window's np.arange turns float64: the partition of a sequence at
+    2**63 - 5 once returned 1 level instead of 9. ZInterval itself is not
+    bounded, so dyadic blocks up to level 62 stay legal."""
+    assert COORDINATE_LIMIT == 2**61
+    far = COORDINATE_LIMIT - 1
+    with pytest.raises(ValueError, match="coordinate limit"):
+        level_set_partition(Sequence(2**63 - 5, [1.0, 0.0, 2.0]), 0.0, 0.05)
+    for lo in (far, -COORDINATE_LIMIT - 1):
+        with pytest.raises(ValueError, match="sequence window .* coordinate limit"):
+            Sequence(lo, [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="exponent window .* coordinate limit"):
+            ExponentFunction(lo, [2.0, 2.0, 2.0], 2.0)
+    assert Sequence(far, [1.0, 2.0]).window == ZInterval(far, COORDINATE_LIMIT)
+    assert Sequence(2**63, []).window is None
+    assert ExponentFunction(2**63, [], 2.0).window is None
+    ev = MaximalEvaluator(Sequence(0, [1.0]), 0.5)
+    assert ev.profile(ZInterval(-COORDINATE_LIMIT, -COORDINATE_LIMIT + 1))[0] > 0.0
+    with pytest.raises(ValueError, match="profile window .* coordinate limit"):
+        ev.profile(ZInterval(0, COORDINATE_LIMIT + 1))
+    assert dyadic_block(62, 2).hi == 2**63
+
+
+@pytest.mark.parametrize("offset", [2**52, COORDINATE_LIMIT - 2**17, -(COORDINATE_LIMIT - 2**17)])
+def test_far_offsets_match_offset_zero(offset):
+    """Shifting a sequence anywhere inside the coordinate limit shifts its
+    profile, superlevel runs and level sets and changes no bit."""
+    values, alpha, t = [1.0, 0.0, 2.0, 0.5], 0.25, 0.05
+    near, far = Sequence(0, values), Sequence(offset, values)
+    ev0, ev = MaximalEvaluator(near, alpha), MaximalEvaluator(far, alpha)
+    window = ZInterval(-2**16, 2**16)
+    shifted = ZInterval(window.lo + offset, window.hi + offset)
+    assert ev.profile(shifted).tobytes() == ev0.profile(window).tobytes()
+    ss = [0.05, 0.3, 1.0, 1.5]
+    want = [[ZInterval(r.lo + offset, r.hi + offset) for r in runs] for runs in ev0.superlevels(ss)]
+    assert ev.superlevels(ss) == want
+    p0, p = level_set_partition(near, alpha, t), level_set_partition(far, alpha, t)
+    assert len(p.levels) == len(p0.levels) == 9
+    assert p.profile.tobytes() == p0.profile.tobytes()
+    assert p.window == ZInterval(p0.window.lo + offset, p0.window.hi + offset)
+    assert p.omega == {
+        k: [ZInterval(r.lo + offset, r.hi + offset) for r in runs] for k, runs in p0.omega.items()
+    }

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import sys
 import warnings
 import weakref
 
@@ -541,6 +542,48 @@ def test_superlevels_match_oracle(law, width, seed, alpha):
     want = _dense_superlevels(a, alpha, ss)
     assert ev.superlevels(ss) == want
     assert [ev.superlevel(float(s)) for s in ss] == want
+
+
+# Thresholds max * 2**-k whose sets reach up to 2**40 points beyond the hull.
+_FAR_REACH = 2**40
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(_HULL_LAWS),
+    st.integers(1, 64),
+    st.integers(0, 2**32 - 1),
+    _alphas,
+)
+def test_far_superlevel_ends_match_oracle(law, width, seed, alpha):
+    """Thresholds max(M_alpha) * 2**-k for k = 1..10, and the values of
+    M_alpha at distances 16**k from the hull (ties at a run end, where the
+    closed form must be settled), each also one ulp either way, with runs
+    ending anywhere out to 2**40 points past the hull. On each side the
+    dense oracle is > s at the outermost point of the set and <= s one step
+    beyond it (the hull end itself when the side has no exterior run).
+    Thresholds whose reach passes 2**40 are skipped; the oracle is
+    evaluated at those two points only."""
+    a = Sequence(seed % 1000, _hull_values(law, width, np.random.default_rng(seed)))
+    ev = MaximalEvaluator(a, alpha)
+    hull = ev.hull
+    ties = [ev.point(n) for d in 16 ** np.arange(1, 11) for n in (hull.lo - int(d), hull.hi + int(d))]
+    base = np.concatenate([ev.max_value() * 2.0 ** -np.arange(1, 11), ties])
+    ss = np.concatenate([base, np.nextafter(base, 0.0), np.nextafter(base, np.inf)])
+    ss = ss[ss >= sys.float_info.min]
+    ss = ss[[ev.reach(float(s), _FAR_REACH + 1) <= _FAR_REACH for s in ss]]
+
+    def oracle(n: int) -> float:
+        return brute_force_profile(a, alpha, ZInterval(n, n))[0]
+
+    for s, runs in zip(ss.tolist(), ev.superlevels(ss)):
+        left = min(runs[0].lo, hull.lo) if runs else hull.lo
+        right = max(runs[-1].hi, hull.hi) if runs else hull.hi
+        if left < hull.lo:
+            assert oracle(left) > s
+        if right > hull.hi:
+            assert oracle(right) > s
+        assert oracle(left - 1) <= s and oracle(right + 1) <= s
 
 
 def test_superlevels_of_no_thresholds():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from conftest import constant_norm_oracle, plain_characteristic_norm, plain_luxemburg_norm
 from varseq import norm
@@ -301,6 +302,55 @@ def test_characteristic_norm_matches_materialised_indicator(inputs, rel_tol):
     eps = norm._rounding_bound(max(mask.size, 3), p.p_plus)
     tol = 2.001 * (rel_tol + eps) * max(got.value, want.value)
     assert abs(got.value - want.value) <= tol
+
+
+_BRENT_RTOL = 4 * 2.0**-52  # the least rtol brentq accepts
+_BRENT_XTOL = 2.0**-1000
+
+
+@_property
+@given(
+    st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1e6)), min_size=1, max_size=64).filter(any),
+    st.data(),
+    st.sampled_from([2.0**-52, 1e-12, 1e-6]),
+)
+def test_luxemburg_norm_matches_brentq_root(values, data, rel_tol):
+    """luxemburg_norm against scipy's brentq root of modular(a / lam) - 1,
+    for 1-64 values and exponents in [1, 8].
+
+    The tolerance. Let m(lam) = sum_i (v_i / lam)^p_i be the exact modular,
+    r its root, and eps = _rounding_bound(N - 1, p_plus), so every computed
+    modular fl_m obeys |fl_m - m| <= eps m (no term underflows here). As
+    p_i >= 1, m(lam) <= r / lam for lam >= r and m(lam) >= r / lam for
+    lam <= r. So fl_m(u) >= 1 gives u <= (1 + eps) r, and fl_m(v) <= 1 gives
+    v >= (1 - eps) r.
+    - The bisection returns x in [lo, hi] with hi - lo <= rel_tol hi, where
+      lo is max v_i <= r or has fl_m(lo) > 1, and hi is sum v_i >= r or has
+      fl_m(hi) <= 1. Hence (1 - eps)(1 - rel_tol) r <= x
+      <= (1 + eps) r / (1 - rel_tol).
+    - brentq stops at b with fl_m - 1 of opposite signs (or 0) at b and at
+      a point within tau = xtol + rtol |b| of it, so
+      (1 - eps) r - tau <= b <= (1 + eps) r + tau.
+    Subtracting, |x - b| <= (rel_tol + 2 eps) r / (1 - rel_tol) + tau, and
+    r <= x / ((1 - eps)(1 - rel_tol)): the norm lies within
+    (rel_tol + 2 eps) x of the root, up to the factor
+    1 / ((1 - rel_tol)^2 (1 - eps)) and brentq's own tau.
+    """
+    v = np.array(values)
+    p = ExponentFunction(0, data.draw(st.lists(st.floats(1.0, 8.0), min_size=v.size, max_size=v.size)), 2.0)
+    a = Sequence(0, v)
+    got = luxemburg_norm(a, p, rel_tol)
+    assert got.iterations < norm.MAX_BISECT_ITER
+
+    def f(lam):
+        return modular(Sequence(0, v / lam), p).value - 1.0
+
+    # m >= 2 - 1 at half the max and m <= 1/2 at twice the sum
+    root = brentq(f, 0.5 * v.max(), 2.0 * v.sum(), xtol=_BRENT_XTOL, rtol=_BRENT_RTOL, maxiter=500)
+    eps = norm._rounding_bound(v.size - 1, p.p_plus)
+    tau = _BRENT_XTOL + _BRENT_RTOL * root
+    tol = (rel_tol + 2.0 * eps) * got.value / ((1.0 - rel_tol) ** 2 * (1.0 - eps)) + tau
+    assert abs(got.value - root) <= tol
 
 
 def _luxemburg_case(values, p):
