@@ -1,10 +1,19 @@
 """Corpus generation and empirical verification of the operator bounds.
 
 All randomness flows through a hand-rolled xorshift64* generator so corpora
-and reports are reproducible bit-for-bit across platforms. SUITE_CHECKS is
-the table behind the CLI verify command: each check produces Case records,
-one group per corpus item, and one Rule per check summarizes them into a
-VerificationReport. The checks run serially (see run_verification_suite).
+and reports are reproducible bit-for-bit across platforms. Corpora take
+their runs of draws in bulk (XorShift64Star.uniforms): the generator's state
+step is linear over GF(2), so k steps are one 64 x 64 bit matrix T^k. The
+first 64 states come from the scalar step; each further block doubles the
+run, states[m:2m] = T^m states[:m], with T^m applied through byte tables
+built by squaring on first use. The floats and the final state are those
+of the scalar draws, bit for bit; a run of at most 64 draws never builds a
+table.
+
+SUITE_CHECKS is the table behind the CLI verify command: each check
+produces Case records, one group per corpus item, and one Rule per check
+summarizes them into a VerificationReport. The checks run serially (see
+run_verification_suite).
 """
 
 from __future__ import annotations
@@ -38,7 +47,7 @@ from .lattice import (
     runs_intersect,
     truncate,
 )
-from .maximal import MaximalEvaluator
+from .maximal import MaximalEvaluator, _validate_alpha
 from .norm import (
     characteristic_norm,
     check_norm_modular_relations,
@@ -71,6 +80,7 @@ _MASK = (1 << 64) - 1
 _MULT = 0x2545F4914F6CDD1D
 _SEED0 = 0x9E3779B97F4A7C15
 
+CORPUS_WIDTH_LIMIT = 2**20
 STRONG_WINDOW_CAP = 2**14
 STRONG_THRESHOLD_DIV = 64.0
 WEAK_GRID_SIZE = 40
@@ -103,6 +113,78 @@ class XorShift64Star:
             raise ValueError("empty range")
         return lo + self.next_u64() % (hi - lo + 1)
 
+    def uniforms(self, n: int) -> np.ndarray:
+        """The floats of n uniform() calls, bit for bit, as one array; the
+        generator ends in the state those calls leave."""
+        return _unit_floats(self._advance(n))
+
+    def _advance(self, n: int) -> np.ndarray:
+        """Take n steps and return the n states passed through: the first
+        _SEED_BLOCK by the scalar step, then states[m:2m] = T^m states[:m]."""
+        head = []
+        for _ in range(min(n, _SEED_BLOCK)):
+            self.next_u64()
+            head.append(self._state)
+        states = np.empty(n, dtype=np.uint64)
+        states[: len(head)] = head
+        m, k = len(head), 0
+        while m < n:
+            c = min(m, n - m)
+            states[m : m + c] = _apply(_jump_tables(k), states[:c])
+            m, k = m + c, k + 1
+        if n > _SEED_BLOCK:
+            self._state = int(states[-1])
+        return states
+
+
+# A bit matrix is kept as its 64 columns (column i is the image of bit i)
+# and applied to a uint64 array through 8 byte tables of 256 entries: entry
+# v of table b is the XOR of the columns 8b + j over the bits j of v.
+# _JUMP_TABLES[k] holds the tables of T^(_SEED_BLOCK * 2^k).
+_SEED_BLOCK = 64
+_JUMP_TABLES: list[np.ndarray] = []
+_BIT = np.arange(64, dtype=np.uint64)
+_BYTE_SHIFT = np.arange(0, 64, 8, dtype=np.uint64)
+
+
+def _unit_floats(states: np.ndarray) -> np.ndarray:
+    """uniform()'s float of each state: (state * MULT mod 2^64) >> 11, times 2^-53."""
+    return ((states * np.uint64(_MULT)) >> np.uint64(11)) * 2.0**-53
+
+
+def _apply(tables: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The matrix of the byte tables applied to each element of x."""
+    out = tables[0][x & np.uint64(0xFF)]
+    for b in range(1, 8):
+        out ^= tables[b][(x >> _BYTE_SHIFT[b]) & np.uint64(0xFF)]
+    return out
+
+
+def _square(cols: np.ndarray) -> np.ndarray:
+    """Columns of M^2 from those of M: column i of M^2 is M applied to column i."""
+    bits = ((cols[:, None] >> _BIT) & np.uint64(1)).astype(bool)
+    return np.bitwise_xor.reduce(np.where(bits, cols, np.uint64(0)), axis=1)
+
+
+def _jump_tables(k: int) -> np.ndarray:
+    """(8, 256) byte tables of T^(_SEED_BLOCK * 2^k), cached per process."""
+    while len(_JUMP_TABLES) <= k:
+        if _JUMP_TABLES:
+            cols = _square(_JUMP_TABLES[-1][:, 1 << np.arange(8)].ravel())
+        else:
+            cols = np.uint64(1) << _BIT  # T's columns: one step of each bit
+            cols ^= cols >> np.uint64(12)
+            cols ^= cols << np.uint64(25)
+            cols ^= cols >> np.uint64(27)
+            for _ in range(_SEED_BLOCK.bit_length() - 1):
+                cols = _square(cols)
+        tables = np.zeros((8, 256), dtype=np.uint64)
+        for j in range(8):
+            tables[:, 1 << j : 2 << j] = tables[:, : 1 << j] ^ cols[j::8, None]
+        tables.flags.writeable = False
+        _JUMP_TABLES.append(tables)
+    return _JUMP_TABLES[k]
+
 
 @dataclass(frozen=True)
 class CorpusSpec:
@@ -129,12 +211,19 @@ class CorpusSpec:
             raise ValueError(f"unknown exponent law {self.exponent_law!r}")
         if self.window_width < 4:
             raise ValueError("window_width must be >= 4")
+        if self.window_width > CORPUS_WIDTH_LIMIT:
+            raise ValueError("window_width must be <= 2**20")
         if self.count < 0:
             raise ValueError("count must be >= 0")
-        a_max = max(self.alpha_list) if self.alpha_list else 0.0
+        a_max = max(map(_validate_alpha, self.alpha_list), default=0.0)
         hi_cap = min(8.0, 0.95 / a_max) if a_max > 0 else 8.0
         lo = 1.05 if self.p_lo is None else float(self.p_lo)
         hi = hi_cap if self.p_hi is None else float(self.p_hi)
+        if self.p_hi is None and 1.0 <= lo and hi < lo:
+            raise ValueError(
+                f"max(alpha_list) = {a_max:g} leaves the default p_hi ="
+                f" 0.95/max(alpha_list) = {hi:.6g} below p_lo = {lo:g}"
+            )
         if not (1.0 <= lo <= hi):
             raise ValueError("need 1 <= p_lo <= p_hi")
         if a_max > 0 and hi * a_max >= 1.0:
@@ -165,20 +254,28 @@ class VerificationReport:
 
 def _draw_values(rng: XorShift64Star, law: str, length: int) -> np.ndarray:
     if law == "uniform01":
-        return np.array([rng.uniform() for _ in range(length)])
+        return rng.uniforms(length)
     if law == "spike":
-        vals = np.array([0.01 + 0.99 * rng.uniform() for _ in range(length)])
+        vals = 0.01 + 0.99 * rng.uniforms(length)
         k = rng.randint(0, length - 1)
         vals[k] = 25.0 * float(vals.max()) * (1.0 + rng.uniform())
         return vals
     if law == "geometric-decay":
         gamma = 0.7 + 0.25 * rng.uniform()
-        u = np.array([rng.uniform() for _ in range(length)])
-        return u * gamma ** np.arange(length)
+        return rng.uniforms(length) * gamma ** np.arange(length)
     if law == "bernoulli-sparse":
-        vals = np.array(
-            [rng.uniform() if rng.uniform() < 0.15 else 0.0 for _ in range(length)]
-        )
+        # value i takes a draw, and a second one as its value when the first
+        # is below 0.15: draw the most it can take, then step back to the
+        # last state used
+        states = rng._advance(2 * length)
+        u = _unit_floats(states).tolist()
+        taken, j = [], 0
+        for _ in range(length):
+            hit = u[j] < 0.15
+            taken.append(u[j + 1] if hit else 0.0)
+            j += 1 + hit
+        rng._state = int(states[j - 1])
+        vals = np.array(taken)
         if not vals.any():
             vals[length // 2] = 0.5 + 0.5 * rng.uniform()
         return vals
@@ -206,7 +303,7 @@ def _draw_exponent(
         vals = p_inf + c / np.log(math.e + np.abs(ns))
         return ExponentFunction(wlo, vals, p_inf)
     if law == "random-range":
-        vals = np.array([rng.uniform_range(p_lo, p_hi) for _ in range(ns.size)])
+        vals = p_lo + (p_hi - p_lo) * rng.uniforms(ns.size)
         return ExponentFunction(wlo, vals, rng.uniform_range(p_lo, p_hi))
     raise ValueError(f"unknown exponent law {law!r}")
 
@@ -274,7 +371,10 @@ def check_key_comparison(
     if not (n_decay * p.p_inf > 1.0):
         raise ValueError("need n_decay * p_inf > 1")
     ns = np.arange(window.lo, window.hi + 1)
-    fv = np.array([f.at(int(n)) for n in ns])
+    fv = np.zeros(ns.size)
+    lo, hi = max(window.lo, f.offset), min(window.hi, f.offset + f.values.size - 1)
+    if lo <= hi:
+        fv[lo - window.lo : hi - window.lo + 1] = f.values[lo - f.offset : hi - f.offset + 1]
     pv = p.values_on(window)
     ref = np.power(math.e + np.abs(ns), -n_decay)
     s_var = float(np.power(fv, pv).sum())

@@ -11,6 +11,10 @@ The norm oracles are the bisection without a certified bracket: one
 modular evaluation per midpoint, with the library's float expressions for
 the modular, so the library's NormValues must match them bit for bit.
 
+The corpus oracle is generate_corpus with every draw taken by the scalar
+XorShift64Star.uniform(), one call per float, as corpora were drawn before
+the bulk path: the library's corpora must match it bit for bit.
+
 The decomposition oracle scans the dyadic levels for the top level, then
 halves each top block recursively until a half's average exceeds t: the
 stopping-time search written out, independent of the library's table of
@@ -19,10 +23,13 @@ block averages.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from varseq.czd import CZDecomposition
 from varseq.exponent import ExponentFunction
+from varseq.harness import CorpusItem, CorpusSpec, XorShift64Star
 from varseq.lattice import Sequence, ZInterval, block_index_of, runs_count, runs_intersect
 from varseq.maximal import alpha_weights
 from varseq.norm import MAX_BISECT_ITER, NormValue
@@ -80,6 +87,70 @@ def brute_force_profile(a: Sequence, alpha: float, window: ZInterval) -> np.ndar
             w = np.power(lengths.astype(np.float64), alpha - 1.0)
         out[i] = (w * sums).max()
     return out
+
+
+def scalar_draw_values(rng: XorShift64Star, law: str, length: int) -> np.ndarray:
+    """A corpus item's values, one scalar draw at a time."""
+    if law == "uniform01":
+        return np.array([rng.uniform() for _ in range(length)])
+    if law == "spike":
+        vals = np.array([0.01 + 0.99 * rng.uniform() for _ in range(length)])
+        k = rng.randint(0, length - 1)
+        vals[k] = 25.0 * float(vals.max()) * (1.0 + rng.uniform())
+        return vals
+    if law == "geometric-decay":
+        gamma = 0.7 + 0.25 * rng.uniform()
+        u = np.array([rng.uniform() for _ in range(length)])
+        return u * gamma ** np.arange(length)
+    if law == "bernoulli-sparse":
+        vals = np.array(
+            [rng.uniform() if rng.uniform() < 0.15 else 0.0 for _ in range(length)]
+        )
+        if not vals.any():
+            vals[length // 2] = 0.5 + 0.5 * rng.uniform()
+        return vals
+    raise ValueError(f"unknown value law {law!r}")
+
+
+def scalar_draw_exponent(
+    rng: XorShift64Star, law: str, offset: int, length: int, p_lo: float, p_hi: float
+) -> ExponentFunction:
+    """A corpus item's exponent, one scalar draw at a time."""
+    pad = 8
+    wlo = offset - pad
+    ns = np.arange(wlo, offset + length + pad)
+    if law == "constant":
+        return ExponentFunction.constant(rng.uniform_range(p_lo, p_hi))
+    if law == "bump":
+        p_inf = p_lo + 0.5 * (p_hi - p_lo) * rng.uniform()
+        height = (p_hi - p_inf) * rng.uniform()
+        center = offset + rng.randint(0, length - 1)
+        radius = rng.randint(4, max(5, length))
+        vals = p_inf + height * np.maximum(0.0, 1.0 - np.abs(ns - center) / radius)
+        return ExponentFunction(wlo, vals, p_inf)
+    if law == "lh-decay":
+        p_inf = p_lo + 0.5 * (p_hi - p_lo) * rng.uniform()
+        c = (p_hi - p_inf) * rng.uniform()
+        vals = p_inf + c / np.log(math.e + np.abs(ns))
+        return ExponentFunction(wlo, vals, p_inf)
+    if law == "random-range":
+        vals = np.array([rng.uniform_range(p_lo, p_hi) for _ in range(ns.size)])
+        return ExponentFunction(wlo, vals, rng.uniform_range(p_lo, p_hi))
+    raise ValueError(f"unknown exponent law {law!r}")
+
+
+def scalar_corpus(spec: CorpusSpec) -> list[CorpusItem]:
+    """generate_corpus drawn by scalar_draw_values and scalar_draw_exponent."""
+    p_lo, p_hi = spec.resolved_bounds()
+    rng = XorShift64Star(spec.seed)
+    items = []
+    for i in range(spec.count):
+        length = rng.randint(max(4, spec.window_width // 2), spec.window_width)
+        offset = rng.randint(-spec.window_width - length, spec.window_width)
+        vals = scalar_draw_values(rng, spec.value_law, length)
+        p = scalar_draw_exponent(rng, spec.exponent_law, offset, length, p_lo, p_hi)
+        items.append(CorpusItem(i, Sequence(offset, vals), p))
+    return items
 
 
 def constant_norm_oracle(a: Sequence, p0: float) -> float:

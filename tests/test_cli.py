@@ -284,6 +284,22 @@ def test_verify_alpha_near_one(tmp_path, capsys, check, code, message):
     assert capsys.readouterr().err == message
 
 
+@pytest.mark.parametrize(
+    "alphas, message",
+    [
+        ("1.5", "error: alpha must lie in [0, 1)\n"),
+        ("0,-0.1", "error: alpha must lie in [0, 1)\n"),
+        ("0.99", "error: max(alpha_list) = 0.99 leaves the default p_hi ="
+                 " 0.95/max(alpha_list) = 0.959596 below p_lo = 1.05\n"),
+    ],
+)
+def test_verify_bad_alphas_exit_2(capsys, alphas, message):
+    """An alpha outside [0, 1) is named as such, and an alpha whose default
+    p_hi falls below p_lo is named as the cause, before any corpus is drawn."""
+    assert run_cli("verify", "--alphas", alphas, "--count", "1", "--checks", "lh_equivalences") == 2
+    assert capsys.readouterr().err == message
+
+
 def test_verify_long_level_ladder_exit_2(capsys):
     """t within 1e-6 of 1/9 asks domination for millions of level-set rungs:
     an input error on one line, raised before any rung is cut."""

@@ -2,12 +2,21 @@
 suite's report bytes."""
 
 import hashlib
+import io
 import math
+import os
+import subprocess
+import sys
+from contextlib import redirect_stdout
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import scalar_corpus
 from varseq import harness
 from varseq.cli import main
 from varseq.exponent import ExponentFunction
@@ -24,7 +33,10 @@ from varseq.harness import (
     weak_type_sup,
     SUITE_CHECKS,
 )
+from varseq.harness import EXPONENT_LAWS, VALUE_LAWS
 from varseq.lattice import Sequence, ZInterval
+
+ROOT = Path(__file__).resolve().parents[1]
 
 BASE = CorpusSpec(
     seed=1234,
@@ -65,6 +77,125 @@ def test_rng_zero_seed_and_uniform_range():
     assert rng.randint(5, 5) == 5
     with pytest.raises(ValueError):
         rng.randint(3, 2)
+
+
+def _assert_bulk_matches_scalar(seed, n):
+    """uniforms(n) against n scalar uniform() calls, bit for bit, and the
+    next draw of both generators."""
+    bulk, scalar = XorShift64Star(seed), XorShift64Star(seed)
+    got = bulk.uniforms(n)
+    want = np.array([scalar.uniform() for _ in range(n)], dtype=np.float64)
+    assert got.dtype == np.float64 and got.shape == (n,)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (seed, n)
+    assert bulk.next_u64() == scalar.next_u64(), (seed, n)
+
+
+def test_uniforms_match_scalar_draws_at_block_edges():
+    """Seed 0 (mapped to the default state), 1 and 2**64 - 1, at the run
+    lengths around the 64-state seed block and its doublings."""
+    for seed in (0, 1, 2**64 - 1):
+        for n in (0, 1, 63, 64, 65, 128, 129, 4097):
+            _assert_bulk_matches_scalar(seed, n)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**64 - 1), st.one_of(st.integers(0, 200), st.integers(201, 5000)))
+def test_uniforms_match_scalar_draws(seed, n):
+    _assert_bulk_matches_scalar(seed, n)
+
+
+def _assert_corpus_matches_oracle(spec):
+    got, want = generate_corpus(spec), scalar_corpus(spec)
+    assert len(got) == len(want)
+    for x, y in zip(got, want):
+        assert x.a.offset == y.a.offset
+        assert x.a.values.tobytes() == y.a.values.tobytes()
+        assert x.p.window == y.p.window
+        assert x.p.values.tobytes() == y.p.values.tobytes()
+        assert x.p.p_inf.hex() == y.p.p_inf.hex()
+
+
+def test_corpus_matches_scalar_oracle_every_law():
+    """Every (value law, exponent law) pair, with runs of draws on both
+    sides of the 64-state seed block."""
+    for value_law in VALUE_LAWS:
+        for exponent_law in EXPONENT_LAWS:
+            for width in (20, 300):
+                spec = CorpusSpec(99, 3, width, value_law, exponent_law, (0.0, 0.25))
+                _assert_corpus_matches_oracle(spec)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(VALUE_LAWS),
+    st.sampled_from(EXPONENT_LAWS),
+    st.integers(0, 2**64 - 1),
+    st.one_of(st.integers(4, 80), st.integers(81, 1200)),
+    st.integers(1, 3),
+)
+def test_corpus_matches_scalar_oracle(value_law, exponent_law, seed, width, count):
+    _assert_corpus_matches_oracle(CorpusSpec(seed, count, width, value_law, exponent_law, (0.5,)))
+
+
+_SPY = """
+import varseq.cli
+from varseq import harness
+from varseq.harness import CorpusSpec, XorShift64Star, generate_corpus
+
+assert harness._JUMP_TABLES == [], "tables built at import"
+generate_corpus(CorpusSpec(20260814, 24, 48, "uniform01", "lh-decay", (0.0, 0.25, 0.5)))
+generate_corpus(CorpusSpec(20260814, 24, 48, "spike", "lh-decay", (0.0, 0.25, 0.5)))
+assert harness._JUMP_TABLES == [], "tables built for runs of at most 64 draws"
+
+calls = 0
+step = XorShift64Star.next_u64
+
+def counting(rng):
+    global calls
+    calls += 1
+    return step(rng)
+
+XorShift64Star.next_u64 = counting
+for seed in range(4):
+    calls = 0
+    (item,) = generate_corpus(CorpusSpec(seed, 1, 4096, "uniform01", "lh-decay", (0.0,)))
+    assert item.a.values.size >= 2048
+    assert calls <= 64 + 8, calls
+print(len(harness._JUMP_TABLES))
+"""
+
+
+def test_jump_tables_lazy_and_scalar_steps_bounded():
+    """In a fresh process: importing the CLI and drawing default-width
+    corpora builds no jump table, and a width-4096 item takes its run of
+    draws from the 64-state seed block plus the tables, with only a few
+    other scalar steps."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _SPY], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    # runs of 2048 to 4096 draws use the tables of T^64 up to T^2048
+    assert 5 <= int(proc.stdout) <= 6
+
+
+def test_corpus_width_limit_rejected_before_any_draw(monkeypatch):
+    """A width above CORPUS_WIDTH_LIMIT is a ValueError raised before the
+    generator steps once; the CLI exits 2."""
+
+    def no_draw(rng):
+        raise AssertionError("a draw was made")
+
+    monkeypatch.setattr(XorShift64Star, "next_u64", no_draw)
+    with pytest.raises(ValueError, match=r"window_width must be <= 2\*\*20"):
+        generate_corpus(CorpusSpec(1, 2, 2**62, "uniform01", "constant", (0.0,)))
+    with pytest.raises(ValueError, match="window_width"):
+        generate_corpus(replace(BASE, window_width=harness.CORPUS_WIDTH_LIMIT + 1))
+    assert main(["corpus", "--count", "1", "--width", str(2**62)]) == 2
+    assert main(["verify", "--count", "1", "--width", str(2**62)]) == 2
 
 
 def test_corpus_deterministic_and_valid():
@@ -142,6 +273,19 @@ def test_key_comparison_cases():
         check_key_comparison(win, Sequence(0, [2.0]), p, 2.0)
     with pytest.raises(ValueError):
         check_key_comparison(win, ones, p, 0.1)
+
+
+def test_key_comparison_window_overlaps():
+    """F is read on the window as zero outside its own window, whether the
+    two are disjoint, overlap on one side or nest."""
+    p = ExponentFunction(-4, [2.0, 2.2, 2.4, 2.2, 2.0, 2.1, 2.3, 2.2, 2.0], 2.0)
+    f = Sequence(-3, [0.2, 0.9, 0.4, 1.0, 0.05])
+    for lo, hi in ((-12, -5), (-12, -2), (-6, 6), (-2, 0), (0, 9), (3, 9), (5, 14)):
+        win = ZInterval(lo, hi)
+        fv = np.array([f.at(n) for n in range(lo, hi + 1)])
+        rep = check_key_comparison(win, f, p, 2.0)
+        assert rep.sum_var == float(np.power(fv, p.values_on(win)).sum())
+        assert rep.sum_tail == float(np.power(fv, p.p_inf).sum())
 
 
 def test_strong_type_ratio_classical_delta():
@@ -334,3 +478,119 @@ def test_verify_report_digests_pinned(tmp_path):
         ])
         assert code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == want, (value_law, exponent_law)
+
+
+# SHA-256 of `varseq corpus --seed 7 --count 3 --width W` (JSON) per
+# (W, value law, exponent law): runs of more than 64 draws, which take the
+# bulk path. Captured from the scalar draws, before the bulk path.
+WIDE_CORPUS_SHA256 = {
+    (49, "uniform01", "constant"):
+        "e6034ff2dc2fb1902f8cf5f3fc607ca4241f83d0cc018b114f8b17444dac4dba",
+    (49, "uniform01", "bump"):
+        "d62b8b38cb8a761eff601c55afec394eee6f3dd75e9e51c1b91b7cbfe61f19c4",
+    (49, "uniform01", "lh-decay"):
+        "89fc52cd89d500283091151b5698e297b7ce32536ab0d698236c691e75ccf35a",
+    (49, "uniform01", "random-range"):
+        "4d98b4795187d3ee6f826c7dd51ba0faa66c3a2c1d72a92a9940e176bdbe3990",
+    (49, "spike", "constant"):
+        "6389a8c7afa6e063d24107140e9db842789f4d481d1aecc2bef8f3249df3681e",
+    (49, "spike", "bump"):
+        "cba99bdd0b22a4cf09d96df38f85174494b3f9be78605dde43fce9334fd924ec",
+    (49, "spike", "lh-decay"):
+        "f37756dce84b5de4841dc9c24e68d7a1d58832fcf6c119596e9e4bfe4c88fd0d",
+    (49, "spike", "random-range"):
+        "14983c1f5c7668fa5290ec7ff7b9760582a383226b387fd4f569aeb82ca18206",
+    (49, "geometric-decay", "constant"):
+        "ace0985f13f7fb9aed51f534abcc309a6fa37d06adf4729f87ada69fa4b30cfe",
+    (49, "geometric-decay", "bump"):
+        "3f9384805667bf04da8b4a97d01f09949b203722bb6656fab8dd4c7a9414710b",
+    (49, "geometric-decay", "lh-decay"):
+        "939ec1353ffdb58412eea7ee0ec39bd2085fc610caa2316584917a0f87f8933f",
+    (49, "geometric-decay", "random-range"):
+        "3595dc9320a903ccbfe1298fde444c63a56992df07040aa3474ca5e6d216ff75",
+    (49, "bernoulli-sparse", "constant"):
+        "f2f6a912e30df3335380095baf19ec13cba795428b5601186011004d59957b00",
+    (49, "bernoulli-sparse", "bump"):
+        "0097be7abf00afc647541696c5c7cbbd4a37e92e83ca9470ee8a2476fd644f48",
+    (49, "bernoulli-sparse", "lh-decay"):
+        "586f1b4172770a7d6607e5dbc342b05f457382a0e75311f7d23a5a940c261e1f",
+    (49, "bernoulli-sparse", "random-range"):
+        "0d0ae35a2478f03bf682849d6bf6cb7c0ebe59d1e92aff418921a5f73c089b8e",
+    (65, "uniform01", "constant"):
+        "3c890501673126fafc0beaa2389b62221af9301455386f2983e00b57a77ef325",
+    (65, "uniform01", "bump"):
+        "fbfb3cb79785efb98aa2a5797282392a0e98fc42394860162a41e857d8e538d0",
+    (65, "uniform01", "lh-decay"):
+        "ff2e08a3d09e63bedefddfaf558ddb9ec97ecdc4882527325897e582a3fc796c",
+    (65, "uniform01", "random-range"):
+        "3955650550a13dbdada6975770c18adbd6f4513bbc74165d15aa72eb62a55fd2",
+    (65, "spike", "constant"):
+        "506b442c86aae7091dcaa7484ac0ed8f731e08cff3c1503ea4996b44154fc9d2",
+    (65, "spike", "bump"):
+        "a71a71b145398f629ab92c774ead29278116bf595403f008872c9e74558df810",
+    (65, "spike", "lh-decay"):
+        "478f0a5bb650cf2ca1cf67d1e988e5bc532cd19287c6e43df0ec86fd355221bb",
+    (65, "spike", "random-range"):
+        "3c17bae2d92b6ebdc5b1b3a0c18cbb7f10bc38e54f843584df716e2a28db225e",
+    (65, "geometric-decay", "constant"):
+        "2dd1cd1a8fd878ae86d881f572f111b11934e52e04d1c07542dd6857a891ef92",
+    (65, "geometric-decay", "bump"):
+        "328841fb0fd9c1ae0e37a90836e40eed375d451ae7463d0342e069992661c656",
+    (65, "geometric-decay", "lh-decay"):
+        "4f363e4df9614641cbf7d6228601546ce1de8242a62eab3c781bf41aa5384192",
+    (65, "geometric-decay", "random-range"):
+        "e677e835f35b7a287398f2d9f17f0377b9f2ae328d7c18439f7edbbb0bbdfc5b",
+    (65, "bernoulli-sparse", "constant"):
+        "1366da189ba04f0ce14e6bf45ea33f11e49eb042744c972e411dbf23eb90530b",
+    (65, "bernoulli-sparse", "bump"):
+        "efce4bf06e08dc3feae6abbf155ed72ba2a6e4a15ecdadc4437702875bc08d75",
+    (65, "bernoulli-sparse", "lh-decay"):
+        "1d2a82cf259e39d25ad1938739ed1f6e63be96b04255b7675e280d17f3e4f578",
+    (65, "bernoulli-sparse", "random-range"):
+        "4d48c2b082a08867ee00e19ea84f26d2bce5ef52b1cbffd731e55e9efa3fcccc",
+    (300, "uniform01", "constant"):
+        "7cda8fa4127eb3d43fc8454dbf1278ffe353caa70e6a203a1cb5e1f183c4d848",
+    (300, "uniform01", "bump"):
+        "9dff0499905a175d662f692b7370618b2b5cd6dba7d1a3c185f51e1cfbbaf331",
+    (300, "uniform01", "lh-decay"):
+        "69728fac0bd49e3c48fff87e6f0aab7e86e409ee829a2ff4132b5ba0d641b432",
+    (300, "uniform01", "random-range"):
+        "c3e7ca4d9cb58102f5d08bf5d58e441b48e0dcf1286976fead069821931413ba",
+    (300, "spike", "constant"):
+        "068b0f9d9f35ca43e134b2d094a4ae753979974bb3728b1b0137eeb4383dc0d2",
+    (300, "spike", "bump"):
+        "6dce5179a1d9b91f97908e347e408dadfe1719344235b46e45a73e3a998973a3",
+    (300, "spike", "lh-decay"):
+        "de691d831b0801110d810e52b1450d396e0e49ea236762b23332a9ce4d62fe88",
+    (300, "spike", "random-range"):
+        "9c3d871e4789c59d6edc051f5e49b78e6a88cc937d46fe876653a9b9d18b5689",
+    (300, "geometric-decay", "constant"):
+        "e66bf39586683ae7a45b0ba9c9b211e6e51f36abeed98a5ce98bd7a7b82c29bb",
+    (300, "geometric-decay", "bump"):
+        "90f6678638c1932a5948b085118de4be255064c19d1e3bda6c3915bd6ac73c80",
+    (300, "geometric-decay", "lh-decay"):
+        "d78533de33ebc79b12480111b7a6e5ff0da190c184dc357a6bab3a2454837e36",
+    (300, "geometric-decay", "random-range"):
+        "df0b7ce0d8318f2350bdd461a9a46a3ebef64698a8ed94d709884cc79561baa4",
+    (300, "bernoulli-sparse", "constant"):
+        "36e0d1d43acf555a9a4bb197653007172f873ea54abb14e4f846f08ef09c721f",
+    (300, "bernoulli-sparse", "bump"):
+        "0b8b1c7314edb6241c3f873388a04f01e57a90e2d3f4b3e7116268d235620d89",
+    (300, "bernoulli-sparse", "lh-decay"):
+        "7e149c8e5ada0d18f5cbca21b476cde46c8927a28be78e549dbc21e81423a136",
+    (300, "bernoulli-sparse", "random-range"):
+        "105b26ca90900152eb00cfc06a1db4ed85ba611798904283ecf5380968e5ba2f",
+}
+
+
+def test_wide_corpus_digests_pinned():
+    for (width, value_law, exponent_law), want in WIDE_CORPUS_SHA256.items():
+        printed = io.StringIO()
+        with redirect_stdout(printed):
+            code = main([
+                "corpus", "--seed", "7", "--count", "3", "--width", str(width),
+                "--value-law", value_law, "--exponent-law", exponent_law,
+            ])
+        assert code == 0
+        got = hashlib.sha256(printed.getvalue().encode()).hexdigest()
+        assert got == want, (width, value_law, exponent_law)
