@@ -28,6 +28,7 @@ from .norm import (
     ModularValue,
     NormValue,
     characteristic_norm,
+    characteristic_norms,
     check_norm_modular_relations,
     check_scaling_bounds,
     luxemburg_norm,
@@ -85,6 +86,7 @@ __all__ = [
     "modular",
     "luxemburg_norm",
     "characteristic_norm",
+    "characteristic_norms",
     "check_scaling_bounds",
     "check_norm_modular_relations",
     "MaximalProfile",

@@ -49,7 +49,7 @@ from .lattice import (
 )
 from .maximal import MaximalEvaluator, _validate_alpha
 from .norm import (
-    characteristic_norm,
+    characteristic_norms,
     check_norm_modular_relations,
     check_scaling_bounds,
     luxemburg_norm,
@@ -266,16 +266,18 @@ def _draw_values(rng: XorShift64Star, law: str, length: int) -> np.ndarray:
     if law == "bernoulli-sparse":
         # value i takes a draw, and a second one as its value when the first
         # is below 0.15: draw the most it can take, then step back to the
-        # last state used
+        # last state used. A draw follows a miss or the value of a hit, so
+        # it decides a value exactly when the run of hits just before it
+        # has even length; value i's decision lies at or before draw 2i.
         states = rng._advance(2 * length)
-        u = _unit_floats(states).tolist()
-        taken, j = [], 0
-        for _ in range(length):
-            hit = u[j] < 0.15
-            taken.append(u[j + 1] if hit else 0.0)
-            j += 1 + hit
-        rng._state = int(states[j - 1])
-        vals = np.array(taken)
+        u = _unit_floats(states)
+        hit = u < 0.15
+        pos = np.arange(u.size)
+        last_miss = np.maximum.accumulate(np.where(hit, -1, pos))
+        run = np.concatenate([[0], pos[:-1] - last_miss[:-1]])
+        decide = np.flatnonzero(run % 2 == 0)[:length]
+        vals = np.where(hit[decide], u[decide + 1], 0.0)
+        rng._state = int(states[decide[-1] + hit[decide[-1]]])
         if not vals.any():
             vals[length // 2] = 0.5 + 0.5 * rng.uniform()
         return vals
@@ -406,7 +408,8 @@ def weak_type_sup(a: Sequence, p: ExponentFunction, alpha: float) -> tuple[float
 
     The grid is 40 geometric points spanning four decades below
     max(M_alpha)/9; its lowest point must be a normal float. The superlevel
-    sets of the whole grid come from one batch.
+    sets of the whole grid come from one batch, and their norms from one
+    characteristic_norms call.
     """
     q = fractional_conjugate(p, alpha)
     ev = MaximalEvaluator(a, alpha)
@@ -420,8 +423,8 @@ def weak_type_sup(a: Sequence, p: ExponentFunction, alpha: float) -> tuple[float
     sets = ev.superlevels(9.0 * t_grid)
     na = luxemburg_norm(a, p).value
     best, best_t = 0.0, float(t_grid[0])
-    for t, runs in zip(t_grid.tolist(), sets):
-        val = t * characteristic_norm(runs, q).value / na
+    for t, nv in zip(t_grid.tolist(), characteristic_norms(sets, q)):
+        val = t * nv.value / na
         if val > best:
             best, best_t = val, t
     return best, best_t

@@ -1,6 +1,8 @@
 """Modular and Luxemburg norm tests against closed forms and invariants."""
 
+import collections
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from conftest import constant_norm_oracle, plain_characteristic_norm, plain_luxemburg_norm
-from varseq import norm
+from varseq import harness, norm
 from varseq.exponent import ExponentFunction
 from varseq.harness import (
     CorpusSpec,
@@ -22,6 +24,7 @@ from varseq.harness import (
 from varseq.lattice import Sequence, ZInterval, truncate
 from varseq.norm import (
     characteristic_norm,
+    characteristic_norms,
     check_norm_modular_relations,
     check_scaling_bounds,
     luxemburg_norm,
@@ -400,25 +403,71 @@ def test_adversarial_midpoint_at_root(name):
     assert _bits(got) == _bits(want)
 
 
-def _spy_brackets(monkeypatch):
-    """Record (mod_at, lo, hi, eps, A, B) for every bracket the norms build."""
-    seen = []
-    real = norm._bracket
+def _spy_rows(monkeypatch):
+    """Record one dict per bracket row the norms build: from _bracket, the
+    batched evaluator `mods` that certified it, its `row` index and `eps`,
+    its (A, B) and its evaluation count `evals`; from the _bisect call that
+    follows, the row's plain modular `mod_at` and its (lo, hi). Each
+    characteristic_norms or luxemburg_norm call bisects its rows in order
+    right after their bracket, so the two calls pair up first in, first
+    out; the bisection adds its plain modular `passes` and `iterations`.
+    `calls` holds the number of mods calls of each bracket."""
+    rows, pending, calls = [], collections.deque(), []
+    real_bracket, real_bisect = norm._bracket, norm._bisect
 
-    def spy(mod_at, lo, hi, eps):
-        A, B = real(mod_at, lo, hi, eps)
-        seen.append((mod_at, lo, hi, eps, A, B))
+    def bracket(mods, lo, hi, eps):
+        evals = [0] * len(lo)
+        calls.append(0)
+
+        def counted(lams, idx):
+            calls[-1] += 1
+            for i in idx:
+                evals[i] += 1
+            return mods(lams, idx)
+
+        A, B = real_bracket(counted, lo, hi, eps)
+        for i in range(len(lo)):
+            pending.append({"mods": mods, "row": i, "eps": eps, "A": A[i], "B": B[i], "evals": evals[i]})
         return A, B
 
-    monkeypatch.setattr(norm, "_bracket", spy)
-    return seen
+    def bisect(mod_at, lo, hi, rel_tol, A, B):
+        row = pending.popleft()
+        assert (row["A"], row["B"]) == (A, B)
+        row.update(mod_at=mod_at, lo=lo, hi=hi, passes=0)
+        rows.append(row)
+
+        def counted(lam):
+            row["passes"] += 1
+            return mod_at(lam)
+
+        nv = real_bisect(counted, lo, hi, rel_tol, A, B)
+        row["iterations"] = nv.iterations
+        return nv
+
+    monkeypatch.setattr(norm, "_bracket", bracket)
+    monkeypatch.setattr(norm, "_bisect", bisect)
+    return rows, calls
+
+
+def _issued(row, lam):
+    """Row's modular at lam by the batched evaluator that certified it."""
+    return row["mods"]([lam], [row["row"]])[0][0]
+
+
+def _nested_grid(n):
+    """Nested runs around [0, n - 1], the shape of the weak-type grid, with
+    a far tail on the outermost set and an empty set."""
+    sets = [[ZInterval(-k, n - 1 + k)] for k in range(0, 12, 3)]
+    sets.append([ZInterval(-12, n + 11), ZInterval(2**40, 2**40 + 2**50)])
+    return sets + [[]]
 
 
 def test_bracket_certificates_hold(monkeypatch):
-    """A and B are evaluated points that clear the margin, and the float
-    modular keeps its side of 1 on 64 floats beyond each, where rounding
-    noise is largest relative to the modular's slope."""
-    seen = _spy_brackets(monkeypatch)
+    """A and B are evaluated points that clear the margin on the evaluator
+    that issued them, and each row's plain float modular keeps its side of
+    1 on 64 floats beyond each, where rounding noise is largest relative to
+    the modular's slope; for single norms and for grid batches."""
+    seen, _ = _spy_rows(monkeypatch)
     rng = np.random.default_rng(2026)
     for n in (1, 2, 3, 64, 1000, 2**12, 2**15):
         for _ in range(3):
@@ -426,50 +475,38 @@ def test_bracket_certificates_hold(monkeypatch):
             p = ExponentFunction(-5, rng.uniform(1.0, rng.uniform(1.0, Q_MAX), n + 10), 1.5)
             luxemburg_norm(a, p)
             characteristic_norm([ZInterval(0, n - 1), ZInterval(2**40, 2**40 + 2**50)], p)
-    certified = 0
-    for mod_at, lo, hi, eps, A, B in seen:
-        assert eps > 0.0
+            characteristic_norms(_nested_grid(n), p)
+    certified = bracketed = 0
+    for row in seen:
+        assert row["eps"] > 0.0
+        mod_at, A, B, eps = row["mod_at"], row["A"], row["B"], row["eps"]
         if A > -math.inf:
-            assert mod_at(A) > 1.0 + 3.0 * eps
+            assert _issued(row, A) > 1.0 + 3.0 * eps
             x = A
             for _ in range(64):
                 x = float(np.nextafter(x, 0.0))
                 assert mod_at(x) > 1.0
         if B < math.inf:
-            assert mod_at(B) <= 1.0 - 3.0 * eps
+            assert _issued(row, B) <= 1.0 - 3.0 * eps
             x = B
             for _ in range(64):
                 x = float(np.nextafter(x, math.inf))
                 assert mod_at(x) <= 1.0
+        bracketed += row["hi"] > row["lo"]
         certified += A > -math.inf and B < math.inf
-    assert certified == len(seen)
+    assert certified == bracketed > 0
 
 
 @pytest.mark.parametrize("steps", [0, 1])
 def test_bracket_uncertified_exit_keeps_bits(monkeypatch, steps):
     """With NEWTON_STEPS at 0 or 1 the Newton loop mostly runs out before its
     step is small enough, and _bracket takes its uncertified exit after
-    `steps` evaluations (a break costs two more). The bisection then
-    evaluates more midpoints, and both norms keep the bits of the plain
+    `steps` evaluations of a row (a break costs two more) and at most
+    `steps + 1` evaluator calls. The bisection then evaluates more
+    midpoints, and single norms and grid rows keep the bits of the plain
     bisection."""
     monkeypatch.setattr(norm, "NEWTON_STEPS", steps)
-    evaluations = []
-    real = norm._bracket
-
-    def spy(mod_at, lo, hi, eps):
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return mod_at(*args, **kwargs)
-
-        A, B = real(counted, lo, hi, eps)
-        evaluations.append(len(calls))
-        if steps == 0:
-            assert (A, B) == (-math.inf, math.inf)
-        return A, B
-
-    monkeypatch.setattr(norm, "_bracket", spy)
+    seen, calls = _spy_rows(monkeypatch)
     rng = np.random.default_rng(4242)
     for n in (2, 3, 64, 1000):
         for _ in range(4):
@@ -478,15 +515,32 @@ def test_bracket_uncertified_exit_keeps_bits(monkeypatch, steps):
             assert _bits(luxemburg_norm(a, p)) == _bits(plain_luxemburg_norm(a, p))
             runs = [ZInterval(0, n - 1), ZInterval(2**40, 2**40 + int(rng.integers(0, 2**30)))]
             assert _bits(characteristic_norm(runs, p)) == _bits(plain_characteristic_norm(runs, p))
+            grid = _nested_grid(n)
+            want = [_bits(plain_characteristic_norm(s, p)) for s in grid]
+            assert [_bits(nv) for nv in characteristic_norms(grid, p)] == want
+    if steps == 0:
+        assert all((r["A"], r["B"]) == (-math.inf, math.inf) for r in seen)
+    evaluations = [r["evals"] for r in seen if r["hi"] > r["lo"]]
     assert steps in evaluations and max(evaluations) <= steps + 2
+    assert max(calls) <= steps + 1
 
 
 def test_rounding_bound_covers_measured_error(monkeypatch):
     """|fl_m - m| <= eps m against the modular in 200-bit arithmetic, at
-    the bisection's low end and at both ends of the certified bracket."""
+    the bisection's low end and at both ends of the certified bracket, for
+    every row: on the batched evaluator with the batch's eps, and on the
+    row's plain modular with the row's own eps. Rows come from single norms
+    and from grid batches."""
     mpmath.mp.prec = 200
-    seen = _spy_brackets(monkeypatch)
+    seen, _ = _spy_rows(monkeypatch)
     rng = np.random.default_rng(77)
+
+    def check(row, exact_at, row_eps):
+        for lam in (row["lo"], row["A"], row["B"]):
+            exact = exact_at(lam)
+            assert abs(mpmath.mpf(_issued(row, lam)) - exact) <= row["eps"] * exact
+            assert abs(mpmath.mpf(row["mod_at"](lam)) - exact) <= row_eps * exact
+
     for n in (1, 5, 40, 300):
         for _ in range(4):
             v = _magnitudes(rng, n, 1)
@@ -494,19 +548,27 @@ def test_rounding_bound_covers_measured_error(monkeypatch):
             a = Sequence(0, v)
             if a.is_zero():
                 continue
-            luxemburg_norm(a, p)
-            mod_at, lo, _, eps, A, B = seen[-1]
             pv = [mpmath.mpf(float(x)) for x in p.values_on(a.window)]
-            for lam in (lo, A, B):
-                exact = sum(mpmath.mpf(float(x)) ** e / mpmath.mpf(lam) ** e for x, e in zip(v, pv))
-                assert abs(mpmath.mpf(mod_at(lam)) - exact) <= eps * exact
-            runs = [ZInterval(0, n - 1), ZInterval(10**6, 10**6 + 2**51)]
-            characteristic_norm(runs, p)
-            mod_at, lo, _, eps, A, B = seen[-1]
-            for lam in (lo, A, B):
-                r = 1 / mpmath.mpf(lam)
-                exact = sum(r**e for e in pv) + (2**51 + 1) * r ** mpmath.mpf(p.p_inf)
-                assert abs(mpmath.mpf(mod_at(lam)) - exact) <= eps * exact
+            p_inf = mpmath.mpf(p.p_inf)
+            luxemburg_norm(a, p)
+            if seen[-1]["hi"] > seen[-1]["lo"]:
+
+                def exact_lux(lam):
+                    return sum(mpmath.mpf(float(x)) ** e / mpmath.mpf(lam) ** e for x, e in zip(v, pv))
+
+                check(seen[-1], exact_lux, norm._rounding_bound(n - 1, p.p_plus))
+            starts = range(0, n, max(1, n // 3))
+            sets = [[ZInterval(j, n - 1), ZInterval(10**6, 10**6 + 2**51)] for j in starts]
+            characteristic_norm(sets[0], p)
+            single = seen[-1]
+            characteristic_norms(sets, p)
+            for j, row in [(0, single), *zip(starts, seen[-len(sets) :])]:
+
+                def exact_ind(lam, j=j):
+                    r = 1 / mpmath.mpf(lam)
+                    return sum(r**e for e in pv[j:]) + (2**51 + 1) * r**p_inf
+
+                check(row, exact_ind, norm._rounding_bound(max(n - j, 3), p.p_plus))
 
 
 # The plain bisection evaluates the modular about 45 times per norm here.
@@ -516,31 +578,115 @@ EVALUATIONS_PER_NORM_MAX = 24
 
 def test_certified_path_evaluation_count(monkeypatch):
     """Modular evaluations per norm over strong_type and weak_type on the
-    default verify corpus; a fall-back to the plain loop would need about
-    45 per norm."""
-    counts = []
-    real = norm._bisect
-
-    def counting(mod_at, lo, hi, rel_tol, eps):
-        n = 0
-
-        def counted(lam, slope=False):
-            nonlocal n
-            n += 1
-            return mod_at(lam, slope=True) if slope else mod_at(lam)
-
-        nv = real(counted, lo, hi, rel_tol, eps)
-        counts.append((n, nv.iterations))
-        return nv
-
-    monkeypatch.setattr(norm, "_bisect", counting)
+    default verify corpus, counting a row's evaluations in its batched
+    bracket and its bisection's plain passes; a fall-back to the plain loop
+    would need about 45 per norm."""
+    seen, _ = _spy_rows(monkeypatch)
     spec = CorpusSpec(20260814, 24, 48, "uniform01", "lh-decay", (0.0, 0.25, 0.5))
     for item in generate_corpus(spec):
         for alpha in spec.alpha_list:
             strong_type_ratio(item.a, item.p, alpha)
             weak_type_sup(item.a, item.p, alpha)
-    calls = np.array([n for n, _ in counts])
-    plain = np.array([it + 1 for _, it in counts])
+    calls = np.array([r["evals"] + r["passes"] for r in seen])
+    plain = np.array([r["iterations"] + 1 for r in seen])
     assert plain.mean() > 40
     assert calls.mean() <= EVALUATIONS_PER_NORM_MEAN
     assert calls.max() <= EVALUATIONS_PER_NORM_MAX
+
+
+# Plain modular passes per weak-type grid norm on the default verify corpus,
+# on average (about 1.2 measured).
+GRID_PASSES_PER_NORM_MEAN = 2
+
+
+def test_weak_type_grid_batches_its_brackets(monkeypatch):
+    """Each weak_type_sup grid certifies the brackets of all its norms with
+    one bracket of at most NEWTON_STEPS + 1 batched evaluator calls, and
+    its bisections make at most 2 plain modular passes per norm on average;
+    a bracket per norm would make about 6 evaluator calls per norm."""
+    seen, calls = _spy_rows(monkeypatch)
+    grids = []
+    real = harness.characteristic_norms
+
+    def spy(sets, p, rel_tol=1e-12):
+        first_row, first_call = len(seen), len(calls)
+        out = real(sets, p, rel_tol)
+        grids.append((calls[first_call:], seen[first_row:]))
+        return out
+
+    monkeypatch.setattr(harness, "characteristic_norms", spy)
+    spec = CorpusSpec(20260814, 24, 48, "uniform01", "lh-decay", (0.0, 0.25, 0.5))
+    for item in generate_corpus(spec):
+        for alpha in spec.alpha_list:
+            weak_type_sup(item.a, item.p, alpha)
+    assert len(grids) == spec.count * len(spec.alpha_list)
+    passes = []
+    for grid_calls, rows in grids:
+        assert len(grid_calls) == 1 and grid_calls[0] <= norm.NEWTON_STEPS + 1
+        assert 0 < len(rows) <= harness.WEAK_GRID_SIZE
+        passes += [r["passes"] for r in rows]
+    assert np.mean(passes) <= GRID_PASSES_PER_NORM_MEAN
+
+
+def test_grid_batch_memory_is_bounded():
+    """40 sets spanning a 2**18-point exponent window: the batched evaluator
+    works in blocks of at most 2**20 floats, so the traced peak stays under
+    64 MB, where one unblocked (40, 2**18) float temporary alone is 84 MB."""
+    width = 2**18
+    p = ExponentFunction(0, np.linspace(1.0, 3.0, width), 2.0)
+    sets = [[ZInterval(0, 1000 * k), ZInterval(width - 1, width - 1)] for k in range(1, 41)]
+    tracemalloc.start()
+    try:
+        characteristic_norms(sets, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+
+
+@st.composite
+def _one_set(draw, x):
+    """Empty, one point, wholly outside any exponent window drawn near x,
+    or 1..4 runs near x."""
+    kind = draw(st.sampled_from(("empty", "point", "outside", "runs")))
+    if kind == "empty":
+        return []
+    if kind == "point":
+        y = x + draw(st.integers(-(2**12), 2**12))
+        return [ZInterval(y, y)]
+    if kind == "outside":
+        return [ZInterval(-(2**40), -(2**40) + draw(st.integers(0, 2**20)))]
+    runs, y = [], x + draw(st.integers(-(2**12), 2**12))
+    for _ in range(draw(st.integers(1, 4))):
+        length = draw(st.integers(1, 2**12))
+        runs.append(ZInterval(y, y + length - 1))
+        y += length + draw(st.integers(1, 2**12))
+    return runs
+
+
+@st.composite
+def _grids(draw):
+    """1..8 run sets: nested intervals around x, the shape of the weak-type
+    grid, or independent sets from _one_set. Any set may also carry a far
+    tail at 2**40 of up to 2**52 points. The exponent window may be empty
+    (a constant exponent), miss the sets, or be far wider than a set's
+    inner count."""
+    x = draw(st.integers(-(2**12), 2**12))
+    k = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        grow = sorted(draw(st.lists(st.integers(0, 2**12), min_size=k, max_size=k)))
+        sets = [[ZInterval(x - g // 2, x + g - g // 2)] for g in grow]
+    else:
+        sets = [draw(_one_set(x)) for _ in range(k)]
+    for runs in sets:
+        if draw(st.booleans()):
+            runs.append(ZInterval(2**40, 2**40 + draw(st.integers(0, 2**52))))
+    return sets, draw(_exponents(x))
+
+
+@_property
+@given(_grids())
+def test_characteristic_norms_bit_identical_to_each_plain_norm(inputs):
+    sets, p = inputs
+    want = [_bits(plain_characteristic_norm(runs, p)) for runs in sets]
+    assert [_bits(nv) for nv in characteristic_norms(sets, p)] == want
