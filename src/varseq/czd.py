@@ -14,7 +14,14 @@ The level-set partition cuts the window profile of M_alpha at the rungs
 base^k, base = 9t, from the top rung (max M_alpha, where the set is empty)
 to the first rung whose set is the whole window (min M_alpha). Both ends
 are read off the profile before any rung is cut; a ladder of more than
-100,000 rungs (t too close to 1/9) raises ValueError.
+100,000 rungs (t too close to 1/9) raises ValueError. One rank pass gives
+every point its entering rung, the smallest k with M_alpha > base^(k+1),
+from a searchsorted of the profile into the rung floats (Python's **, the
+floats of a per-rung comparison); one diff cuts the window into segments of
+one entering rung, and shell k is the segments that enter at k. So the
+window is passed over a fixed number of times, not once per rung. A rung
+that no point enters shares the previous rung's run list in omega and is
+not decomposed.
 """
 
 from __future__ import annotations
@@ -35,10 +42,10 @@ from .lattice import (
     dyadic_block,
     interval_sum,
     runs_count,
-    runs_from_mask,
     runs_intersect,
     runs_normalize,
     runs_subtract,
+    runs_union,
 )
 from .maximal import MaximalEvaluator, _validate_alpha
 
@@ -258,8 +265,34 @@ def _rung(base: float, x: float) -> int:
     return k
 
 
+def _shells(
+    m: np.ndarray, rung_floats: list[float], k_top: int, lo: int
+) -> dict[int, list[ZInterval]]:
+    """Shell k of the ladder for each rung k that some point enters, from one
+    rank pass over the window profile m, whose entry 0 is point lo.
+
+    rung_floats[i] is base ** (k_top + i + 1). Python's ** makes these
+    fall in i (or repeat, among subnormals), so reversed they are sorted. The
+    entering rung of a point is the smallest k with m > base ** (k + 1): the
+    rungs below m are the last ones of the list, so it is k_top + K minus
+    their count, for K rungs, by the same strict comparisons. One diff splits
+    the window into maximal segments of one entering rung, so each shell's
+    runs come out sorted, disjoint and non-adjacent.
+    """
+    ascending = np.array(rung_floats[::-1])
+    entry = (k_top + ascending.size) - np.searchsorted(ascending, m, side="left")
+    cuts = np.flatnonzero(np.diff(entry)) + 1
+    starts = np.concatenate(([0], cuts))
+    his = np.concatenate((cuts, [m.size])) + (lo - 1)
+    shells: dict[int, list[ZInterval]] = {}
+    for k, first, last in zip(entry[starts].tolist(), (starts + lo).tolist(), his.tolist()):
+        shells.setdefault(k, []).append(ZInterval(first, last))
+    return shells
+
+
 def level_set_partition(a: Sequence, alpha: float, t: float) -> LevelSetPartition:
-    """Partition a window of M_alpha level sets into E-sets; 0 < t < 1/9."""
+    """Partition a window of M_alpha level sets into E-sets; 0 < t < 1/9.
+    omega entries of rungs that no point enters are the same list object."""
     if not (0.0 < t < 1.0 / 9.0):
         raise ValueError("t must lie in (0, 1/9)")
     ev = MaximalEvaluator(a, alpha)
@@ -281,6 +314,9 @@ def level_set_partition(a: Sequence, alpha: float, t: float) -> LevelSetPartitio
     if rungs > 100_000:
         raise ValueError(f"level ladder has {rungs} rungs, more than 100000: t is too close to 1/9")
 
+    rung_floats = [base ** (k + 1) for k in range(k_top, k_end + 1)]
+    shells = _shells(m, rung_floats, k_top, window.lo)
+
     levels: list[int] = []
     omega: dict[int, list[ZInterval]] = {k_top: []}
     heights: dict[int, float] = {}
@@ -288,13 +324,13 @@ def level_set_partition(a: Sequence, alpha: float, t: float) -> LevelSetPartitio
     intervals: dict[tuple[int, int], ZInterval] = {}
 
     for k in range(k_top, k_end + 1):
-        s_next = base ** (k + 1)
-        omega[k + 1] = runs_from_mask(m > s_next, window.lo)
-        rest = runs_subtract(omega[k + 1], omega[k])  # shell k, less the E-sets cut so far
-        if not rest:
+        rest = shells.get(k)  # shell k, less the E-sets cut so far
+        if rest is None:
+            omega[k + 1] = omega[k]
             continue
+        omega[k + 1] = runs_union(omega[k], rest)
         levels.append(k)
-        heights[k] = s_next / COVERING_FACTOR
+        heights[k] = rung_floats[k - k_top] / COVERING_FACTOR
         for j, sel in enumerate(table.decompose(heights[k]).intervals):
             piece = runs_intersect(rest, [dilate(sel, 2)])
             if piece:
@@ -346,14 +382,23 @@ def domination_check(
     qv = q.values_on(part.window)
     lhs = float(np.power(part.profile, qv).sum())
 
-    # every E-set run lies inside the window: its exponents are a slice of qv
+    # every E-set run lies inside the window: its exponents are a slice of
+    # qv. A run outside q's window has exponent p_inf at every point, so its
+    # per-point powers are one float, filled in. The fill is the array the
+    # per-point power builds because np.power gives a scalar the bits it gives
+    # each entry of an array (test_power_of_scalars_matches_array_entries);
+    # Python's ** and math.pow do not.
     lo = part.window.lo
+    q_window = q.window
     e_sum = 0.0
     for key, runs in part.e_sets.items():
         doubled = dilate(part.intervals[key], 2)
         avg = alpha_average(a, doubled, alpha)
         for run in runs:
-            e_sum += float(np.power(avg, qv[run.lo - lo : run.hi - lo + 1]).sum())
+            if q_window is None or not q_window.intersects(run):
+                e_sum += float(np.full(cardinality(run), np.power(avg, q.p_inf)).sum())
+            else:
+                e_sum += float(np.power(avg, qv[run.lo - lo : run.hi - lo + 1]).sum())
 
     A = part.base
     q_m, q_p = q.p_minus, q.p_plus

@@ -85,13 +85,14 @@ class ExponentFunction:
         return self.p_inf
 
     def values_on(self, interval: ZInterval) -> np.ndarray:
-        """Exponent values on every integer of the interval, as an array."""
-        n = np.arange(interval.lo, interval.hi + 1)
-        out = np.full(n.size, self.p_inf)
-        if self.values.size:
-            i = n - self.window_lo
-            mask = (i >= 0) & (i < self.values.size)
-            out[mask] = self.values[i[mask]]
+        """Exponent values on every integer of the interval, as an array: p_inf,
+        with the overlap of the interval and the window copied in."""
+        out = np.full(interval.hi - interval.lo + 1, self.p_inf)
+        lo = max(interval.lo, self.window_lo)
+        hi = min(interval.hi, self.window_lo + self.values.size - 1)
+        if lo <= hi:
+            inner = self.values[lo - self.window_lo : hi - self.window_lo + 1]
+            out[lo - interval.lo : hi - interval.lo + 1] = inner
         return out
 
     def map_values(self, fn) -> "ExponentFunction":

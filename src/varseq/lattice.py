@@ -202,8 +202,11 @@ class Sequence:
 
     def range_sums(self, los: np.ndarray, his: np.ndarray) -> np.ndarray:
         """Sums over [los[k], his[k]] for index arrays, clipped to the window."""
-        i_hi = np.clip(np.asarray(his) - self.offset + 1, 0, self.values.size)
-        i_lo = np.clip(np.asarray(los) - self.offset, 0, self.values.size)
+        # np.minimum of np.maximum, not np.clip: the same ints without
+        # np.clip's Python-level argument handling on every call
+        size = self.values.size
+        i_hi = np.minimum(np.maximum(np.asarray(his) - self.offset + 1, 0), size)
+        i_lo = np.minimum(np.maximum(np.asarray(los) - self.offset, 0), size)
         return self._prefix[i_hi] - self._prefix[i_lo]
 
     def scaled(self, c: float) -> "Sequence":

@@ -306,25 +306,26 @@ class MaximalEvaluator:
             return 0.0
         return float(self._profile_on_hull().max())
 
-    def _envelope(self, ds: np.ndarray, S: np.ndarray) -> np.ndarray:
-        """max_j (d + j + 1)^(alpha-1) * S[j] for ascending distances ds >= 1.
+    def _envelope(self, first: int, count: int, S: np.ndarray) -> np.ndarray:
+        """max_j (d + j + 1)^(alpha-1) * S[j] for the count distances
+        d = first, first + 1, ... from first >= 1.
 
-        A segment of ds carries the first near-best candidate at its left end
-        and the last one at its right end; by the monotone argmax, no other
-        candidate can win strictly inside it. Segments are split at the
+        A segment of distances carries the first near-best candidate at its
+        left end and the last one at its right end; by the monotone argmax, no
+        other candidate can win strictly inside it. Segments are split at the
         midpoint (explicit stack) until their two candidates agree.
         """
         beta = self.alpha - 1.0
-        vals = np.empty(ds.size)
+        vals = np.empty(count)
 
         def score(i: int, lo: int, hi: int) -> tuple[int, int]:
-            row = _scores(int(ds[i]), S, lo, hi, beta)
+            row = _scores(first + i, S, lo, hi, beta)
             best = row.max()
             vals[i] = best
             near = np.flatnonzero(row >= best * _NEAR_MAX)
             return lo + int(near[0]), lo + int(near[-1])
 
-        last = ds.size - 1
+        last = count - 1
         first_lo, hi = score(0, 0, S.size - 1)
         if last > 0:
             _, hi = score(last, 0, S.size - 1)
@@ -334,8 +335,12 @@ class MaximalEvaluator:
             if k - i < 2:
                 continue
             if lo == hi:
-                lengths = (ds[i + 1 : k] + (lo + 1)).astype(np.float64)
-                vals[i + 1 : k] = np.power(lengths, beta) * S[lo]
+                # lengths d + lo + 1 for d strictly between the ends, as ints
+                # that the power casts to float: exact past 2**53, where a
+                # float arange's step rounds
+                seg = vals[i + 1 : k]
+                np.power(np.arange(first + i + lo + 2, first + k + lo + 1), beta, out=seg)
+                seg *= S[lo]
                 continue
             m = (i + k) // 2
             lo_m, hi_m = score(m, lo, hi)
@@ -356,22 +361,27 @@ class MaximalEvaluator:
         return float(_scores(d, S, 0, S.size - 1, self.alpha - 1.0).max())
 
     def profile(self, window: ZInterval) -> np.ndarray:
+        """M_alpha a on every point of the window: the overlap with the hull
+        is a slice of the hull profile, and each side outside it one
+        envelope pass over consecutive distances."""
         check_coordinates(window.lo, window.hi, "profile window")
         out = np.zeros(window.hi - window.lo + 1)
         hull = self.hull
         if hull is None:
             return out
-        ns = np.arange(window.lo, window.hi + 1)
-        inside = (ns >= hull.lo) & (ns <= hull.hi)
-        if inside.any():
+        lo, hi = max(window.lo, hull.lo), min(window.hi, hull.hi)
+        if lo <= hi:
             hp = self._profile_on_hull()
-            out[inside] = hp[ns[inside] - hull.lo]
-        left = ns < hull.lo
-        if left.any():
-            out[left] = self._envelope(hull.lo - ns[left][::-1], self._S_left)[::-1]
-        right = ns > hull.hi
-        if right.any():
-            out[right] = self._envelope(ns[right] - hull.hi, self._S_right)
+            out[lo - window.lo : hi - window.lo + 1] = hp[lo - hull.lo : hi - hull.lo + 1]
+        if window.lo < hull.lo:
+            # distances from hull.lo - end up to hull.lo - window.lo, reversed
+            end = min(window.hi, hull.lo - 1)
+            count = end - window.lo + 1
+            out[:count] = self._envelope(hull.lo - end, count, self._S_left)[::-1]
+        if window.hi > hull.hi:
+            start = max(window.lo, hull.hi + 1)
+            count = window.hi - start + 1
+            out[start - window.lo :] = self._envelope(start - hull.hi, count, self._S_right)
         return out
 
     def _last_above(self, ss: np.ndarray, right: bool) -> np.ndarray:

@@ -19,6 +19,12 @@ The decomposition oracle scans the dyadic levels for the top level, then
 halves each top block recursively until a half's average exceeds t: the
 stopping-time search written out, independent of the library's table of
 block averages.
+
+The partition oracle cuts the whole window profile at every rung of the
+ladder, one mask and its runs per rung, and decomposes every rung whose
+shell is not empty; the E-set oracle raises each E-set run's average to its
+slice of the exponents read point by point. The library's partition and
+domination sums must match them bit for bit.
 """
 
 from __future__ import annotations
@@ -27,11 +33,29 @@ import math
 
 import numpy as np
 
-from varseq.czd import CZDecomposition
-from varseq.exponent import ExponentFunction
+from varseq.czd import (
+    COVERING_FACTOR,
+    PARTITION_DEPTH,
+    PARTITION_WINDOW_CAP,
+    CZDecomposition,
+    LevelSetPartition,
+    _DyadicTable,
+    _rung,
+    alpha_average,
+)
+from varseq.exponent import ExponentFunction, fractional_conjugate
 from varseq.harness import CorpusItem, CorpusSpec, XorShift64Star
-from varseq.lattice import Sequence, ZInterval, block_index_of, runs_count, runs_intersect
-from varseq.maximal import alpha_weights
+from varseq.lattice import (
+    Sequence,
+    ZInterval,
+    block_index_of,
+    dilate,
+    runs_count,
+    runs_from_mask,
+    runs_intersect,
+    runs_subtract,
+)
+from varseq.maximal import MaximalEvaluator, alpha_weights
 from varseq.norm import MAX_BISECT_ITER, NormValue
 
 
@@ -262,3 +286,120 @@ def recursive_cz_decompose(a: Sequence, alpha: float, t: float) -> CZDecompositi
         if a.prefix_sum(lo + width) - a.prefix_sum(lo) > 0.0:
             descend(lo, lo + width - 1)
     return CZDecomposition(float(t), float(alpha), intervals, averages, n_t)
+
+
+# Placements of a window against an interval [lo, hi], for the slice oracles.
+WINDOW_PLACEMENTS = (
+    "left",
+    "right",
+    "straddle_lo",
+    "straddle_hi",
+    "straddle_both",
+    "inside",
+    "one_point",
+)
+
+
+def placed_window(lo: int, hi: int, where: str, gap: int, width: int) -> ZInterval:
+    """A window of the named placement against [lo, hi], for gap, width >= 1:
+    wholly left or right of it at distance gap with width points; across one
+    end, from gap points outside to at most width points in; across both
+    ends; inside it; or one point of [lo - gap, hi + gap]."""
+    n = hi - lo + 1
+    if where == "left":
+        return ZInterval(lo - gap - width + 1, lo - gap)
+    if where == "right":
+        return ZInterval(hi + gap, hi + gap + width - 1)
+    if where == "straddle_lo":
+        return ZInterval(lo - gap, min(hi, lo + width - 1))
+    if where == "straddle_hi":
+        return ZInterval(max(lo, hi - width + 1), hi + gap)
+    if where == "straddle_both":
+        return ZInterval(lo - gap, hi + width)
+    if where == "inside":
+        first = lo + gap % n
+        return ZInterval(first, min(hi, first + width - 1))
+    point = lo - gap + width % (n + 2 * gap)
+    return ZInterval(point, point)
+
+
+def plain_values_on(p: ExponentFunction, interval: ZInterval) -> np.ndarray:
+    """p on every integer of the interval, point by point: p_inf, with the
+    points whose index falls inside the window read from it by a mask."""
+    n = np.arange(interval.lo, interval.hi + 1)
+    out = np.full(n.size, p.p_inf)
+    if p.values.size:
+        i = n - p.window_lo
+        mask = (i >= 0) & (i < p.values.size)
+        out[mask] = p.values[i[mask]]
+    return out
+
+
+def plain_level_set_partition(a: Sequence, alpha: float, t: float) -> LevelSetPartition:
+    """level_set_partition with the whole window cut at every rung: the mask
+    m > base^(k+1), its runs, and their difference with the rung before;
+    each rung with a non-empty shell is decomposed and the shell cut into
+    E-sets. Same window, ladder and ValueErrors as the library."""
+    if not (0.0 < t < 1.0 / 9.0):
+        raise ValueError("t must lie in (0, 1/9)")
+    ev = MaximalEvaluator(a, alpha)
+    hull = ev.hull
+    if hull is None:
+        raise ValueError("sequence must not be identically zero")
+    base = COVERING_FACTOR * t
+    max_m = ev.max_value()
+    radius = ev.reach(max_m / PARTITION_DEPTH, PARTITION_WINDOW_CAP)
+    window = ZInterval(hull.lo - radius, hull.hi + radius)
+    m = ev.profile(window)
+    table = _DyadicTable(a, alpha)
+    k_top = _rung(base, max_m)
+    k_end = _rung(base, float(m.min()))
+    rungs = k_end + 1 - k_top
+    if rungs > 100_000:
+        raise ValueError(f"level ladder has {rungs} rungs, more than 100000: t is too close to 1/9")
+
+    levels: list[int] = []
+    omega: dict[int, list[ZInterval]] = {k_top: []}
+    heights: dict[int, float] = {}
+    e_sets: dict[tuple[int, int], list[ZInterval]] = {}
+    intervals: dict[tuple[int, int], ZInterval] = {}
+    for k in range(k_top, k_end + 1):
+        s_next = base ** (k + 1)
+        omega[k + 1] = runs_from_mask(m > s_next, window.lo)
+        rest = runs_subtract(omega[k + 1], omega[k])
+        if not rest:
+            continue
+        levels.append(k)
+        heights[k] = s_next / COVERING_FACTOR
+        for j, sel in enumerate(table.decompose(heights[k]).intervals):
+            piece = runs_intersect(rest, [dilate(sel, 2)])
+            if piece:
+                e_sets[(k, j)] = piece
+                intervals[(k, j)] = sel
+                rest = runs_subtract(rest, piece)
+        if rest:
+            raise RuntimeError(
+                "shell escaped the doubled covering intervals; "
+                f"level {k}, {runs_count(rest)} points"
+            )
+    return LevelSetPartition(
+        float(t), float(alpha), base, window, levels, omega, heights, e_sets, intervals, m
+    )
+
+
+def plain_domination_sums(
+    a: Sequence, p: ExponentFunction, alpha: float, part: LevelSetPartition
+) -> tuple[float, float]:
+    """domination_check's (lhs, e_weighted_sum) on a partition: the sum of
+    M_alpha^q over the window, and per E-set run one np.power of its
+    doubled interval's average to the run's slice of q, point by point."""
+    q = fractional_conjugate(p, alpha)
+    qv = plain_values_on(q, part.window)
+    lhs = float(np.power(part.profile, qv).sum())
+    lo = part.window.lo
+    e_sum = 0.0
+    for key, runs in part.e_sets.items():
+        avg = alpha_average(a, dilate(part.intervals[key], 2), alpha)
+        for run in runs:
+            e_sum += float(np.power(avg, qv[run.lo - lo : run.hi - lo + 1]).sum())
+    return lhs, e_sum

@@ -1,13 +1,14 @@
 """Stopping-time decomposition, covering, partition, and domination tests."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import recursive_cz_decompose
+from conftest import plain_domination_sums, plain_level_set_partition, recursive_cz_decompose
 from varseq import czd
 from varseq.czd import (
     _DyadicTable,
@@ -328,13 +329,29 @@ def test_partition_ladder_ends_read_off_the_profile():
 
 def test_partition_rejects_long_ladder_up_front(monkeypatch):
     """t = 0.111111 puts base = 9t within 1e-6 of 1: millions of rungs. The
-    ValueError names the count before any rung is cut."""
-    cuts = []
-    monkeypatch.setattr(czd, "runs_from_mask", lambda *args: cuts.append(args))
+    ValueError names the count before any rung is cut: neither the rank pass
+    nor a decomposition runs. The spies run on the same sequence at
+    t = 0.05, so they are known to see the calls the partition makes."""
+    calls = []
+    rank, decompose = czd._shells, czd._DyadicTable.decompose
+
+    def spy_rank(*args):
+        calls.append("rank")
+        return rank(*args)
+
+    def spy_decompose(*args):
+        calls.append("decompose")
+        return decompose(*args)
+
+    monkeypatch.setattr(czd, "_shells", spy_rank)
+    monkeypatch.setattr(czd._DyadicTable, "decompose", spy_decompose)
+    a = Sequence(0, [1.0, 2.0, 3.0, 0.5])
     with pytest.raises(ValueError, match=r"level ladder has \d+ rungs, more than 100000") as info:
-        level_set_partition(Sequence(0, [1.0, 2.0, 3.0, 0.5]), 0.0, 0.111111)
+        level_set_partition(a, 0.0, 0.111111)
     assert int(str(info.value).split()[3]) > 100_000
-    assert cuts == []
+    assert calls == []
+    part = level_set_partition(a, 0.0, 0.05)
+    assert calls == ["rank"] + ["decompose"] * len(part.levels)
 
 
 def test_partition_near_ladder_bound_unchanged():
@@ -344,6 +361,131 @@ def test_partition_near_ladder_bound_unchanged():
     assert len(part.levels) == 2231
     assert len(part.omega) == 69_333
     assert len(part.e_sets) == 4442
+
+
+# Property tests: the one-pass partition and the E-set sums against the
+# per-rung mask oracle, bitwise.
+
+
+def _partition_record(part):
+    """Every field of a partition, dicts in insertion order, floats as hex."""
+    return (
+        part.t.hex(),
+        part.alpha.hex(),
+        part.base.hex(),
+        part.window,
+        part.levels,
+        list(part.omega.items()),
+        [(k, h.hex()) for k, h in part.heights.items()],
+        list(part.e_sets.items()),
+        list(part.intervals.items()),
+        part.profile.tobytes(),
+    )
+
+
+def _assert_partition_matches_oracle(a, p, alpha, t):
+    """level_set_partition and domination_check against the oracles: the same
+    record or the same ValueError, and the same lhs and E-set sum."""
+    try:
+        want = plain_level_set_partition(a, alpha, t)
+    except ValueError as e:
+        with pytest.raises(ValueError, match=re.escape(str(e))):
+            level_set_partition(a, alpha, t)
+        return None
+    got = level_set_partition(a, alpha, t)
+    assert _partition_record(got) == _partition_record(want)
+    lhs, e_sum = plain_domination_sums(a, p, alpha, want)
+    rep = domination_check(a, p, alpha, t)
+    assert (rep.lhs.hex(), rep.e_weighted_sum.hex()) == (lhs.hex(), e_sum.hex())
+    assert (rep.levels, rep.window) == (len(want.levels), want.window)
+    return got
+
+
+@st.composite
+def _adversarial_sequences(draw):
+    """A body of 1..8 values with interior zeros, and on one side a zero run
+    of up to 3,000 points and a lone spike 1e-3..1e3 times the body's peak;
+    offsets near 0 or near 2**40."""
+    body = draw(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=8))
+    for i in draw(st.lists(st.integers(1, 6), max_size=3)):
+        if i < len(body) - 1:
+            body[i] = 0.0
+    gap = draw(st.one_of(st.integers(0, 8), st.integers(500, 3000)))
+    spike = max(body) * 10.0 ** draw(st.floats(-3.0, 3.0))
+    vals = body + [0.0] * gap + [spike]
+    if draw(st.booleans()):
+        vals.reverse()
+    near_2_40 = st.integers(-64, 64).map(lambda d: 2**40 + d)
+    offset = draw(st.one_of(st.integers(-1000, 1000), near_2_40))
+    return Sequence(offset, vals)
+
+
+@st.composite
+def _exponents_near(draw, a):
+    """A constant exponent, or p_inf with a window of values in [1.05, 1.9]
+    whose ends lie within 64 points of the hull's ends or inside it, so that
+    E-set runs straddle its edges."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p_inf = 1.05 + 0.85 * float(rng.random())
+    if draw(st.booleans()):
+        return ExponentFunction.constant(p_inf)
+    hull = a.support_hull()
+    lo = draw(st.integers(hull.lo - 64, hull.hi))
+    hi = draw(st.integers(max(lo, hull.lo), hull.hi + 64))
+    return ExponentFunction(lo, 1.05 + 0.85 * rng.random(hi - lo + 1), p_inf)
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), a=_adversarial_sequences(), t=st.sampled_from([0.01, 0.05, 0.1]))
+def test_partition_matches_plain_oracle(alpha, data, a, t):
+    """Long zero runs and lone far spikes, at every alpha, with exponents
+    that are constant or whose window edges cut the partition's runs. The
+    per-rung oracle costs rungs x window, so t = 0.1111 (about 70,000 rungs)
+    has its own test at alpha = 0, whose window is the smallest."""
+    p = data.draw(_exponents_near(a))
+    _assert_partition_matches_oracle(a, p, alpha, t)
+
+
+def test_partition_matches_plain_oracle_near_ladder():
+    """t = 0.1111: 71,843 rungs over a window of 2,402 points for a lone
+    spike after a long zero run; 2,042 of them gain points, and the others
+    share the previous rung's run list."""
+    a = Sequence(0, [1.0] + [0.0] * 300 + [40.0])
+    p = ExponentFunction(-20, np.linspace(1.2, 1.8, 60), 1.5)
+    part = _assert_partition_matches_oracle(a, p, 0.0, 0.1111)
+    assert (len(part.omega), len(part.levels)) == (71_844, 2042)
+
+
+def test_e_set_runs_straddling_the_exponent_window_match_oracle():
+    """E-set runs that start outside q's window and end inside it, or the
+    reverse, take their exponents point by point; runs wholly outside it
+    take p_inf at every point."""
+    a = Sequence(0, [1.0, 0.5, 2.0])
+    p = ExponentFunction(-6, np.linspace(1.1, 1.7, 10), 1.4)
+    for alpha in ALPHAS:
+        part = _assert_partition_matches_oracle(a, p, alpha, 0.05)
+        window = p.window
+        runs = [r for rs in part.e_sets.values() for r in rs]
+        straddle = [r for r in runs if r.intersects(window) and not window.contains_interval(r)]
+        outside = [r for r in runs if not r.intersects(window)]
+        assert straddle and outside, alpha
+
+
+def test_power_of_scalars_matches_array_entries():
+    """np.power gives each entry of an array power the bits of the same
+    power on scalars, broadcast or not; the E-set sum fills runs outside
+    q's window from one scalar power on this. Python's ** does not match."""
+    rng = np.random.default_rng(20260814)
+    x, y = 10.0 ** rng.uniform(-6.0, 3.0, 20_000), rng.uniform(1.0, 8.0, 20_000)
+    arr = np.power(x, y)
+    scalars = [np.power(b, e) for b, e in zip(x.tolist(), y.tolist())]
+    assert arr.tobytes() == np.array(scalars).tobytes()
+    by_base = [np.power(x[0], e) for e in y.tolist()]
+    assert np.power(x[0], y).tobytes() == np.array(by_base).tobytes()
+    by_exponent = [np.power(b, y[0]) for b in x.tolist()]
+    assert np.power(x, y[0]).tobytes() == np.array(by_exponent).tobytes()
+    assert any(b**e != v for b, e, v in zip(x.tolist(), y.tolist(), scalars))
 
 
 def test_domination_derived_constant_holds():

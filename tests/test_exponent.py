@@ -4,7 +4,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import WINDOW_PLACEMENTS, placed_window, plain_values_on
 from varseq.exponent import (
     ExponentFunction,
     check_lh_equivalences,
@@ -13,7 +16,7 @@ from varseq.exponent import (
     lh_infinity_constant,
 )
 from varseq.harness import CorpusSpec, generate_corpus
-from varseq.lattice import ZInterval
+from varseq.lattice import ZInterval, cardinality
 
 
 def test_validation():
@@ -109,3 +112,30 @@ def test_map_values_preserves_window():
     p = ExponentFunction(5, [2.0, 4.0], 3.0)
     r = p.map_values(lambda v: v + 1.0)
     assert r.window_lo == 5 and list(r.values) == [3.0, 5.0] and r.p_inf == 4.0
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(-50, 50),
+    st.integers(0, 12),
+    st.sampled_from(WINDOW_PLACEMENTS),
+    st.integers(1, 30),
+    st.integers(1, 30),
+    st.integers(0, 2**32 - 1),
+)
+def test_values_on_by_slices_matches_mask_oracle(wlo, size, where, gap, width, seed):
+    """values_on copies the overlap of the interval and the window as one
+    slice: the same floats as reading every point through a mask, for each
+    placement of the interval against the window, and for constant
+    exponents, whose window is empty."""
+    rng = np.random.default_rng(seed)
+    p_inf = 1.0 + 7.0 * float(rng.random())
+    if size:
+        p = ExponentFunction(wlo, 1.0 + 7.0 * rng.random(size), p_inf)
+    else:
+        p = ExponentFunction.constant(p_inf)
+    anchor = p.window or ZInterval(wlo, wlo)
+    interval = placed_window(anchor.lo, anchor.hi, where, gap, width)
+    got = p.values_on(interval)
+    assert got.size == cardinality(interval)
+    assert got.tobytes() == plain_values_on(p, interval).tobytes()

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DENSE_TABLE_LIMIT, brute_force_profile
+from conftest import DENSE_TABLE_LIMIT, WINDOW_PLACEMENTS, brute_force_profile, placed_window
 from varseq.harness import CorpusSpec, XorShift64Star, _sub_seed, generate_corpus
 from varseq import maximal
 from varseq.lattice import Sequence, ZInterval, cardinality, dilate, runs_from_mask
@@ -323,6 +323,30 @@ def test_profile_straddling_hull_matches_oracle(a, alpha, pad_lo, pad_hi):
     hull = a.support_hull()
     ends = sorted((hull.lo - pad_lo, hull.hi + pad_hi))
     _assert_matches_oracle(a, alpha, ZInterval(*ends))
+
+
+
+@_property
+@given(
+    _sequences(),
+    _alphas,
+    st.sampled_from(WINDOW_PLACEMENTS),
+    st.integers(1, 200),
+    st.integers(1, 40),
+    st.sampled_from([0, 2**53, 2**55]),
+)
+def test_profile_by_slices_matches_oracle(a, alpha, where, gap, width, far):
+    """profile fills the overlap with the hull from one slice of the hull
+    profile and each side outside it from one envelope pass: the same floats
+    as the oracle for every placement of the window against the hull. Windows
+    wholly left or right of it also sit past 2**53, where a length must come
+    from an exact int before its cast to float."""
+    hull = a.support_hull()
+    if where in ("left", "right"):
+        gap += far
+    window = placed_window(hull.lo, hull.hi, where, gap, width)
+    prof = MaximalEvaluator(a, alpha).profile(window)
+    assert prof.tobytes() == brute_force_profile(a, alpha, window).tobytes()
 
 
 # near the longest length at which the oracle still reads the weight table
