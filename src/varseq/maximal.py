@@ -4,31 +4,42 @@ M_alpha a(n) = sup over intervals I containing n of |I|^(alpha-1) sum_I |a|.
 The sup is attained on intervals with endpoints in the support hull, so the
 profile over the hull is a finite max over pairs of prefix sums: the left end
 among the points (l, P[l]) with l <= n, the right end among (h, P[h]) with
-h > n. For a fixed right end the best left end is a vertex of the lower convex
-hull of its candidates, and for a fixed left end the best right end is a
-vertex of the upper convex hull of its candidates, so the hull profile scores
-only (left-vertex x right-vertex) pairs, taken from one persistent monotone
-stack per side (_convex_chains). The deeper side's chains are walked one step
-at a time for all W points at once, each step scored against the other
-side's chains. Inputs whose deepest chains would make that more than W^2
-pairs, max(depth_l) * max(depth_r) > W (near-collinear prefix sums), are
-swept row by row instead. The chains depend on the prefix sums alone, so
-they are built once per Sequence (_hull_chains, cached by identity) and
-shared by the evaluators of every alpha.
+h > n. A hull of at most _DENSE_MAX = 128 points takes that max in one dense
+pass: one (W, W) array of the interval values, a suffix max along the right
+ends, a prefix max along the left ends, and the diagonal (_dense_profile).
+On wider hulls, for a fixed right end the best left end is a vertex of the
+lower convex hull of its candidates, and for a fixed left end the best right
+end is a vertex of the upper convex hull of its candidates, so the hull
+profile scores only (left-vertex x right-vertex) pairs, taken from one
+persistent monotone stack per side (_convex_chains). The deeper side's chains
+are walked one step at a time for all W points at once, each step scored
+against the other side's chains. Inputs whose deepest chains would make that
+more than W^2 pairs, max(depth_l) * max(depth_r) > W (near-collinear prefix
+sums), are swept row by row instead. The chains depend on the prefix sums
+alone, so they are built once per Sequence (_Geometry, cached by
+identity) and shared by the evaluators of every alpha. Every path takes the
+same float w[h-l-1] * (P[h]-P[l]) of each interval.
 
 Outside the hull, at distance d >= 1 from its near end, the candidates are
 the intervals from n to each hull index j (counted from that end):
 f_j(d) = (d + j + 1)^(alpha-1) * S[j], with S the nondecreasing partial sums
 from the near end. For j < k the ratio f_k / f_j grows with d, so two
 candidates cross at most once and the best j moves monotonically away from
-the near end as d grows: the upper envelope has at most W pieces. The
-envelope evaluator takes the distances in ascending order, scores the two
-ends of a segment against all candidates, fills the segment from one
-candidate when the ends agree, and otherwise scores the midpoint against
-only the candidates between the ends' best indices and splits there.
-Candidates within a 2^-40 factor of a row's max count as best, so rounding
-near a crossing never drops the winner, and every value is the same float
-product a dense points x W max would take. Values outside the hull decay
+the near end as d grows: the upper envelope has at most W pieces. Only the
+vertices of the upper convex hull of the points (j, S[j]) can win, since
+x^(1-alpha) is concave; they come with the chains of _Geometry. Two
+vertices j < k with 0 < S[j] < S[k] cross at d = ((k+1) - r(j+1)) / (r-1),
+r = (S[k]/S[j])^(1/(1-alpha)), taken in log space, and one convex-hull-trick
+pass over the vertices gives the distances where the winner changes
+(_winner_breaks). The envelope evaluator scores the first and last distance
+and the two distances either side of each such crossing against all
+candidates in one batch. Each segment between them is filled from one
+candidate when its two ends agree; otherwise its midpoint is scored
+against only the candidates between the ends' best indices and it is split
+there. Candidates within a 2^-40 factor of a row's max count as best, so
+rounding near a crossing never drops the winner, and every value is the
+same float product a dense points x W max would take, whatever the
+crossings: a wrong one only costs a split. Values outside the hull decay
 strictly, so a superlevel set has at most one run per side, out to a last
 distance read from the closed form for the f_j and settled by the point
 values on either side of it (_last_above).
@@ -37,7 +48,7 @@ The sets {M_alpha > s} are nested in s, and superlevels takes a whole array
 of K thresholds in one pass: one (K, W) comparison of the hull profile and
 one (K, W) closed form per side; point() then settles each outer end.
 superlevel is the same path with K = 1. Every hull point lies in the whole
-hull, whose value V = w[W-1] * P[W] is one of the sweep's floats, so the
+hull, whose value V = w[W-1] * P[W] is one of the profile's floats, so the
 profile is at least V everywhere on the hull; when every threshold lies
 below V and the profile is not built yet, the hull is inside every set and
 the profile is never built.
@@ -172,32 +183,127 @@ def _sweep_profile(P: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _hull_chains(P: np.ndarray) -> tuple[np.ndarray, int, np.ndarray, int] | None:
-    """The left and right convex chains of the hull with prefix sums P, as
-    (pred_l, max depth_l, pred_r, max depth_r), or None when scoring their
-    pairs would take more than W^2 scores, max(depth_l) * max(depth_r) > W,
-    and the hull is swept instead. The chains depend on P alone, not on
-    alpha."""
+def _dense_profile(P: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The hull profile from one (W, W) array of the row sweep's floats.
+
+    Row l holds w[m-l] * (P[m+1]-P[l]) at column m >= l, the interval from
+    l to m + 1; the value at n is the max over the rectangle l <= n <= m,
+    read off the diagonal after a suffix max along m and a prefix max along
+    l. Below the diagonal the weights are zero pads, and no entry there
+    reaches the diagonal: the rectangle of n only holds columns m >= n >= l.
+    """
     W = P.size - 1
-    y = np.ldexp(P, -int(np.frexp(P[-1])[1]))
-    pred_l, depth_l = _convex_chains(y[:W].tolist())
-    # right ends h = W, W-1, ..., 1 at positions 0..W-1; point n starts at W-1-n
-    pred_r, depth_r = _convex_chains((-y[:0:-1]).tolist())
-    deep_l, deep_r = int(depth_l.max()), int(depth_r.max())
-    if deep_l * deep_r > W:
-        return None
-    return pred_l, deep_l, pred_r, deep_r
+    # row l reads the window of the padded weights that puts w[0] at column l
+    pad = np.concatenate([np.zeros(W - 1), w])
+    rows = np.lib.stride_tricks.sliding_window_view(pad, W)[::-1] * (P[1:] - P[:W, None])
+    np.maximum.accumulate(rows[:, ::-1], axis=1, out=rows[:, ::-1])
+    np.maximum.accumulate(rows, axis=0, out=rows)
+    return rows.diagonal().copy()
 
 
-# _hull_chains per sequence, shared by the evaluators of every alpha. A
+def _chain_from(pred: np.ndarray, start: int) -> list[int]:
+    """The chain start -> pred[start] -> ... down to its bottom point."""
+    pred = pred.tolist()
+    chain = [start]
+    while pred[chain[-1]] != chain[-1]:
+        chain.append(pred[chain[-1]])
+    return chain
+
+
+class _Geometry:
+    """The alpha-free geometry of the hull with prefix sums P, from one
+    _convex_chains pass per side.
+
+    chains is (pred_l, max depth_l, pred_r, max depth_r) for _pair_profile,
+    or None when scoring their pairs would take more than W^2 scores,
+    max(depth_l) * max(depth_r) > W, and the hull is swept instead.
+
+    left and right, read on first use, are the exterior vertices of each
+    side: the indices j, ascending, of the upper convex hull of the points
+    (j, S[j]) of its partial sums S from the near end (with _convex_chains'
+    slack, so near-collinear points stay). They are the chains from the last
+    point: the right ends' chain from P[1] is the upper hull of P[1..W],
+    which is S_left read backwards, and the left ends' chain from P[W-1] is
+    the lower hull of P[0..W-1], which is P[W] - S_right read backwards.
+    """
+
+    def __init__(self, P: np.ndarray):
+        W = P.size - 1
+        y = np.ldexp(P, -int(np.frexp(P[-1])[1]))
+        pred_l, depth_l = _convex_chains(y[:W].tolist())
+        # right ends h = W, W-1, ..., 1 at positions 0..W-1; point n starts at W-1-n
+        pred_r, depth_r = _convex_chains((-y[:0:-1]).tolist())
+        deep_l, deep_r = int(depth_l.max()), int(depth_r.max())
+        self.chains = None if deep_l * deep_r > W else (pred_l, deep_l, pred_r, deep_r)
+        self._preds = pred_l, pred_r
+
+    @cached_property
+    def left(self) -> list[int]:
+        pred_r = self._preds[1]
+        return [pred_r.size - 1 - i for i in _chain_from(pred_r, pred_r.size - 1)]
+
+    @cached_property
+    def right(self) -> list[int]:
+        pred_l = self._preds[0]
+        return [pred_l.size - 1 - x for x in _chain_from(pred_l, pred_l.size - 1)]
+
+
+# _Geometry per sequence, shared by the evaluators of every alpha. A
 # Sequence is frozen and compares by identity, so an entry lives as long as
 # its sequence and no longer.
-_CHAINS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_GEOMETRY: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _crossing(j: int, k: int, s_j: float, s_k: float, inv: float) -> float:
+    """The distance d from which f_k(d) >= f_j(d), for j < k and
+    0 < s_j < s_k: d = ((k+1) - r(j+1)) / (r-1) with
+    log r = log(s_k/s_j) / (1-alpha) = inv * log(s_k/s_j); -inf when r
+    overflows, for then k wins from the first distance."""
+    log_r = math.log1p((s_k - s_j) / s_j) * inv
+    if log_r > 700.0:
+        return -math.inf
+    return (k - j) / math.expm1(log_r) - (j + 1)
+
+
+def _winner_breaks(S: np.ndarray, vertices: list[int], alpha: float) -> list[float]:
+    """The distances at which the best vertex changes, ascending, by one
+    convex-hull-trick pass over the vertices with S > 0 and strictly rising
+    S (a later vertex with the same S is longer and never wins). Each kept
+    vertex wins from its crossing with the one below it on the stack; a
+    vertex beaten by the next one before it starts to win is popped."""
+    inv = 1.0 / (1.0 - alpha)
+    stack: list[tuple[int, float, float]] = []  # (vertex, S, start)
+    last = 0.0
+    for k in vertices:
+        s_k = float(S[k])
+        if not s_k > last:
+            continue
+        last = s_k
+        start = -math.inf
+        while stack:
+            j, s_j, start_j = stack[-1]
+            start = _crossing(j, k, s_j, s_k, inv)
+            if start > start_j:
+                break
+            stack.pop()
+            start = -math.inf
+        stack.append((k, s_k, start))
+    return [start for _, _, start in stack[1:]]
+
+
+# Scores in _envelope's batch of seed distances (2 MB). When a window holds
+# more crossings than fit, the seeds come from an even share of them, and
+# the segments between split at their midpoints.
+_SEED_SCORES = 2**18
+# Hulls of up to this many points are profiled in one dense (W, W) pass,
+# wider ones by their chain pairs or the row sweep: counting the chain
+# build, the dense pass was the faster up to W = 128 and the slower from 192.
+_DENSE_MAX = 128
 
 
 def _pair_profile(P: np.ndarray, w: np.ndarray, chains) -> np.ndarray:
     """The hull profile as a max over the (left-chain x right-chain) pairs of
-    each point, from the chains of _hull_chains, or the row sweep when those
+    each point, from the chains of _Geometry, or the row sweep when those
     are None.
 
     The deeper side's chains are walked one step at a time for all W points
@@ -294,11 +400,19 @@ class MaximalEvaluator:
     def _weights(self) -> np.ndarray:
         return alpha_weights(self._vals.size, self.alpha)
 
+    @property
+    def _geometry(self) -> _Geometry:
+        geometry = _GEOMETRY.get(self.a)
+        if geometry is None:
+            geometry = _GEOMETRY[self.a] = _Geometry(self._P)
+        return geometry
+
     def _profile_on_hull(self) -> np.ndarray:
         if self._hull_profile is None:
-            if self.a not in _CHAINS:
-                _CHAINS[self.a] = _hull_chains(self._P)
-            self._hull_profile = _pair_profile(self._P, self._weights, _CHAINS[self.a])
+            if self._vals.size <= _DENSE_MAX:
+                self._hull_profile = _dense_profile(self._P, self._weights)
+            else:
+                self._hull_profile = _pair_profile(self._P, self._weights, self._geometry.chains)
         return self._hull_profile
 
     def max_value(self) -> float:
@@ -306,17 +420,42 @@ class MaximalEvaluator:
             return 0.0
         return float(self._profile_on_hull().max())
 
-    def _envelope(self, first: int, count: int, S: np.ndarray) -> np.ndarray:
+    def _envelope(self, first: int, count: int, S: np.ndarray, vertices: list[int]) -> np.ndarray:
         """max_j (d + j + 1)^(alpha-1) * S[j] for the count distances
         d = first, first + 1, ... from first >= 1.
 
         A segment of distances carries the first near-best candidate at its
         left end and the last one at its right end; by the monotone argmax, no
-        other candidate can win strictly inside it. Segments are split at the
-        midpoint (explicit stack) until their two candidates agree.
+        other candidate can win strictly inside it. The first and last
+        distances and the two distances either side of each crossing of the
+        winning vertices (_winner_breaks) are scored against all candidates
+        in one batch, and the segments between them are split at the
+        midpoint (explicit stack) until their two candidates agree. A wrong
+        crossing only costs a split: every value comes from that rule.
         """
         beta = self.alpha - 1.0
         vals = np.empty(count)
+        last = count - 1
+        W = S.size
+        breaks = [b for b in _winner_breaks(S, vertices, self.alpha) if first < b < first + last]
+        # at most _SEED_SCORES // W seed rows, the two ends among them
+        share = (_SEED_SCORES // W - 2) // 2
+        if len(breaks) > share:
+            breaks = breaks[:: -(-len(breaks) // share)] if share > 0 else []
+        seeds = {0, last}
+        for b in breaks:
+            i = math.floor(b) - first
+            seeds.update((i, i + 1))
+        seeds = sorted(seeds)
+        idx = np.array(seeds)
+        # int lengths d + j + 1 cast to float, as _scores takes them
+        lengths = (idx + (first + 1))[:, None] + np.arange(W)
+        rows = np.power(lengths.astype(np.float64), beta) * S
+        best = rows.max(axis=1)
+        vals[idx] = best
+        near = rows >= (best * _NEAR_MAX)[:, None]
+        los = near.argmax(axis=1).tolist()
+        his = (W - 1 - near[:, ::-1].argmax(axis=1)).tolist()
 
         def score(i: int, lo: int, hi: int) -> tuple[int, int]:
             row = _scores(first + i, S, lo, hi, beta)
@@ -325,11 +464,7 @@ class MaximalEvaluator:
             near = np.flatnonzero(row >= best * _NEAR_MAX)
             return lo + int(near[0]), lo + int(near[-1])
 
-        last = count - 1
-        first_lo, hi = score(0, 0, S.size - 1)
-        if last > 0:
-            _, hi = score(last, 0, S.size - 1)
-        stack = [(0, last, first_lo, hi)]
+        stack = [(i, k, lo, hi) for i, k, lo, hi in zip(seeds, seeds[1:], los, his[1:])]
         while stack:
             i, k, lo, hi = stack.pop()
             if k - i < 2:
@@ -377,11 +512,13 @@ class MaximalEvaluator:
             # distances from hull.lo - end up to hull.lo - window.lo, reversed
             end = min(window.hi, hull.lo - 1)
             count = end - window.lo + 1
-            out[:count] = self._envelope(hull.lo - end, count, self._S_left)[::-1]
+            left = self._geometry.left
+            out[:count] = self._envelope(hull.lo - end, count, self._S_left, left)[::-1]
         if window.hi > hull.hi:
             start = max(window.lo, hull.hi + 1)
             count = window.hi - start + 1
-            out[start - window.lo :] = self._envelope(start - hull.hi, count, self._S_right)
+            right = self._geometry.right
+            out[start - window.lo :] = self._envelope(start - hull.hi, count, self._S_right, right)
         return out
 
     def _last_above(self, ss: np.ndarray, right: bool) -> np.ndarray:
@@ -420,8 +557,9 @@ class MaximalEvaluator:
         if hull is None or ss.size == 0:
             return [[] for _ in range(ss.size)]
         if self._hull_profile is None and self._weights[-1] * self._P[-1] > ss.max():
-            # every hull point lies in the whole hull, whose float the sweep
-            # scores and the pair path reaches, so the profile is >= it there
+            # every hull point lies in the whole hull, whose float the dense
+            # pass and the sweep score and the pair path reaches, so the
+            # profile is >= it there
             runs = [[hull] for _ in range(ss.size)]
         else:
             mask = (self._profile_on_hull() > ss[:, None]).astype(np.int8)

@@ -6,10 +6,15 @@ A few Newton steps on log rho in log lam, each an exact evaluation checked
 against a proven rounding bound, certify a narrower bracket around the root.
 Midpoints outside it are decided without evaluating the modular, so every
 returned bit is that of evaluating each midpoint, at about 7 modular passes
-per norm instead of about 45. characteristic_norms steps the brackets of a
-whole batch of indicator norms together, one evaluator call per Newton step
-for every row still stepping, so a weak-type grid of 40 norms takes about
-5.5 batched calls plus about 1.2 plain passes per norm.
+per norm instead of about 45. Window points outside p's window all take
+p_inf, so luxemburg_norm's bracket sums their terms once, at lam = max|a|,
+and each evaluation adds that tail times (max|a|/lam)^p_inf to the powers
+of the inner points: a strong-type window of up to 2^15 + W points costs
+one pass for the tail and then about W + 16 points per Newton step.
+characteristic_norms steps the brackets of a whole batch of indicator norms
+together, one evaluator call per Newton step for every row still stepping,
+so a weak-type grid of 40 norms takes about 5.5 batched calls plus about
+1.2 plain passes per norm.
 """
 
 from __future__ import annotations
@@ -194,6 +199,17 @@ def _bisect(mod_at: Callable, lo: float, hi: float, rel_tol: float, A: float, B:
       to float, the product and the final add are three roundings on that
       term, and the final add is one more on the inner sum, so its chain is
       max(n_inner, 3) where luxemburg_norm's is N - 1.
+    - luxemburg_norm's bracket evaluator, when some of the N window points
+      lie outside p's window, sums their terms once, T = sum (v_i/lo)^p_inf
+      with lo = max v_i (so every base is at most 1), and adds
+      fl(lo/lam)^p_inf * T to the sum of the inner terms. A tail term then
+      passes through its first division and pow (ceil(p_inf) + 2 POW_ULPS,
+      like any term), at most N - 1 roundings in T, the second division and
+      pow (ceil(p_inf) + 2 POW_ULPS more), the product and the final add;
+      an inner term through its division, pow, the inner sum and the final
+      add. So chain = N - 1 + ceil(p_plus) + 2 POW_ULPS + 2 covers both, and
+      its eps_b >= eps certifies for the plain modular by the
+      batched-certificate argument above; the plain modular keeps N - 1.
     Factors within gamma_a and gamma_b multiply to within gamma_(a+b)
     (Higham, Accuracy and Stability of Numerical Algorithms, Lemma 3.3), so
     |fl_m - m| <= gamma_n m with n = chain + ceil(p_plus) + 2 POW_ULPS, and
@@ -202,6 +218,10 @@ def _bisect(mod_at: Callable, lo: float, hi: float, rel_tol: float, A: float, B:
     below 2^-1022, whose absolute errors sum to eta < 2^-900, far inside the
     slack. Overflow cannot occur: every evaluation is at lam >= lo (1 - delta)
     and both brackets start at lo >= max v_i, so no base exceeds 1 + delta.
+    The same holds for the tail: a term (v_i/lo)^p_inf that underflows is
+    off by at most 2^-1072 and is scaled by (lo/lam)^p_inf < 2, and an
+    underflowed factor (lo/lam)^p_inf is off by at most 2^-1072 and scales
+    T <= N, so both add well under 2^-900 to eta.
     """
     if hi <= lo:
         return NormValue(lo, mod_at(lo), rel_tol, 0)
@@ -242,22 +262,38 @@ def luxemburg_norm(a: Sequence, p: ExponentFunction, rel_tol: float = 1e-12) -> 
     def mod_at(lam: float) -> float:
         return float(np.power(v / lam, pv).sum())
 
-    # one product gives the sum of the terms (in some order, as the rounding
-    # bound allows) and their slope weights
-    ones_pv = np.ones((2, pv.size))
-    ones_pv[1] = pv
+    lo = a.max_value()
+    hi = max(lo, a.total())
+    # the window points inside p's window are v[i0:i1]; the rest take p_inf
+    i0 = min(max(p.window_lo - win.lo, 0), v.size)
+    i1 = max(min(p.window_lo + p.values.size - win.lo, v.size), i0)
+    inner, inner_pv = v[i0:i1], pv[i0:i1]
+    # one product gives the sum of the inner terms (in some order, as the
+    # rounding bound allows) and their slope weights
+    ones_pv = np.ones((2, inner.size))
+    ones_pv[1] = inner_pv
+    chain, tail, p_inf = v.size - 1, 0.0, p.p_inf
+    if inner.size < v.size:
+        # the tail's terms are (lo/lam)^p_inf (v_i/lo)^p_inf, summed once
+        # here (derivation in _bisect)
+        tail = float(np.power(np.concatenate([v[:i0], v[i1:]]) / lo, np.float64(p_inf)).sum())
+        if tail:
+            chain += math.ceil(p.p_plus) + 2 * POW_ULPS + 2
 
     def mods(lams: list[float], rows: list[int]):
         ms, weighted = [], []
         for lam in lams:
-            m, w = (ones_pv @ np.power(v / lam, pv)).tolist()
+            m = w = 0.0
+            if inner.size:
+                m, w = (ones_pv @ np.power(inner / lam, inner_pv)).tolist()
+            if tail:
+                t = tail * math.pow(lo / lam, p_inf)
+                m, w = m + t, w + p_inf * t
             ms.append(m)
             weighted.append(w)
         return ms, weighted
 
-    lo = a.max_value()
-    hi = max(lo, a.total())
-    eps = _rounding_bound(v.size - 1, p.p_plus)
+    eps = _rounding_bound(chain, p.p_plus)
     (A,), (B,) = _bracket(mods, [lo], [hi], eps)
     return _bisect(mod_at, lo, hi, rel_tol, A, B)
 

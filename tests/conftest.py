@@ -25,6 +25,9 @@ ladder, one mask and its runs per rung, and decomposes every rung whose
 shell is not empty; the E-set oracle raises each E-set run's average to its
 slice of the exponents read point by point. The library's partition and
 domination sums must match them bit for bit.
+
+adversarial_sequences, a hypothesis strategy of long zero runs and a lone
+far spike, feeds both the partition and the exterior profile oracle tests.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 from varseq.czd import (
     COVERING_FACTOR,
@@ -403,3 +407,22 @@ def plain_domination_sums(
         for run in runs:
             e_sum += float(np.power(avg, qv[run.lo - lo : run.hi - lo + 1]).sum())
     return lhs, e_sum
+
+
+@st.composite
+def adversarial_sequences(draw):
+    """A body of 1..8 values with interior zeros, and on one side a zero run
+    of up to 3,000 points and a lone spike 1e-3..1e3 times the body's peak;
+    offsets near 0 or near 2**40."""
+    body = draw(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=8))
+    for i in draw(st.lists(st.integers(1, 6), max_size=3)):
+        if i < len(body) - 1:
+            body[i] = 0.0
+    gap = draw(st.one_of(st.integers(0, 8), st.integers(500, 3000)))
+    spike = max(body) * 10.0 ** draw(st.floats(-3.0, 3.0))
+    vals = body + [0.0] * gap + [spike]
+    if draw(st.booleans()):
+        vals.reverse()
+    near_2_40 = st.integers(-64, 64).map(lambda d: 2**40 + d)
+    offset = draw(st.one_of(st.integers(-1000, 1000), near_2_40))
+    return Sequence(offset, vals)

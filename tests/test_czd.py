@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import plain_domination_sums, plain_level_set_partition, recursive_cz_decompose
+from conftest import (
+    adversarial_sequences,
+    plain_domination_sums,
+    plain_level_set_partition,
+    recursive_cz_decompose,
+)
 from varseq import czd
 from varseq.czd import (
     _DyadicTable,
@@ -402,25 +407,6 @@ def _assert_partition_matches_oracle(a, p, alpha, t):
 
 
 @st.composite
-def _adversarial_sequences(draw):
-    """A body of 1..8 values with interior zeros, and on one side a zero run
-    of up to 3,000 points and a lone spike 1e-3..1e3 times the body's peak;
-    offsets near 0 or near 2**40."""
-    body = draw(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=8))
-    for i in draw(st.lists(st.integers(1, 6), max_size=3)):
-        if i < len(body) - 1:
-            body[i] = 0.0
-    gap = draw(st.one_of(st.integers(0, 8), st.integers(500, 3000)))
-    spike = max(body) * 10.0 ** draw(st.floats(-3.0, 3.0))
-    vals = body + [0.0] * gap + [spike]
-    if draw(st.booleans()):
-        vals.reverse()
-    near_2_40 = st.integers(-64, 64).map(lambda d: 2**40 + d)
-    offset = draw(st.one_of(st.integers(-1000, 1000), near_2_40))
-    return Sequence(offset, vals)
-
-
-@st.composite
 def _exponents_near(draw, a):
     """A constant exponent, or p_inf with a window of values in [1.05, 1.9]
     whose ends lie within 64 points of the hull's ends or inside it, so that
@@ -437,7 +423,7 @@ def _exponents_near(draw, a):
 
 @pytest.mark.parametrize("alpha", ALPHAS)
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@given(data=st.data(), a=_adversarial_sequences(), t=st.sampled_from([0.01, 0.05, 0.1]))
+@given(data=st.data(), a=adversarial_sequences(), t=st.sampled_from([0.01, 0.05, 0.1]))
 def test_partition_matches_plain_oracle(alpha, data, a, t):
     """Long zero runs and lone far spikes, at every alpha, with exponents
     that are constant or whose window edges cut the partition's runs. The

@@ -11,8 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DENSE_TABLE_LIMIT, WINDOW_PLACEMENTS, brute_force_profile, placed_window
-from varseq.harness import CorpusSpec, XorShift64Star, _sub_seed, generate_corpus
+from conftest import (
+    DENSE_TABLE_LIMIT,
+    WINDOW_PLACEMENTS,
+    adversarial_sequences,
+    brute_force_profile,
+    placed_window,
+)
+from varseq.harness import CorpusSpec, XorShift64Star, _sub_seed, generate_corpus, run_verification_suite
 from varseq import maximal
 from varseq.lattice import Sequence, ZInterval, cardinality, dilate, runs_from_mask
 from varseq.maximal import (
@@ -391,6 +397,147 @@ def test_near_max_margin_keeps_rounding_winners():
         _assert_matches_oracle(Sequence(0, vals), alpha, ZInterval(n - 2, n + 2))
 
 
+# The envelope's seeded segments against the dense oracle, where the seeds
+# are hardest to place: ties at a crossing nudged by ulps, runs of
+# candidates tied to within rounding, alpha near 1, partial sums from
+# 1e-300 to 1e300, a side whose first partial sum rounds to 0, long zero
+# runs and a lone far spike.
+
+_NEAR_ONE = st.sampled_from([0.96875, 0.984375])
+_envelope_alphas = st.one_of(_NEAR_ONE, _alphas)
+
+
+@st.composite
+def _nudged_ties(draw):
+    """Hull index 0 and hull index k tie in exact arithmetic at distance d0
+    on one side, (d0 + k + 1)^(alpha-1) S[k] = (d0 + 1)^(alpha-1) S[0], with
+    S[k] nudged by up to 3 ulps; the window holds d0."""
+    alpha = draw(_envelope_alphas)
+    k = draw(st.integers(1, 40))
+    d0 = draw(st.one_of(st.integers(1, 2**12), st.integers(2**12, 2**40)))
+    s0 = 10.0 ** draw(st.floats(-12.0, 12.0))
+    sk = s0 * ((d0 + k + 1) / (d0 + 1)) ** (1.0 - alpha)
+    sk *= 1.0 + draw(st.integers(-3, 3)) * 2.0**-52
+    vals = [s0] + [0.0] * (k - 1) + [sk - s0]
+    return _on_side(draw, vals, alpha, d0)
+
+
+@st.composite
+def _near_collinear(draw):
+    """Partial sums s0 (1 + j delta) with each step nudged by up to 4 ulps:
+    neighbouring candidates cross near distance (1 - alpha) / delta, and
+    many of them tie there to within the near-max margin."""
+    alpha = draw(_envelope_alphas)
+    s0, delta = 10.0 ** draw(st.floats(-12.0, 12.0)), 10.0 ** draw(st.floats(-15.0, -9.0))
+    nudges = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=40))
+    vals = [s0] + [s0 * delta * (1.0 + k * 2.0**-52) for k in nudges]
+    return _on_side(draw, vals, alpha, max(1, int((1.0 - alpha) / delta)))
+
+
+@st.composite
+def _wide_range(draw):
+    """Values from 1e-300 to 1e300 with interior zeros; or a large value
+    and one below half its ulp, so that one side's first partial sum
+    P[W] - P[W-1] rounds to 0."""
+    alpha = draw(_envelope_alphas)
+    if draw(st.booleans()):
+        big = 10.0 ** draw(st.floats(-280.0, 280.0))
+        vals = [big] + [0.0] * draw(st.integers(0, 6)) + [big * 10.0 ** -draw(st.floats(17.0, 20.0))]
+    else:
+        exps = draw(st.lists(st.floats(-300.0, 300.0), min_size=1, max_size=48))
+        vals = [10.0**e for e in exps]
+        for i in draw(st.lists(st.integers(1, 46), max_size=8)):
+            if i < len(vals) - 1:
+                vals[i] = 0.0
+    return _on_side(draw, vals, alpha, draw(_distances))
+
+
+@st.composite
+def _adversarial(draw):
+    a = draw(adversarial_sequences())
+    return _on_side(draw, a.values.tolist(), draw(_envelope_alphas), draw(_distances), a.offset)
+
+
+_distances = st.one_of(st.integers(1, 64), st.integers(64, 5000), st.integers(2**20, 2**40))
+
+
+def _on_side(draw, vals, alpha, d, offset=0):
+    """(sequence, alpha, window): a window of up to 24 points around
+    distance d from the hull on either side, in either orientation, or
+    around a crossing of the winning vertices as _winner_breaks puts it."""
+    if draw(st.booleans()):
+        vals = vals[::-1]
+    a = Sequence(offset, vals)
+    right = draw(st.booleans())
+    if draw(st.booleans()):
+        ev = MaximalEvaluator(a, alpha)
+        S, vertices = (ev._S_right, ev._geometry.right) if right else (ev._S_left, ev._geometry.left)
+        breaks = [b for b in maximal._winner_breaks(S, vertices, alpha) if 1.0 <= b < 2.0**40]
+        if breaks:
+            d = math.floor(draw(st.sampled_from(breaks)))
+    hull = a.support_hull()
+    n = hull.hi + d if right else hull.lo - d
+    half = draw(st.integers(0, 12))
+    return a, alpha, ZInterval(n - half, n + half)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.one_of(_nudged_ties(), _near_collinear(), _wide_range(), _adversarial()))
+def test_envelope_seeds_match_oracle(case):
+    """Every value of a window, and each point() on it, is the dense
+    oracle's float, however the crossings that seed the envelope round."""
+    _assert_matches_oracle(*case)
+
+
+def test_envelope_seeds_at_alpha_near_one_and_zero_first_sum():
+    """Two inputs that broke crossings taken without log space: at alpha =
+    0.96875, r = (S[k]/S[j])^32 = (1e20)^32 overflows, and
+    Sequence(0, [1e10, 1e-7]) has right-side partial sums [0, 1e10], so a
+    ratio with S[0] divides by zero. Both keep the oracle's floats; the zero
+    sum is no seed vertex."""
+    a = Sequence(0, [1.0, 0.0, 1e20])
+    for alpha in (0.96875, 0.984375):
+        _assert_matches_oracle(a, alpha, ZInterval(-40, -1))
+        _assert_matches_oracle(a, alpha, ZInterval(3, 40))
+    b = Sequence(0, [1e10, 1e-7])
+    ev = MaximalEvaluator(b, 0.25)
+    assert ev._S_right.tolist() == [0.0, 1e10]
+    assert maximal._winner_breaks(ev._S_right, ev._geometry.right, 0.25) == []
+    _assert_matches_oracle(b, 0.25, ZInterval(2, 40))
+    _assert_matches_oracle(b, 0.25, ZInterval(-40, -1))
+
+
+# Midpoint scorings inside _envelope over default verify's strong_type and
+# domination windows: 4,988 when only the two ends seeded the segments.
+MIDPOINT_SCORES_MAX = 60
+
+
+def test_envelope_midpoint_scores_on_default_corpus(monkeypatch):
+    """Seeded at the crossings of the winning vertices, the envelope fills
+    nearly every segment without a midpoint: at most about 1% of the
+    4,988 midpoint scorings that splitting from the two ends took."""
+    inside, scored, calls = [0], [0], [0]
+    scores, envelope = maximal._scores, MaximalEvaluator._envelope
+
+    def counted_scores(*args):
+        scored[0] += inside[0]
+        return scores(*args)
+
+    def counted_envelope(self, *args):
+        inside[0], calls[0] = 1, calls[0] + 1
+        try:
+            return envelope(self, *args)
+        finally:
+            inside[0] = 0
+
+    monkeypatch.setattr(maximal, "_scores", counted_scores)
+    monkeypatch.setattr(MaximalEvaluator, "_envelope", counted_envelope)
+    spec = CorpusSpec(20260814, 24, 48, "uniform01", "lh-decay", ALPHAS)
+    run_verification_suite(spec, checks=["strong_type", "domination"])
+    assert calls[0] > 0
+    assert scored[0] <= MIDPOINT_SCORES_MAX
+
+
 # The hull profile (convex-chain pairs scored one chain step at a time, or
 # the row sweep when that would score more than W^2 pairs) against the
 # rectangle oracle, bitwise, on laws where chains are long or rounding
@@ -473,41 +620,56 @@ def _chain_depths(a: Sequence) -> tuple[int, int]:
 
 
 def test_hull_profile_path_selected_by_pair_count(monkeypatch):
-    swept = []
-    sweep = maximal._sweep_profile
+    """Hulls of at most _DENSE_MAX points take the dense pass; wider ones
+    their chain pairs, or the row sweep when the chains' depth product
+    exceeds W. The pair path stays covered at small W by calling it
+    directly."""
+    paths = []
 
-    def spy(P, w):
-        swept.append(P.size - 1)
-        return sweep(P, w)
+    def spy(name):
+        real = getattr(maximal, name)
 
-    monkeypatch.setattr(maximal, "_sweep_profile", spy)
-    # random values: short chains, scored by chain steps; and corpus hulls of
-    # W = 42 with chain depths 6 x 6 and 8 x 5 (depth products at most W,
-    # though their pairs outnumber the W(W+1)/2 intervals) and 4 x 7
+        def call(P, *args):
+            paths.append((name, P.size - 1))
+            return real(P, *args)
+
+        monkeypatch.setattr(maximal, name, call)
+
+    for name in ("_dense_profile", "_pair_profile", "_sweep_profile"):
+        spy(name)
+    # corpus hulls of W = 42 with chain depths 6 x 6 and 8 x 5 (depth
+    # products at most W, though their pairs outnumber the W(W+1)/2
+    # intervals) and of W = 36 with 4 x 7: dense, and scored by chain steps
+    # when asked
     items = generate_corpus(CorpusSpec(20260814, 24, 48, "spike", "lh-decay", ALPHAS))
-    cases = [
-        (Sequence(0, np.random.default_rng(3).random(512)), None),
-        (items[1].a, (6, 6)),
-        (items[10].a, (8, 5)),
-        (items[15].a, (4, 7)),
-    ]
-    for a, depths in cases:
+    for i, W, depths in ((1, 42, (6, 6)), (10, 42, (8, 5)), (15, 36, (4, 7))):
+        a = items[i].a
         hull = a.support_hull()
-        if depths is not None:
-            assert _chain_depths(a) == depths
+        assert (cardinality(hull), _chain_depths(a)) == (W, depths)
+        P, chains = _all_chains(a)
         for alpha in ALPHAS:
-            prof = MaximalEvaluator(a, alpha).profile(hull)
-            assert np.array_equal(prof, brute_force_profile(a, alpha, hull))
-    assert swept == []
+            want = brute_force_profile(a, alpha, hull)
+            paths.clear()
+            assert np.array_equal(MaximalEvaluator(a, alpha).profile(hull), want)
+            assert paths == [("_dense_profile", W)]
+            assert np.array_equal(maximal._pair_profile(P, alpha_weights(W, alpha), chains), want)
+    # random values: short chains, scored by chain steps
+    a = Sequence(0, np.random.default_rng(3).random(512))
+    for alpha in ALPHAS:
+        paths.clear()
+        prof = MaximalEvaluator(a, alpha).profile(a.support_hull())
+        assert np.array_equal(prof, brute_force_profile(a, alpha, a.support_hull()))
+        assert paths == [("_pair_profile", 512)]
     # a constant sequence keeps every point on both chains (depths W x W),
     # so it is swept; with unit values every interval of length k
     # scores w[k-1] * k, and every length fits around every point
     W = 4096
     for alpha in ALPHAS:
+        paths.clear()
         prof = MaximalEvaluator(Sequence(0, np.ones(W)), alpha).profile(ZInterval(0, W - 1))
         want = (alpha_weights(W, alpha) * np.arange(1, W + 1)).max()
         assert np.all(prof == want)
-    assert swept == [W] * len(ALPHAS)
+        assert paths == [("_pair_profile", W), ("_sweep_profile", W)]
 
 
 def test_hull_chains_built_once_per_sequence(monkeypatch):

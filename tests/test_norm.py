@@ -11,7 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from conftest import constant_norm_oracle, plain_characteristic_norm, plain_luxemburg_norm
+from conftest import (
+    WINDOW_PLACEMENTS,
+    constant_norm_oracle,
+    placed_window,
+    plain_characteristic_norm,
+    plain_luxemburg_norm,
+)
 from varseq import harness, norm
 from varseq.exponent import ExponentFunction
 from varseq.harness import (
@@ -249,6 +255,36 @@ def test_luxemburg_norm_bit_identical_to_plain_bisection(inputs):
     assert _bits(luxemburg_norm(a, p)) == _bits(plain_luxemburg_norm(a, p))
 
 
+@st.composite
+def _tail_inputs(draw):
+    """A sequence window wholly left or right of the exponent window, across
+    one or both of its ends, inside it or one point, or under a constant
+    exponent; values down to 1e-300, whose terms (v/max|a|)^p_inf underflow
+    for any p_inf >= 1."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q_max = draw(st.floats(1.0, Q_MAX))
+    p_width = draw(st.integers(1, 2**12))
+    p = ExponentFunction(0, rng.uniform(1.0, q_max, p_width), draw(st.floats(1.0, q_max)))
+    if draw(st.booleans()):
+        p = ExponentFunction.constant(p.p_inf)
+    where = draw(st.sampled_from(WINDOW_PLACEMENTS))
+    win = placed_window(0, p_width - 1, where, draw(st.integers(1, 2**12)), draw(st.integers(1, 2**15)))
+    n = win.hi - win.lo + 1
+    lowest = draw(st.sampled_from([-12.0, -300.0]))
+    v = np.exp(rng.uniform(math.log(10.0**lowest), 0.0, n)) * 10.0 ** draw(st.floats(-12.0, 12.0))
+    v[rng.integers(0, n, size=draw(st.integers(0, 3)))] = 0.0
+    return Sequence(win.lo, v), p
+
+
+@_property
+@given(_tail_inputs())
+def test_luxemburg_norm_tail_bit_identical_to_plain_bisection(inputs):
+    """The bracket sums the terms outside the exponent window once and
+    rescales them per evaluation; the bisection's modular is untouched."""
+    a, p = inputs
+    assert _bits(luxemburg_norm(a, p)) == _bits(plain_luxemburg_norm(a, p))
+
+
 @_property
 @given(_run_sets())
 def test_characteristic_norm_bit_identical_to_plain_bisection(inputs):
@@ -466,7 +502,8 @@ def test_bracket_certificates_hold(monkeypatch):
     """A and B are evaluated points that clear the margin on the evaluator
     that issued them, and each row's plain float modular keeps its side of
     1 on 64 floats beyond each, where rounding noise is largest relative to
-    the modular's slope; for single norms and for grid batches."""
+    the modular's slope; for single norms, with and without a tail outside
+    the exponent window, and for grid batches."""
     seen, _ = _spy_rows(monkeypatch)
     rng = np.random.default_rng(2026)
     for n in (1, 2, 3, 64, 1000, 2**12, 2**15):
@@ -476,6 +513,14 @@ def test_bracket_certificates_hold(monkeypatch):
             luxemburg_norm(a, p)
             characteristic_norm([ZInterval(0, n - 1), ZInterval(2**40, 2**40 + 2**50)], p)
             characteristic_norms(_nested_grid(n), p)
+            # the window's upper half, or none of it, inside p's window
+            q_inf, half = float(rng.uniform(1.0, Q_MAX)), (n + 1) // 2
+            q = ExponentFunction(half, rng.uniform(1.0, Q_MAX, n), q_inf)
+            for tail_p, tail in ((q, a.values[:half]), (ExponentFunction.constant(q_inf), a.values)):
+                luxemburg_norm(a, tail_p)
+                if tail.any():
+                    chain = n - 1 + math.ceil(tail_p.p_plus) + 2 * norm.POW_ULPS + 2
+                    assert seen[-1]["eps"] == norm._rounding_bound(chain, tail_p.p_plus)
     certified = bracketed = 0
     for row in seen:
         assert row["eps"] > 0.0
@@ -529,11 +574,13 @@ def test_rounding_bound_covers_measured_error(monkeypatch):
     """|fl_m - m| <= eps m against the modular in 200-bit arithmetic, at
     the bisection's low end and at both ends of the certified bracket, for
     every row: on the batched evaluator with the batch's eps, and on the
-    row's plain modular with the row's own eps. Rows come from single norms
-    and from grid batches."""
+    row's plain modular with the row's own eps. Rows come from single norms,
+    with and without a tail outside the exponent window, and from grid
+    batches."""
     mpmath.mp.prec = 200
     seen, _ = _spy_rows(monkeypatch)
     rng = np.random.default_rng(77)
+    tail_rows = 0
 
     def check(row, exact_at, row_eps):
         for lam in (row["lo"], row["A"], row["B"]):
@@ -550,13 +597,20 @@ def test_rounding_bound_covers_measured_error(monkeypatch):
                 continue
             pv = [mpmath.mpf(float(x)) for x in p.values_on(a.window)]
             p_inf = mpmath.mpf(p.p_inf)
-            luxemburg_norm(a, p)
-            if seen[-1]["hi"] > seen[-1]["lo"]:
+            # p's window covers a's window, its upper half, or none of it
+            upper = ExponentFunction(n // 2, p.values[n // 2 :], p.p_inf)
+            for lux_p in (p, upper, ExponentFunction.constant(p.p_inf)):
+                luxemburg_norm(a, lux_p)
+                if seen[-1]["hi"] <= seen[-1]["lo"]:
+                    continue
+                e_lux = [mpmath.mpf(float(x)) for x in lux_p.values_on(a.window)]
 
-                def exact_lux(lam):
-                    return sum(mpmath.mpf(float(x)) ** e / mpmath.mpf(lam) ** e for x, e in zip(v, pv))
+                def exact_lux(lam, e_lux=e_lux):
+                    return sum(mpmath.mpf(float(x)) ** e / mpmath.mpf(lam) ** e for x, e in zip(v, e_lux))
 
-                check(seen[-1], exact_lux, norm._rounding_bound(n - 1, p.p_plus))
+                plain_eps = norm._rounding_bound(n - 1, lux_p.p_plus)
+                check(seen[-1], exact_lux, plain_eps)
+                tail_rows += seen[-1]["eps"] > plain_eps
             starts = range(0, n, max(1, n // 3))
             sets = [[ZInterval(j, n - 1), ZInterval(10**6, 10**6 + 2**51)] for j in starts]
             characteristic_norm(sets[0], p)
@@ -569,6 +623,7 @@ def test_rounding_bound_covers_measured_error(monkeypatch):
                     return sum(r**e for e in pv[j:]) + (2**51 + 1) * r**p_inf
 
                 check(row, exact_ind, norm._rounding_bound(max(n - j, 3), p.p_plus))
+    assert tail_rows > 0
 
 
 # The plain bisection evaluates the modular about 45 times per norm here.
