@@ -8,7 +8,8 @@ The block averages do not depend on t, so one table per (sequence, alpha)
 holds them, a row per level over the blocks meeting the support hull, and
 each threshold's decomposition is a cut of it: the maximal blocks below
 N_t with average above t, sorted and disjoint, with averages in
-(t, 2^(1-alpha) t].
+(t, 2^(1-alpha) t]. The block sums are alpha-free too: one range_sums call
+per sequence (_block_sums).
 
 The level-set partition cuts the window profile of M_alpha at the rungs
 base^k, base = 9t, from the top rung (max M_alpha, where the set is empty)
@@ -47,7 +48,7 @@ from .lattice import (
     runs_subtract,
     runs_union,
 )
-from .maximal import MaximalEvaluator, _validate_alpha
+from .maximal import MaximalEvaluator, _geometry_of, _validate_alpha
 
 __all__ = [
     "CZDecomposition",
@@ -85,40 +86,64 @@ class CZDecomposition:
     n_t: int
 
 
+def _block_sums(a: Sequence) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Row starts (row L is starts[L]:starts[L+1]), sums of the blocks
+    meeting a's hull at levels 0..L_top, and each level's largest sum up to
+    level 62, kept in a's _Geometry. L_top is the first level >= 1 where the
+    hull is one block, or the two blocks either side of 0|1: where top_level
+    can first stop. A higher row's blocks each hold their whole side of the
+    hull, so it has row L_top's sums."""
+    geometry = _geometry_of(a)
+    if geometry.blocks is None:
+        hull = geometry.hull
+        los, his, starts = [], [], [0]
+        for level in range(63):
+            first, last = block_index_of(level, hull.lo), block_index_of(level, hull.hi)
+            lo = (np.arange(first, last + 1) - 1) * (1 << level) + 1
+            los.append(lo)
+            his.append(lo + ((1 << level) - 1))
+            starts.append(starts[-1] + lo.size)
+            if level and (first == last or (first == 0 and last == 1)):
+                break
+        sums = a.range_sums(np.concatenate(los), np.concatenate(his))
+        peaks = np.maximum.reduceat(sums, starts[:-1])
+        geometry.blocks = starts, sums, np.concatenate([peaks, np.full(63 - peaks.size, peaks[-1])])
+    return geometry.blocks
+
+
 class _DyadicTable:
-    """Row L: the indices of the level-L dyadic blocks meeting the hull,
-    their alpha-averages and the largest of them; each row is built on
-    first use."""
+    """Row L: the level-L blocks meeting the hull and their averages,
+    np.power(2^L, alpha-1) times the block sums, all in one product; an
+    array power has the bits of scalar ones
+    (test_power_of_scalars_matches_array_entries). A positive factor keeps
+    float order, so factor times largest sum is the row's peak."""
 
     def __init__(self, a: Sequence, alpha: float):
         self.alpha = _validate_alpha(alpha)
-        self.a = a
-        self.hull = a.support_hull()
-        self._rows: dict[int, tuple[np.ndarray, np.ndarray, float]] = {}
+        self.hull = _geometry_of(a).hull
+        if self.hull is not None:  # decompose rejects a zero sequence
+            self._starts, self._sums, peak_sums = _block_sums(a)
+            self._factors = np.power(np.ldexp(1.0, np.arange(63)), self.alpha - 1.0)
+            per_entry = np.repeat(self._factors[: len(self._starts) - 1], np.diff(self._starts))
+            self._avgs = per_entry * self._sums
+            self._peaks = (self._factors * peak_sums).tolist()
 
-    def row(self, level: int) -> tuple[np.ndarray, np.ndarray, float]:
-        if level not in self._rows:
-            width = 1 << level
-            first, last = (block_index_of(level, n) for n in (self.hull.lo, self.hull.hi))
-            js = np.arange(first, last + 1)
-            los = (js - 1) * width + 1
-            sums = self.a.range_sums(los, los + width - 1)
-            avgs = np.power(float(width), self.alpha - 1.0) * sums
-            self._rows[level] = (js, avgs, float(avgs.max()))
-        return self._rows[level]
+    def row(self, level: int) -> tuple[np.ndarray, np.ndarray]:
+        hull, starts = self.hull, self._starts
+        js = np.arange(block_index_of(level, hull.lo), block_index_of(level, hull.hi) + 1)
+        if level < len(starts) - 1:
+            return js, self._avgs[starts[level] : starts[level + 1]]
+        return js, self._factors[level] * self._sums[starts[-2] :]
 
     def top_level(self, t: float) -> int:
-        """N_t. The scan stops at a light row of one block, or of the two
-        blocks on either side of the 0|1 boundary (which persists at every
-        level); each holds its whole side of the hull, so higher levels only
-        shrink the averages. The averages are finite, so a row has one above
-        t exactly when its largest is."""
+        """N_t. The scan stops at a light row from L_top on; each of its
+        blocks holds its whole side of the hull, so higher levels only shrink
+        the averages. A row has one above t exactly when its peak is."""
         last_heavy = 0
         for level in range(1, 63):
-            js, _, peak = self.row(level)
-            if peak > t:
+            if self._peaks[level] > t:
                 last_heavy = level
-            elif js.size == 1 or (js.size == 2 and js[0] == 0):
+            elif level >= len(self._starts) - 2:
                 return last_heavy + 1
         raise ValueError("threshold too small for the dyadic level search")
 
@@ -133,7 +158,7 @@ class _DyadicTable:
         covered = np.zeros(self.row(n_t)[0].size, dtype=bool)
         found: list[tuple[ZInterval, float]] = []
         for level in range(n_t - 1, -1, -1):
-            js, avgs, _ = self.row(level)
+            js, avgs = self.row(level)
             # block j sits under block ceil(j/2) one level up
             covered = covered[-((-js) // 2) - block_index_of(level + 1, self.hull.lo)]
             hit = (avgs > t) & ~covered

@@ -17,8 +17,10 @@ against the other side's chains. Inputs whose deepest chains would make that
 more than W^2 pairs, max(depth_l) * max(depth_r) > W (near-collinear prefix
 sums), are swept row by row instead. The chains depend on the prefix sums
 alone, so they are built once per Sequence (_Geometry, cached by
-identity) and shared by the evaluators of every alpha. Every path takes the
-same float w[h-l-1] * (P[h]-P[l]) of each interval.
+identity, on first use) and shared by the evaluators of every alpha. Every
+path takes the same float w[h-l-1] * (P[h]-P[l]) of each interval, so an
+in-hull point() on the pair path scores just its own chains' pairs until
+the profile is built.
 
 Outside the hull, at distance d >= 1 from its near end, the candidates are
 the intervals from n to each hull index j (counted from that end):
@@ -203,43 +205,56 @@ def _dense_profile(P: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def _chain_from(pred: np.ndarray, start: int) -> list[int]:
     """The chain start -> pred[start] -> ... down to its bottom point."""
-    pred = pred.tolist()
     chain = [start]
-    while pred[chain[-1]] != chain[-1]:
-        chain.append(pred[chain[-1]])
+    while (nxt := pred.item(chain[-1])) != chain[-1]:
+        chain.append(nxt)
     return chain
 
 
 class _Geometry:
-    """The alpha-free geometry of the hull with prefix sums P, from one
-    _convex_chains pass per side.
+    """The alpha-free geometry of one Sequence: its hull, the hull's prefix
+    sums P (a view of the sequence's own, the same bits: zeros add exactly
+    and cumsum adds in order), czd's dyadic block sums (blocks, set there),
+    and, built on first use from one _convex_chains pass per side:
 
     chains is (pred_l, max depth_l, pred_r, max depth_r) for _pair_profile,
     or None when scoring their pairs would take more than W^2 scores,
     max(depth_l) * max(depth_r) > W, and the hull is swept instead.
 
-    left and right, read on first use, are the exterior vertices of each
-    side: the indices j, ascending, of the upper convex hull of the points
-    (j, S[j]) of its partial sums S from the near end (with _convex_chains'
-    slack, so near-collinear points stay). They are the chains from the last
-    point: the right ends' chain from P[1] is the upper hull of P[1..W],
-    which is S_left read backwards, and the left ends' chain from P[W-1] is
-    the lower hull of P[0..W-1], which is P[W] - S_right read backwards.
+    left and right are the exterior vertices of each side: the indices j,
+    ascending, of the upper convex hull of the points (j, S[j]) of its
+    partial sums S from the near end (with _convex_chains' slack, so
+    near-collinear points stay). They are the chains from the last point:
+    the right ends' chain from P[1] is the upper hull of P[1..W], which is
+    S_left read backwards, and the left ends' chain from P[W-1] is the
+    lower hull of P[0..W-1], which is P[W] - S_right read backwards.
     """
 
-    def __init__(self, P: np.ndarray):
-        W = P.size - 1
+    def __init__(self, a: Sequence):
+        self.hull = hull = a.support_hull()
+        if hull is None:
+            self.P = a._prefix[:1]
+        else:
+            self.P = a._prefix[hull.lo - a.offset : hull.hi - a.offset + 2]
+        self.blocks = None
+
+    @cached_property
+    def _preds(self) -> tuple[np.ndarray, int, np.ndarray, int]:
+        P = self.P
         y = np.ldexp(P, -int(np.frexp(P[-1])[1]))
-        pred_l, depth_l = _convex_chains(y[:W].tolist())
+        pred_l, depth_l = _convex_chains(y[:-1].tolist())
         # right ends h = W, W-1, ..., 1 at positions 0..W-1; point n starts at W-1-n
         pred_r, depth_r = _convex_chains((-y[:0:-1]).tolist())
-        deep_l, deep_r = int(depth_l.max()), int(depth_r.max())
-        self.chains = None if deep_l * deep_r > W else (pred_l, deep_l, pred_r, deep_r)
-        self._preds = pred_l, pred_r
+        return pred_l, int(depth_l.max()), pred_r, int(depth_r.max())
+
+    @cached_property
+    def chains(self) -> tuple[np.ndarray, int, np.ndarray, int] | None:
+        _, deep_l, _, deep_r = self._preds
+        return None if deep_l * deep_r > self.P.size - 1 else self._preds
 
     @cached_property
     def left(self) -> list[int]:
-        pred_r = self._preds[1]
+        pred_r = self._preds[2]
         return [pred_r.size - 1 - i for i in _chain_from(pred_r, pred_r.size - 1)]
 
     @cached_property
@@ -248,10 +263,16 @@ class _Geometry:
         return [pred_l.size - 1 - x for x in _chain_from(pred_l, pred_l.size - 1)]
 
 
-# _Geometry per sequence, shared by the evaluators of every alpha. A
-# Sequence is frozen and compares by identity, so an entry lives as long as
-# its sequence and no longer.
+# _Geometry per sequence. A Sequence is frozen and compares by identity, so
+# an entry lives as long as its sequence and no longer.
 _GEOMETRY: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _geometry_of(a: Sequence) -> _Geometry:
+    geometry = _GEOMETRY.get(a)
+    if geometry is None:
+        geometry = _GEOMETRY[a] = _Geometry(a)
+    return geometry
 
 
 def _crossing(j: int, k: int, s_j: float, s_k: float, inv: float) -> float:
@@ -334,6 +355,16 @@ def _pair_profile(P: np.ndarray, w: np.ndarray, chains) -> np.ndarray:
     return out
 
 
+def _pair_point(P: np.ndarray, w: np.ndarray, chains, k: int) -> float:
+    """The hull profile at point k alone: the max of the floats
+    _pair_profile takes there, over k's own (left x right chain) pairs."""
+    pred_l, _, pred_r, _ = chains
+    W = P.size - 1
+    los = np.array(_chain_from(pred_l, k))[:, None]
+    his = W - np.array(_chain_from(pred_r, W - 1 - k))
+    return float((w[his - los - 1] * (P[his] - P[los])).max())
+
+
 def _validate_alpha(alpha: float) -> float:
     if not (0.0 <= alpha < 1.0):
         raise ValueError("alpha must lie in [0, 1)")
@@ -365,16 +396,10 @@ class MaximalEvaluator:
 
     def __init__(self, a: Sequence, alpha: float):
         self.alpha = _validate_alpha(alpha)
-        self.a = a
-        hull = a.support_hull()
-        self.hull = hull
-        if hull is None:
-            self._vals = np.zeros(0)
-            self._P = np.zeros(1)
-        else:
-            self._vals = a.values[hull.lo - a.offset : hull.hi - a.offset + 1]
-            self._P = np.concatenate([[0.0], np.cumsum(self._vals)])
-        W = self._vals.size
+        self._geometry = _geometry_of(a)
+        self.hull = self._geometry.hull
+        self._P = self._geometry.P
+        W = self._P.size - 1
         # partial sums from the near end of the hull, per side
         self._S_left = self._P[1:]
         self._S_right = (self._P[-1] - self._P[:W])[::-1].copy()
@@ -398,18 +423,11 @@ class MaximalEvaluator:
 
     @cached_property
     def _weights(self) -> np.ndarray:
-        return alpha_weights(self._vals.size, self.alpha)
-
-    @property
-    def _geometry(self) -> _Geometry:
-        geometry = _GEOMETRY.get(self.a)
-        if geometry is None:
-            geometry = _GEOMETRY[self.a] = _Geometry(self._P)
-        return geometry
+        return alpha_weights(self._P.size - 1, self.alpha)
 
     def _profile_on_hull(self) -> np.ndarray:
         if self._hull_profile is None:
-            if self._vals.size <= _DENSE_MAX:
+            if self._P.size - 1 <= _DENSE_MAX:
                 self._hull_profile = _dense_profile(self._P, self._weights)
             else:
                 self._hull_profile = _pair_profile(self._P, self._weights, self._geometry.chains)
@@ -488,7 +506,12 @@ class MaximalEvaluator:
         if hull is None:
             return 0.0
         if hull.contains(n):
-            return float(self._profile_on_hull()[n - hull.lo])
+            k = n - hull.lo
+            if self._hull_profile is None and self._P.size - 1 > _DENSE_MAX:
+                chains = self._geometry.chains
+                if chains is not None:
+                    return _pair_point(self._P, self._weights, chains, k)
+            return float(self._profile_on_hull()[k])
         if n < hull.lo:
             d, S = hull.lo - n, self._S_left
         else:

@@ -157,6 +157,9 @@ def _bisect(mod_at: Callable, lo: float, hi: float, rel_tol: float, A: float, B:
     achieved_modular are evaluated as before; so the midpoints, the
     iteration count and every returned bit are those of the plain loop.
 
+    A midpoint equal to lo or hi (adjacent floats, only among subnormals:
+    rel_tol >= 2^-52 stops normal ones first) returns hi, modular <= 1.
+
     Why the bracket decides the test. Let m(lam) = sum_i (v_i / lam)^p_i be
     the exact modular of the float inputs; v_i >= 0 and p_i >= 1 make it
     strictly decreasing. Suppose the computed value obeys
@@ -228,6 +231,8 @@ def _bisect(mod_at: Callable, lo: float, hi: float, rel_tol: float, A: float, B:
     it = 0
     while it < MAX_BISECT_ITER and (hi - lo) > rel_tol * hi:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return NormValue(hi, mod_at(hi), rel_tol, it)
         if mid <= A or (mid < B and mod_at(mid) > 1.0):
             lo = mid
         else:
@@ -239,8 +244,7 @@ def _bisect(mod_at: Callable, lo: float, hi: float, rel_tol: float, A: float, B:
 
 def _check_rel_tol(rel_tol: float) -> None:
     """A rel_tol below 2^-52, the relative spacing of the floats, can never
-    be met: the bracket collapses to adjacent floats and the bisection runs
-    all MAX_BISECT_ITER midpoints."""
+    be met: the bracket collapses to adjacent floats first."""
     if not (2.0**-52 <= rel_tol < math.inf):
         raise ValueError(f"rel_tol must be positive and finite, and at least 2**-52 (got {rel_tol!r})")
 

@@ -1,7 +1,9 @@
 """Stopping-time decomposition, covering, partition, and domination tests."""
 
+import gc
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from conftest import (
     plain_level_set_partition,
     recursive_cz_decompose,
 )
-from varseq import czd
+from varseq import czd, maximal
 from varseq.czd import (
     _DyadicTable,
     _rung,
@@ -515,26 +517,36 @@ _offsets = st.one_of(
     st.integers(-1000, 1000),
     st.integers(-64, 64).map(lambda d: 2**40 + d),
     st.integers(-64, 64).map(lambda d: -(2**40) + d),
+    st.integers(0, 64).map(lambda d: 2**61 - d),
+    st.integers(0, 64).map(lambda d: -(2**61) + d),
 )
 
 
 @st.composite
 def _sequences(draw):
     """Hull of width 1..64 with nonzero ends, interior zeros and zero runs,
-    values 1e-12..1e12; a third of the hulls straddle the 0|1 boundary."""
-    width = draw(st.integers(1, 64))
+    values 1e-12..1e12, or of width 65..4096 with the same values drawn by
+    numpy; a third of the hulls straddle the 0|1 boundary, and offsets
+    reach the coordinate limit on either side."""
+    width = draw(st.one_of(st.integers(1, 64), st.integers(65, 4096)))
     inner = st.one_of(st.just(0.0), _magnitudes)
     vals = [draw(_magnitudes)]
-    if width > 1:
+    if width > 64:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        body = 10.0 ** rng.uniform(-12.0, 12.0, width - 2)
+        body[rng.random(width - 2) < 0.3] = 0.0
+        vals += body.tolist() + [draw(_magnitudes)]
+    elif width > 1:
         vals += draw(st.lists(inner, min_size=width - 2, max_size=width - 2))
         vals.append(draw(_magnitudes))
+    if width > 1:
         lo = draw(st.integers(1, width - 1))
         hi = draw(st.integers(lo, width - 1))
         vals[lo:hi] = [0.0] * (hi - lo)
     if width > 1 and draw(st.integers(0, 2)) == 0:
         offset = draw(st.integers(-(width - 2), 0))
     else:
-        offset = draw(_offsets)
+        offset = max(-(2**61), min(draw(_offsets), 2**61 - width + 1))
     return Sequence(offset, vals)
 
 
@@ -554,6 +566,9 @@ def _outcome(decompose, t):
 @_property
 @given(_sequences(), st.floats(0.0, 0.99), st.lists(_scales, min_size=2, max_size=6))
 def test_table_cuts_match_recursive_oracle(a, alpha, scales):
+    """Cuts down to 1e-10 of the peak value, where the top level lies above
+    the first row of one block (or of the two blocks either side of 0|1),
+    and below, where the level search gives up."""
     table = _DyadicTable(a, alpha)
     peak = a.max_value()
     for scale in scales:
@@ -561,3 +576,32 @@ def test_table_cuts_match_recursive_oracle(a, alpha, scales):
         want = _outcome(lambda t: recursive_cz_decompose(a, alpha, t), t)
         assert _outcome(table.decompose, t) == want, t
         assert _outcome(lambda t: cz_decompose(a, alpha, t), t) == want, t
+
+
+def test_block_sums_once_per_sequence(monkeypatch):
+    """One range_sums call per sequence serves the tables of every alpha
+    and every caller; its entry dies with the sequence. Rows above the first
+    row of one block are read (the top levels exceed it) without another
+    call."""
+    summed = []
+    real = Sequence.range_sums
+    monkeypatch.setattr(
+        Sequence, "range_sums", lambda self, los, his: summed.append(id(self)) or real(self, los, his)
+    )
+    a = Sequence(-300, np.random.default_rng(4).random(700))
+    top_levels = []
+    for alpha in ALPHAS:
+        top_levels.append(cz_decompose(a, alpha, 1e-3).n_t)
+        cz_nesting_check(a, alpha, 0.05, 0.01)
+        covering_check(a, alpha, 0.05)
+        level_set_partition(a, alpha, 0.05)
+    assert summed == [id(a)]
+    starts, _, _ = maximal._GEOMETRY[a].blocks
+    assert min(top_levels) > len(starts) - 2
+    b = Sequence(-300, a.values)
+    cz_decompose(b, 0.5, 0.05)
+    assert summed == [id(a), id(b)]
+    gone, entry = weakref.ref(a), weakref.ref(maximal._GEOMETRY[a])
+    del a
+    gc.collect()
+    assert gone() is None and entry() is None

@@ -691,6 +691,92 @@ def test_hull_chains_built_once_per_sequence(monkeypatch):
     assert gone() is None
 
 
+# In-hull point() without the hull profile: a pair-path hull whose profile
+# is not built scores the point's own chain pairs.
+
+_POINT_ALPHAS = (0.0, 0.25, 0.5, 0.9)
+
+
+@st.composite
+def _point_hulls(draw):
+    """Hulls of W in {128, 129, 300, 1024} from the hull laws (the dense
+    pass, the pair path and, for the constant law, the sweep), or an
+    adversarial sequence."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(adversarial_sequences())
+    law = draw(st.sampled_from(_HULL_LAWS))
+    width = draw(st.sampled_from([128, 129, 300, 1024]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return Sequence(seed % 1000, _hull_values(law, width, np.random.default_rng(seed)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_point_hulls(), st.sampled_from(_POINT_ALPHAS), st.data())
+def test_in_hull_point_matches_oracle(a, alpha, data):
+    """point() at both hull ends and one inner point of a fresh evaluator,
+    bit for bit against brute_force_profile; the profile stays unbuilt
+    exactly on pair-path hulls, and the points then agree with it."""
+    ev = MaximalEvaluator(a, alpha)
+    hull = ev.hull
+    W = cardinality(hull)
+    ns = [hull.lo, hull.hi, data.draw(st.integers(hull.lo, hull.hi))]
+    got = [ev.point(n) for n in ns]
+    want = [brute_force_profile(a, alpha, ZInterval(n, n))[0] for n in ns]
+    assert [x.hex() for x in got] == [x.hex() for x in want], ns
+    pairs = W > maximal._DENSE_MAX and ev._geometry.chains is not None
+    assert (ev._hull_profile is None) == pairs
+    assert got == [ev.profile(ZInterval(n, n))[0] for n in ns]
+
+
+def test_in_hull_point_builds_no_profile(monkeypatch):
+    """On a pair-path hull, point() alone calls no profile builder; the
+    dense and sweep hulls still build their profile once."""
+    calls = []
+    for name in ("_dense_profile", "_pair_profile", "_sweep_profile"):
+        real = getattr(maximal, name)
+        monkeypatch.setattr(
+            maximal, name, lambda P, *args, real=real, name=name: calls.append(name) or real(P, *args)
+        )
+    rng = np.random.default_rng(11)
+    cases = (
+        (Sequence(-40, rng.random(512)), []),
+        (Sequence(7, rng.random(128)), ["_dense_profile"]),
+        (Sequence(0, np.ones(300)), ["_pair_profile", "_sweep_profile"]),
+    )
+    for a, builders in cases:
+        for alpha in _POINT_ALPHAS:
+            ev = MaximalEvaluator(a, alpha)
+            hull = ev.hull
+            calls.clear()
+            points = [ev.point(n) for n in range(hull.lo, hull.hi + 1, 37)]
+            assert calls == builders
+            assert points == ev.profile(hull)[:: 37].tolist()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(0, 300),
+    st.integers(1, 200),
+    st.integers(0, 300),
+    st.sampled_from(["uniform", "dynamic", "zero-runs"]),
+    st.one_of(st.integers(-1000, 1000), st.integers(0, 600).map(lambda d: 2**61 - 800 + d)),
+    st.integers(0, 2**32 - 1),
+)
+def test_evaluator_prefix_sums_are_the_hull_cumsum(lead, width, trail, law, offset, seed):
+    """The evaluator's prefix sums, a view of the sequence's own, carry the
+    bits of the hull values' own cumsum, with zeros before and after the
+    hull, at offsets up to the coordinate limit (either sign)."""
+    body = _hull_values(law, width, np.random.default_rng(seed))
+    body[0] = body[-1] = 1.0 + body[0]
+    vals = np.concatenate([np.zeros(lead), body, np.zeros(trail)])
+    for start in (offset, -offset - vals.size):
+        a = Sequence(max(-(2**61), min(start, 2**61 - vals.size + 1)), vals)
+        hull = a.support_hull()
+        want = np.concatenate([[0.0], np.cumsum(vals[lead : lead + width])])
+        assert cardinality(hull) == width
+        assert MaximalEvaluator(a, 0.5)._P.tobytes() == want.tobytes()
+
+
 # The batched superlevel sets against the dense oracle: thresholds at
 # profile values and one ulp either side, duplicated and unsorted.
 
@@ -770,6 +856,28 @@ def test_far_superlevel_ends_match_oracle(law, width, seed, alpha):
         if right > hull.hi:
             assert oracle(right) > s
         assert oracle(left - 1) <= s and oracle(right + 1) <= s
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    adversarial_sequences().filter(lambda a: a.values.size <= 1100),
+    st.sampled_from(_POINT_ALPHAS),
+    st.integers(0, 2**32 - 1),
+)
+def test_superlevels_match_oracle_on_adversarial_laws(a, alpha, seed):
+    """Long zero runs and a lone far spike (hulls of at most 1,100 points,
+    so the dense oracle stays small): thresholds at the profile values
+    within 64 points of the hull and one ulp either side, against the dense
+    oracle on the hull padded past the reach of the lowest threshold."""
+    rng = np.random.default_rng(seed)
+    ev = MaximalEvaluator(a, alpha)
+    hull = ev.hull
+    picks = rng.choice(ev.profile(ZInterval(hull.lo - 64, hull.hi + 64)), size=6)
+    ss = np.concatenate([picks, np.nextafter(picks, 0.0), np.nextafter(picks, np.inf)])
+    pad = ev.reach(float(ss.min()), 2**20) + 1
+    want = _dense_superlevels(a, alpha, ss, ZInterval(hull.lo - pad, hull.hi + pad))
+    assert ev.superlevels(ss) == want
+    assert [ev.superlevel(float(s)) for s in ss] == want
 
 
 def test_superlevels_of_no_thresholds():

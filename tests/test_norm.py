@@ -13,6 +13,7 @@ from scipy.optimize import brentq
 
 from conftest import (
     WINDOW_PLACEMENTS,
+    adversarial_sequences,
     constant_norm_oracle,
     placed_window,
     plain_characteristic_norm,
@@ -27,7 +28,7 @@ from varseq.harness import (
     strong_type_ratio,
     weak_type_sup,
 )
-from varseq.lattice import Sequence, ZInterval, truncate
+from varseq.lattice import Sequence, ZInterval, runs_from_mask, truncate
 from varseq.norm import (
     characteristic_norm,
     characteristic_norms,
@@ -347,15 +348,9 @@ _BRENT_RTOL = 4 * 2.0**-52  # the least rtol brentq accepts
 _BRENT_XTOL = 2.0**-1000
 
 
-@_property
-@given(
-    st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1e6)), min_size=1, max_size=64).filter(any),
-    st.data(),
-    st.sampled_from([2.0**-52, 1e-12, 1e-6]),
-)
-def test_luxemburg_norm_matches_brentq_root(values, data, rel_tol):
+def _assert_near_brentq_root(a: Sequence, p: ExponentFunction, rel_tol: float) -> None:
     """luxemburg_norm against scipy's brentq root of modular(a / lam) - 1,
-    for 1-64 values and exponents in [1, 8].
+    for exponents in [1, 8] and no term that underflows.
 
     The tolerance. Let m(lam) = sum_i (v_i / lam)^p_i be the exact modular,
     r its root, and eps = _rounding_bound(N - 1, p_plus), so every computed
@@ -375,14 +370,12 @@ def test_luxemburg_norm_matches_brentq_root(values, data, rel_tol):
     (rel_tol + 2 eps) x of the root, up to the factor
     1 / ((1 - rel_tol)^2 (1 - eps)) and brentq's own tau.
     """
-    v = np.array(values)
-    p = ExponentFunction(0, data.draw(st.lists(st.floats(1.0, 8.0), min_size=v.size, max_size=v.size)), 2.0)
-    a = Sequence(0, v)
+    v = a.values
     got = luxemburg_norm(a, p, rel_tol)
     assert got.iterations < norm.MAX_BISECT_ITER
 
     def f(lam):
-        return modular(Sequence(0, v / lam), p).value - 1.0
+        return modular(Sequence(a.offset, v / lam), p).value - 1.0
 
     # m >= 2 - 1 at half the max and m <= 1/2 at twice the sum
     root = brentq(f, 0.5 * v.max(), 2.0 * v.sum(), xtol=_BRENT_XTOL, rtol=_BRENT_RTOL, maxiter=500)
@@ -390,6 +383,58 @@ def test_luxemburg_norm_matches_brentq_root(values, data, rel_tol):
     tau = _BRENT_XTOL + _BRENT_RTOL * root
     tol = (rel_tol + 2.0 * eps) * got.value / ((1.0 - rel_tol) ** 2 * (1.0 - eps)) + tau
     assert abs(got.value - root) <= tol
+
+
+@_property
+@given(
+    st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1e6)), min_size=1, max_size=64).filter(any),
+    st.data(),
+    st.sampled_from([2.0**-52, 1e-12, 1e-6]),
+)
+def test_luxemburg_norm_matches_brentq_root(values, data, rel_tol):
+    """1-64 values and exponents in [1, 8] (_assert_near_brentq_root)."""
+    exponents = st.lists(st.floats(1.0, 8.0), min_size=len(values), max_size=len(values))
+    p = ExponentFunction(0, data.draw(exponents), 2.0)
+    _assert_near_brentq_root(Sequence(0, values), p, rel_tol)
+
+
+@st.composite
+def _adversarial_norm_inputs(draw):
+    """An adversarial sequence (long zero runs, a lone far spike 1e-3..1e3
+    times the body's peak) under exponents in [1, 8] whose window starts up
+    to 16 points either side of the sequence's, so its ends may take p_inf."""
+    a = draw(adversarial_sequences())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo = a.offset + draw(st.integers(-16, 16))
+    return a, ExponentFunction(lo, rng.uniform(1.0, 8.0, a.values.size), draw(st.floats(1.0, 8.0)))
+
+
+@_property
+@given(_adversarial_norm_inputs(), st.sampled_from([2.0**-52, 1e-12, 1e-6]))
+def test_norms_on_adversarial_laws(inputs, rel_tol):
+    """The Luxemburg norm bit for bit against the plain bisection and near
+    brentq's root; the indicator norm of the support's runs bit for bit
+    against its plain bisection."""
+    a, p = inputs
+    assert _bits(luxemburg_norm(a, p, rel_tol)) == _bits(plain_luxemburg_norm(a, p, rel_tol))
+    _assert_near_brentq_root(a, p, rel_tol)
+    runs = runs_from_mask(a.values > 0.0, a.offset)
+    want = plain_characteristic_norm(runs, p, rel_tol)
+    assert _bits(characteristic_norm(runs, p, rel_tol)) == _bits(want)
+
+
+@pytest.mark.parametrize(
+    "values, value", [([5e-324, 1e-323, 5e-324], 1.5e-323), ([5e-324, 5e-324], 1e-323)]
+)
+def test_subnormal_bisection_stops_at_adjacent_floats(values, value):
+    """Subnormal values narrow the bracket to two adjacent floats long
+    before rel_tol is met; the bisection stops there and returns the upper
+    end, whose modular is at most 1 (the exact norms are sqrt(6) and
+    sqrt(2) times 5e-324)."""
+    got = luxemburg_norm(Sequence(0, values), ExponentFunction.constant(2.0))
+    assert got.iterations < norm.MAX_BISECT_ITER
+    assert got.achieved_modular <= 1.0
+    assert got.value == value
 
 
 def _luxemburg_case(values, p):
