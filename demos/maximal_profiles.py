@@ -37,7 +37,7 @@ def main(argv=None):
     ev = MaximalEvaluator(delta, 0.0)
     for s in (0.9, 0.5, 0.21, 0.11):
         runs = ev.superlevel(s)
-        print(f"  s = {s}: {[r.to_tuple() for r in runs]}")
+        print(f"  s = {s}: {[(r.lo, r.hi) for r in runs]}")
 
 
 if __name__ == "__main__":

@@ -3,6 +3,10 @@
 Generates a deterministic corpus, estimates the largest observed ratio
 ||M_alpha a||_q / ||a||_p and the grid-sup weak-type ratio, and prints
 the per-alpha maxima with the corpus parameters that attained them.
+
+The strong-type ratio takes ||M_alpha a||_q on a finite window around the
+support (harness.strong_type_ratio), so it is a lower bound for the ratio
+over all of Z, and a loose one as p -> 1.
 """
 
 import argparse
@@ -22,7 +26,8 @@ def main(argv=None):
         strong = estimate_strong_type(spec, alpha)
         weak = estimate_weak_type(spec, alpha)
         print(f"alpha = {alpha} (exponent range [{lo}, {hi:.3f}]):")
-        print(f"  strong type: max ||M_alpha a||_q / ||a||_p = {strong.empirical_constant:.6f}"
+        print(f"  strong type: max windowed ||M_alpha a||_q / ||a||_p (a lower bound)"
+              f" = {strong.empirical_constant:.6f}"
               f" over {strong.cases} items, failures = {strong.failures}")
         print(f"  worst case: {strong.worst_case}")
         print(f"  weak type:  max_t t ||chi||_q / ||a||_p = {weak.empirical_constant:.6f}"

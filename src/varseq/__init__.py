@@ -7,7 +7,6 @@ a reproducible empirical verification harness with a CLI front end.
 """
 
 from .lattice import (
-    DyadicBlock,
     Sequence,
     ZInterval,
     cardinality,
@@ -68,7 +67,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ZInterval",
-    "DyadicBlock",
     "Sequence",
     "cardinality",
     "dilate",

@@ -9,20 +9,26 @@ holds them, a row per level over the blocks meeting the support hull, and
 each threshold's decomposition is a cut of it: the maximal blocks below
 N_t with average above t, sorted and disjoint, with averages in
 (t, 2^(1-alpha) t]. The block sums are alpha-free too: one range_sums call
-per sequence (_block_sums).
+per sequence (_block_sums) sums the blocks of levels 0..L_top, where L_top
+is the first level >= 1 at which the hull is one block, or the two blocks
+either side of 0|1, and where top_level can first stop. A higher row's
+blocks each hold their whole side of the hull, so it has row L_top's sums.
 
 The level-set partition cuts the window profile of M_alpha at the rungs
 base^k, base = 9t, from the top rung (max M_alpha, where the set is empty)
 to the first rung whose set is the whole window (min M_alpha). Both ends
 are read off the profile before any rung is cut; a ladder of more than
-100,000 rungs (t too close to 1/9) raises ValueError. One rank pass gives
-every point its entering rung, the smallest k with M_alpha > base^(k+1),
-from a searchsorted of the profile into the rung floats (Python's **, the
-floats of a per-rung comparison); one diff cuts the window into segments of
-one entering rung, and shell k is the segments that enter at k. So the
-window is passed over a fixed number of times, not once per rung. A rung
-that no point enters shares the previous rung's run list in omega and is
-not decomposed.
+100,000 rungs (t too close to 1/9) raises ValueError. One rank pass
+(_shells) gives every point its entering rung, the smallest k with
+M_alpha > base^(k+1). The K rung floats base ** (k+1), by Python's **, the
+floats of a per-rung comparison, fall in k (or repeat, among subnormals),
+so reversed they are sorted and the rungs below a point's value are the
+last ones: one searchsorted counts them, and the entering rung is k_top + K
+minus that count, by the same strict comparisons. One diff cuts the window
+into maximal segments of one entering rung, so each shell's runs come out
+sorted, disjoint and non-adjacent, and the window is passed over a fixed
+number of times, not once per rung. A rung that no point enters shares the
+previous rung's run list in omega and is not decomposed.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exponent import ExponentFunction, fractional_conjugate
+from .exponent import ExponentFunction, check_alpha, fractional_conjugate
 from .lattice import (
     Sequence,
     ZInterval,
@@ -48,7 +54,7 @@ from .lattice import (
     runs_subtract,
     runs_union,
 )
-from .maximal import MaximalEvaluator, _geometry_of, _validate_alpha
+from .maximal import MaximalEvaluator, _geometry_of
 
 __all__ = [
     "CZDecomposition",
@@ -88,11 +94,8 @@ class CZDecomposition:
 
 def _block_sums(a: Sequence) -> tuple[list[int], np.ndarray, np.ndarray]:
     """Row starts (row L is starts[L]:starts[L+1]), sums of the blocks
-    meeting a's hull at levels 0..L_top, and each level's largest sum up to
-    level 62, kept in a's _Geometry. L_top is the first level >= 1 where the
-    hull is one block, or the two blocks either side of 0|1: where top_level
-    can first stop. A higher row's blocks each hold their whole side of the
-    hull, so it has row L_top's sums."""
+    meeting a's hull at levels 0..L_top (module docstring), and each level's
+    largest sum up to level 62, kept in a's _Geometry."""
     geometry = _geometry_of(a)
     if geometry.blocks is None:
         hull = geometry.hull
@@ -119,7 +122,7 @@ class _DyadicTable:
     float order, so factor times largest sum is the row's peak."""
 
     def __init__(self, a: Sequence, alpha: float):
-        self.alpha = _validate_alpha(alpha)
+        self.alpha = check_alpha(alpha)
         self.hull = _geometry_of(a).hull
         if self.hull is not None:  # decompose rejects a zero sequence
             self._starts, self._sums, peak_sums = _block_sums(a)
@@ -293,17 +296,9 @@ def _rung(base: float, x: float) -> int:
 def _shells(
     m: np.ndarray, rung_floats: list[float], k_top: int, lo: int
 ) -> dict[int, list[ZInterval]]:
-    """Shell k of the ladder for each rung k that some point enters, from one
-    rank pass over the window profile m, whose entry 0 is point lo.
-
-    rung_floats[i] is base ** (k_top + i + 1). Python's ** makes these
-    fall in i (or repeat, among subnormals), so reversed they are sorted. The
-    entering rung of a point is the smallest k with m > base ** (k + 1): the
-    rungs below m are the last ones of the list, so it is k_top + K minus
-    their count, for K rungs, by the same strict comparisons. One diff splits
-    the window into maximal segments of one entering rung, so each shell's
-    runs come out sorted, disjoint and non-adjacent.
-    """
+    """Shell k of the ladder for each rung k that some point enters, by the
+    rank pass of the module docstring over the window profile m, whose
+    entry 0 is point lo; rung_floats[i] is base ** (k_top + i + 1)."""
     ascending = np.array(rung_floats[::-1])
     entry = (k_top + ascending.size) - np.searchsorted(ascending, m, side="left")
     cuts = np.flatnonzero(np.diff(entry)) + 1

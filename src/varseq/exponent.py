@@ -8,7 +8,7 @@ smallest C with |p(n) - p_inf| <= C / log(e + |n|) for all n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +22,7 @@ __all__ = [
     "conjugate",
     "fractional_conjugate",
     "check_lh_equivalences",
+    "check_alpha",
 ]
 
 # Absolute slack of the decay-constant equivalences.
@@ -35,7 +36,6 @@ class ExponentFunction:
     window_lo: int
     values: np.ndarray
     p_inf: float
-    _indices: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=np.float64)
@@ -51,10 +51,7 @@ class ExponentFunction:
             lo = int(self.window_lo)
             check_coordinates(lo, lo + vals.size - 1, "exponent window")
         vals.flags.writeable = False
-        idx = np.arange(self.window_lo, self.window_lo + vals.size)
-        idx.flags.writeable = False
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "_indices", idx)
 
     @classmethod
     def constant(cls, p0: float) -> "ExponentFunction":
@@ -77,12 +74,6 @@ class ExponentFunction:
         if self.values.size == 0:
             return self.p_inf
         return max(float(self.values.max()), self.p_inf)
-
-    def evaluate(self, n: int) -> float:
-        i = n - self.window_lo
-        if 0 <= i < self.values.size:
-            return float(self.values[i])
-        return self.p_inf
 
     def values_on(self, interval: ZInterval) -> np.ndarray:
         """Exponent values on every integer of the interval, as an array: p_inf,
@@ -110,11 +101,12 @@ class LHConstant:
     p_inf: float
 
 
-def _decay_constant(indices: np.ndarray, values: np.ndarray, limit: float) -> LHConstant:
-    """sup of |values - limit| * log(e + |n|) over the window, with the first
-    index attaining it."""
+def _decay_constant(window_lo: int, values: np.ndarray, limit: float) -> LHConstant:
+    """sup of |values - limit| * log(e + |n|) over the window from window_lo,
+    with the first index attaining it."""
     if values.size == 0:
         return LHConstant(0.0, None, limit)
+    indices = np.arange(window_lo, window_lo + values.size)
     gaps = np.abs(values - limit) * np.log(math.e + np.abs(indices))
     k = int(np.argmax(gaps))
     return LHConstant(float(gaps[k]), int(indices[k]), limit)
@@ -126,12 +118,12 @@ def lh_infinity_constant(p: ExponentFunction) -> LHConstant:
     Outside the window the gap is zero, so the sup runs over the window; the
     witness is the first index attaining it.
     """
-    return _decay_constant(p._indices, p.values, p.p_inf)
+    return _decay_constant(p.window_lo, p.values, p.p_inf)
 
 
 def _reciprocal_gap_constant(p: ExponentFunction) -> LHConstant:
     """Decay constant of 1/p, computed from the reciprocal gaps of p."""
-    return _decay_constant(p._indices, 1.0 / p.values, 1.0 / p.p_inf)
+    return _decay_constant(p.window_lo, 1.0 / p.values, 1.0 / p.p_inf)
 
 
 def conjugate(p: ExponentFunction) -> ExponentFunction:
@@ -141,14 +133,20 @@ def conjugate(p: ExponentFunction) -> ExponentFunction:
     return p.map_values(lambda v: v / (v - 1.0))
 
 
+def check_alpha(alpha: float) -> float:
+    """alpha as a float; ValueError unless 0 <= alpha < 1."""
+    if not (0.0 <= alpha < 1.0):
+        raise ValueError("alpha must lie in [0, 1)")
+    return float(alpha)
+
+
 def fractional_conjugate(p: ExponentFunction, alpha: float) -> ExponentFunction:
     """Exponent q with 1/q = 1/p - alpha, i.e. q = p / (1 - alpha p).
 
     Requires 0 <= alpha < 1, and alpha * p_plus < 1 when alpha > 0.
     For alpha = 0 this is p itself.
     """
-    if not (0.0 <= alpha < 1.0):
-        raise ValueError("alpha must lie in [0, 1)")
+    alpha = check_alpha(alpha)
     if alpha == 0.0:
         return p
     if alpha * p.p_plus >= 1.0:

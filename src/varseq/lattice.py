@@ -16,7 +16,6 @@ import numpy as np
 __all__ = [
     "COORDINATE_LIMIT",
     "ZInterval",
-    "DyadicBlock",
     "Sequence",
     "cardinality",
     "dilate",
@@ -29,7 +28,6 @@ __all__ = [
     "runs_intersect",
     "runs_subtract",
     "runs_count",
-    "runs_equal",
 ]
 
 # Sequence, exponent and profile windows lie in [-2**61, 2**61], so the
@@ -66,9 +64,6 @@ class ZInterval:
     def intersects(self, other: "ZInterval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
 
-    def to_tuple(self) -> tuple[int, int]:
-        return (self.lo, self.hi)
-
 
 def cardinality(interval: ZInterval) -> int:
     """Number of integer points in the interval."""
@@ -87,38 +82,12 @@ def dilate(interval: ZInterval, factor: int) -> ZInterval:
     return ZInterval(interval.lo - pad // 2, interval.hi + (pad - pad // 2))
 
 
-@dataclass(frozen=True)
-class DyadicBlock:
-    """Dyadic block (N, j) covering [(j-1)*2^N + 1, j*2^N]."""
-
-    level: int
-    index: int
-
-    def __post_init__(self) -> None:
-        if self.level < 0:
-            raise ValueError("dyadic level must be >= 0")
-
-    @property
-    def interval(self) -> ZInterval:
-        width = 1 << self.level
-        return ZInterval((self.index - 1) * width + 1, self.index * width)
-
-    def children(self) -> tuple["DyadicBlock", "DyadicBlock"]:
-        if self.level == 0:
-            raise ValueError("level-0 block has no children")
-        return (
-            DyadicBlock(self.level - 1, 2 * self.index - 1),
-            DyadicBlock(self.level - 1, 2 * self.index),
-        )
-
-    def parent(self) -> "DyadicBlock":
-        # index j sits under parent ceil(j/2) one level up
-        return DyadicBlock(self.level + 1, -((-self.index) // 2))
-
-
 def dyadic_block(level: int, index: int) -> ZInterval:
-    """Interval of the dyadic block (level, index)."""
-    return DyadicBlock(level, index).interval
+    """Dyadic block (level, index): [(index-1) 2^level + 1, index 2^level]."""
+    if level < 0:
+        raise ValueError("dyadic level must be >= 0")
+    width = 1 << level
+    return ZInterval((index - 1) * width + 1, index * width)
 
 
 def block_index_of(level: int, n: int) -> int:
@@ -212,9 +181,6 @@ class Sequence:
     def scaled(self, c: float) -> "Sequence":
         return Sequence(self.offset, self.values * abs(float(c)))
 
-    def shifted(self, d: int) -> "Sequence":
-        return Sequence(self.offset + int(d), self.values)
-
     def max_value(self) -> float:
         if self.values.size == 0:
             return 0.0
@@ -303,7 +269,3 @@ def runs_subtract(a: PySequence[ZInterval], b: PySequence[ZInterval]) -> list[ZI
 
 def runs_count(runs: PySequence[ZInterval]) -> int:
     return sum(cardinality(r) for r in runs)
-
-
-def runs_equal(a: PySequence[ZInterval], b: PySequence[ZInterval]) -> bool:
-    return runs_normalize(a) == runs_normalize(b)

@@ -66,6 +66,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .exponent import check_alpha
 from .lattice import Sequence, ZInterval, check_coordinates, runs_normalize
 
 __all__ = [
@@ -214,12 +215,12 @@ def _chain_from(pred: np.ndarray, start: int) -> list[int]:
 class _Geometry:
     """The alpha-free geometry of one Sequence: its hull, the hull's prefix
     sums P (a view of the sequence's own, the same bits: zeros add exactly
-    and cumsum adds in order), czd's dyadic block sums (blocks, set there),
+    and cumsum adds in order), the partial sums S_left and S_right of each
+    side from its near end, czd's dyadic block sums (blocks, set there),
     and, built on first use from one _convex_chains pass per side:
 
     chains is (pred_l, max depth_l, pred_r, max depth_r) for _pair_profile,
-    or None when scoring their pairs would take more than W^2 scores,
-    max(depth_l) * max(depth_r) > W, and the hull is swept instead.
+    or None when max(depth_l) * max(depth_r) > W sends the hull to the sweep.
 
     left and right are the exterior vertices of each side: the indices j,
     ascending, of the upper convex hull of the points (j, S[j]) of its
@@ -236,6 +237,8 @@ class _Geometry:
             self.P = a._prefix[:1]
         else:
             self.P = a._prefix[hull.lo - a.offset : hull.hi - a.offset + 2]
+        self.S_left = self.P[1:]
+        self.S_right = (self.P[-1] - self.P[:-1])[::-1].copy()
         self.blocks = None
 
     @cached_property
@@ -276,10 +279,10 @@ def _geometry_of(a: Sequence) -> _Geometry:
 
 
 def _crossing(j: int, k: int, s_j: float, s_k: float, inv: float) -> float:
-    """The distance d from which f_k(d) >= f_j(d), for j < k and
-    0 < s_j < s_k: d = ((k+1) - r(j+1)) / (r-1) with
-    log r = log(s_k/s_j) / (1-alpha) = inv * log(s_k/s_j); -inf when r
-    overflows, for then k wins from the first distance."""
+    """The crossing distance of the module docstring for j < k and
+    0 < s_j < s_k, as (k - j) / (r - 1) - (j + 1) with
+    log r = inv * log(s_k/s_j); -inf when r overflows, for then k wins from
+    the first distance."""
     log_r = math.log1p((s_k - s_j) / s_j) * inv
     if log_r > 700.0:
         return -math.inf
@@ -323,18 +326,11 @@ _DENSE_MAX = 128
 
 
 def _pair_profile(P: np.ndarray, w: np.ndarray, chains) -> np.ndarray:
-    """The hull profile as a max over the (left-chain x right-chain) pairs of
-    each point, from the chains of _Geometry, or the row sweep when those
-    are None.
-
-    The deeper side's chains are walked one step at a time for all W points
-    at once, each step scored against one (shallower depth, W) array of the
-    other side's chains with the row sweep's float w[h-l-1] * (P[h]-P[l]);
-    an ended chain repeats its last point, which only re-scores a pair. Under
-    the rule max(depth_l) * max(depth_r) <= W the shallower depth is at most
-    sqrt(W), so the temporaries hold min(depth_l, depth_r) * W <= W**1.5
-    scores.
-    """
+    """The hull profile by the chain pairs of the module docstring, from the
+    chains of _Geometry, or the row sweep when those are None. An ended
+    chain repeats its last point, which only re-scores a pair. Chains exist
+    only when max(depth_l) * max(depth_r) <= W, so the shallower depth is at
+    most sqrt(W) and the temporaries hold at most W**1.5 scores."""
     if chains is None:
         return _sweep_profile(P, w)
     pred_l, deep_l, pred_r, deep_r = chains
@@ -365,12 +361,6 @@ def _pair_point(P: np.ndarray, w: np.ndarray, chains, k: int) -> float:
     return float((w[his - los - 1] * (P[his] - P[los])).max())
 
 
-def _validate_alpha(alpha: float) -> float:
-    if not (0.0 <= alpha < 1.0):
-        raise ValueError("alpha must lie in [0, 1)")
-    return float(alpha)
-
-
 @dataclass(frozen=True)
 class MaximalProfile:
     """Values of M_alpha a on a window of consecutive integers."""
@@ -388,21 +378,17 @@ class MaximalProfile:
 class MaximalEvaluator:
     """Shared state for repeated M_alpha evaluations of one sequence.
 
-    Holds the support hull, its prefix sums, and (lazily) the weight table
-    and the hull profile, built from the chains shared per sequence; point
-    values, window profiles, and superlevel runs all reuse them, so the
-    same float formula backs every access path.
+    Holds alpha and, built on first use, the weight table and the hull
+    profile; everything alpha-free comes from the sequence's _Geometry.
+    Point values, window profiles, and superlevel runs all reuse them, so
+    the same float formula backs every access path.
     """
 
     def __init__(self, a: Sequence, alpha: float):
-        self.alpha = _validate_alpha(alpha)
+        self.alpha = check_alpha(alpha)
         self._geometry = _geometry_of(a)
         self.hull = self._geometry.hull
         self._P = self._geometry.P
-        W = self._P.size - 1
-        # partial sums from the near end of the hull, per side
-        self._S_left = self._P[1:]
-        self._S_right = (self._P[-1] - self._P[:W])[::-1].copy()
         self._hull_profile: np.ndarray | None = None
 
     @property
@@ -513,9 +499,9 @@ class MaximalEvaluator:
                     return _pair_point(self._P, self._weights, chains, k)
             return float(self._profile_on_hull()[k])
         if n < hull.lo:
-            d, S = hull.lo - n, self._S_left
+            d, S = hull.lo - n, self._geometry.S_left
         else:
-            d, S = n - hull.hi, self._S_right
+            d, S = n - hull.hi, self._geometry.S_right
         return float(_scores(d, S, 0, S.size - 1, self.alpha - 1.0).max())
 
     def profile(self, window: ZInterval) -> np.ndarray:
@@ -535,13 +521,13 @@ class MaximalEvaluator:
             # distances from hull.lo - end up to hull.lo - window.lo, reversed
             end = min(window.hi, hull.lo - 1)
             count = end - window.lo + 1
-            left = self._geometry.left
-            out[:count] = self._envelope(hull.lo - end, count, self._S_left, left)[::-1]
+            g = self._geometry
+            out[:count] = self._envelope(hull.lo - end, count, g.S_left, g.left)[::-1]
         if window.hi > hull.hi:
             start = max(window.lo, hull.hi + 1)
             count = window.hi - start + 1
-            right = self._geometry.right
-            out[start - window.lo :] = self._envelope(start - hull.hi, count, self._S_right, right)
+            g = self._geometry
+            out[start - window.lo :] = self._envelope(start - hull.hi, count, g.S_right, g.right)
         return out
 
     def _last_above(self, ss: np.ndarray, right: bool) -> np.ndarray:
@@ -554,7 +540,8 @@ class MaximalEvaluator:
         verify, so the point values at d and d + 1 settle each estimate.
         """
         hull = self.hull
-        S, end, step = (self._S_right, hull.hi, 1) if right else (self._S_left, hull.lo, -1)
+        g = self._geometry
+        S, end, step = (g.S_right, hull.hi, 1) if right else (g.S_left, hull.lo, -1)
         with np.errstate(over="ignore"):
             reach = np.power(S / ss[:, None], 1.0 / (1.0 - self.alpha))
         if float(reach.max()) > RADIUS_LIMIT:

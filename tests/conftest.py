@@ -190,12 +190,15 @@ def constant_norm_oracle(a: Sequence, p0: float) -> float:
 
 def plain_bisect(mod_at, lo: float, hi: float, rel_tol: float, trace=None) -> NormValue:
     """inf{lam : mod_at(lam) <= 1}, evaluating mod_at at every midpoint;
-    each (midpoint, value) pair is appended to trace when one is given."""
+    each (midpoint, value) pair is appended to trace when one is given. A
+    midpoint equal to lo or hi (adjacent floats) returns hi, as in _bisect."""
     if hi <= lo:
         return NormValue(lo, mod_at(lo), rel_tol, 0)
     it = 0
     while it < MAX_BISECT_ITER and (hi - lo) > rel_tol * hi:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return NormValue(hi, mod_at(hi), rel_tol, it)
         m = mod_at(mid)
         if trace is not None:
             trace.append((mid, m))

@@ -30,8 +30,8 @@ def test_validation():
 
 def test_evaluate_and_bounds():
     p = ExponentFunction(-1, [1.5, 3.0, 2.0], 2.5)
-    assert p.evaluate(-1) == 1.5 and p.evaluate(1) == 2.0
-    assert p.evaluate(100) == 2.5 and p.evaluate(-100) == 2.5
+    assert p.values_on(ZInterval(-1, -1))[0] == 1.5 and p.values_on(ZInterval(1, 1))[0] == 2.0
+    assert p.values_on(ZInterval(100, 100))[0] == 2.5 and p.values_on(ZInterval(-100, -100))[0] == 2.5
     assert p.p_minus == 1.5 and p.p_plus == 3.0
     assert p.window == ZInterval(-1, 1)
     assert list(p.values_on(ZInterval(-2, 2))) == [2.5, 1.5, 3.0, 2.0, 2.5]
@@ -66,8 +66,9 @@ def test_conjugate_involution_and_identity():
     p = ExponentFunction(-10, rng_vals, 1.7)
     q = conjugate(p)
     # 1/p + 1/q = 1 pointwise, and conjugation is an involution
-    for n in range(-15, 15):
-        assert 1.0 / p.evaluate(n) + 1.0 / q.evaluate(n) == pytest.approx(1.0, abs=1e-12)
+    win = ZInterval(-15, 14)
+    for p_n, q_n in zip(p.values_on(win), q.values_on(win)):
+        assert 1.0 / p_n + 1.0 / q_n == pytest.approx(1.0, abs=1e-12)
     back = conjugate(q)
     assert np.allclose(back.values, p.values, rtol=1e-12)
     assert back.p_inf == pytest.approx(p.p_inf, rel=1e-12)
@@ -79,8 +80,9 @@ def test_fractional_conjugate():
     p = ExponentFunction(0, [2.0, 3.0], 2.0)
     q = fractional_conjugate(p, 0.25)
     # 1/q = 1/p - alpha pointwise
-    for n in (-1, 0, 1, 2):
-        assert 1.0 / q.evaluate(n) == pytest.approx(1.0 / p.evaluate(n) - 0.25, abs=1e-14)
+    win = ZInterval(-1, 2)
+    for p_n, q_n in zip(p.values_on(win), q.values_on(win)):
+        assert 1.0 / q_n == pytest.approx(1.0 / p_n - 0.25, abs=1e-14)
     assert fractional_conjugate(p, 0.0) is p
     # classical example: p = 2, alpha = 1/4 gives q = 4
     assert fractional_conjugate(ExponentFunction.constant(2.0), 0.25).p_inf == pytest.approx(4.0)

@@ -8,7 +8,6 @@ from varseq.exponent import ExponentFunction
 from varseq.harness import XorShift64Star
 from varseq.lattice import (
     COORDINATE_LIMIT,
-    DyadicBlock,
     Sequence,
     ZInterval,
     block_index_of,
@@ -17,7 +16,6 @@ from varseq.lattice import (
     dyadic_block,
     interval_sum,
     runs_count,
-    runs_equal,
     runs_from_mask,
     runs_intersect,
     runs_normalize,
@@ -76,12 +74,16 @@ def test_dyadic_children_and_parent():
     for _ in range(200):
         level = rng.randint(1, 10)
         j = rng.randint(-40, 40)
-        blk = DyadicBlock(level, j)
-        left, right = blk.children()
-        assert left.interval.lo == blk.interval.lo
-        assert right.interval.hi == blk.interval.hi
-        assert left.interval.hi + 1 == right.interval.lo
-        assert left.parent() == blk and right.parent() == blk
+        blk = dyadic_block(level, j)
+        left, right = dyadic_block(level - 1, 2 * j - 1), dyadic_block(level - 1, 2 * j)
+        assert left.lo == blk.lo
+        assert right.hi == blk.hi
+        assert left.hi + 1 == right.lo
+        # both children sit under block j one level up
+        for child in (left, right):
+            assert block_index_of(level, child.lo) == j == block_index_of(level, child.hi)
+    with pytest.raises(ValueError, match="dyadic level"):
+        dyadic_block(-1, 0)
     # every point lands in the block reported for it
     for level in range(0, 8):
         for n in range(-20, 21):
@@ -130,7 +132,7 @@ def test_truncate_and_scaled_shifted():
     assert cut.window == ZInterval(1, 2) and cut.total() == 5.0
     assert truncate(a, ZInterval(10, 12)).is_zero()
     assert a.scaled(2.0).total() == 20.0
-    assert a.shifted(5).at(5) == 1.0
+    assert Sequence(a.offset + 5, a.values).at(5) == 1.0
 
 
 def test_runs_algebra_against_set_oracle():
@@ -152,7 +154,7 @@ def test_runs_algebra_against_set_oracle():
         assert as_set(runs_intersect(x, y)) == as_set(x) & as_set(y)
         assert as_set(runs_subtract(x, y)) == as_set(x) - as_set(y)
         assert runs_count(x) == len(as_set(x))
-        assert runs_equal(x, runs_normalize(list(x)))
+        assert runs_normalize(x) == runs_normalize(list(x))
 
 
 def test_runs_normalize_merges_adjacent():

@@ -88,7 +88,7 @@ def test_profile_equals_point_and_oracle_bitwise():
 def test_translation_equivariance():
     rng = XorShift64Star(17)
     a = Sequence(0, [rng.uniform() for _ in range(20)])
-    b = a.shifted(13)
+    b = Sequence(a.offset + 13, a.values)
     for alpha in ALPHAS:
         for n in range(-5, 25):
             assert m_alpha_point(a, alpha, n) == m_alpha_point(b, alpha, n + 13)
@@ -207,7 +207,7 @@ def test_superlevel_settles_closed_form_overshoot(monkeypatch):
     assert (a.offset, a.values.size) == (40, 30)
     s = float.fromhex("0x1.2f957a7cd2572p-12")
     ev = MaximalEvaluator(a, 0.5)
-    for S in (ev._S_left, ev._S_right):
+    for S in (ev._geometry.S_left, ev._geometry.S_right):
         estimate = np.ceil(np.power(S / s, 2.0)).astype(np.int64) - np.arange(2, S.size + 2)
         assert estimate.max() == 2_999_999_970
     lo, hi = -2_999_999_929, 3_000_000_038
@@ -471,7 +471,8 @@ def _on_side(draw, vals, alpha, d, offset=0):
     right = draw(st.booleans())
     if draw(st.booleans()):
         ev = MaximalEvaluator(a, alpha)
-        S, vertices = (ev._S_right, ev._geometry.right) if right else (ev._S_left, ev._geometry.left)
+        g = ev._geometry
+        S, vertices = (g.S_right, g.right) if right else (g.S_left, g.left)
         breaks = [b for b in maximal._winner_breaks(S, vertices, alpha) if 1.0 <= b < 2.0**40]
         if breaks:
             d = math.floor(draw(st.sampled_from(breaks)))
@@ -501,8 +502,8 @@ def test_envelope_seeds_at_alpha_near_one_and_zero_first_sum():
         _assert_matches_oracle(a, alpha, ZInterval(3, 40))
     b = Sequence(0, [1e10, 1e-7])
     ev = MaximalEvaluator(b, 0.25)
-    assert ev._S_right.tolist() == [0.0, 1e10]
-    assert maximal._winner_breaks(ev._S_right, ev._geometry.right, 0.25) == []
+    assert ev._geometry.S_right.tolist() == [0.0, 1e10]
+    assert maximal._winner_breaks(ev._geometry.S_right, ev._geometry.right, 0.25) == []
     _assert_matches_oracle(b, 0.25, ZInterval(2, 40))
     _assert_matches_oracle(b, 0.25, ZInterval(-40, -1))
 

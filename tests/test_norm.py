@@ -226,10 +226,17 @@ def _exponents(draw, near: int):
 
 @st.composite
 def _norm_inputs(draw):
+    """Values from _magnitudes, or, in a quarter of the draws, subnormal
+    multiples k * 5e-324 with k < 2^b, where bisection can reach adjacent
+    floats."""
     n = draw(st.one_of(st.just(1), st.integers(1, 2**15)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     offset = draw(st.integers(-(2**20), 2**20))
-    a = Sequence(offset, _magnitudes(rng, n, draw(st.integers(0, 3))))
+    if draw(st.integers(0, 3)) == 0:
+        values = rng.integers(0, 2 ** draw(st.integers(1, 52)), n) * 5e-324
+    else:
+        values = _magnitudes(rng, n, draw(st.integers(0, 3)))
+    a = Sequence(offset, values)
     return a, draw(_exponents(offset))
 
 
