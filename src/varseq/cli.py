@@ -31,12 +31,16 @@ from . import __version__
 from .czd import cz_decompose
 from .exponent import ExponentFunction
 from .harness import CorpusSpec, generate_corpus, run_verification_suite
-from .lattice import Sequence, ZInterval, dilate
+from .lattice import Sequence, ZInterval, cardinality, dilate
 from .maximal import m_alpha_profile
 from .norm import luxemburg_norm
 from .reports import render_csv, render_json, write_text
 
 __all__ = ["RunConfig", "parse_config", "run", "main", "ConfigError"]
+
+# Most points a maximal profile window may hold: rendering its record peaks
+# near 300 bytes a point.
+MAXIMAL_WINDOW_LIMIT = 2**20
 
 
 class ConfigError(ValueError):
@@ -75,30 +79,67 @@ def parse_config(path: str) -> dict:
     return data
 
 
-def _json_int(path: str, data: dict, key: str) -> int:
-    """data[key] if it is a JSON integer (a bool or float is not)."""
+@dataclass(frozen=True)
+class _Kind:
+    """Reads a setting from flag text or from a config file's JSON value."""
+
+    expected: str  # what an invalid value is told it should have been
+    text: Callable[[str], Any] | None  # flag text -> value; None: no text form
+    json: tuple[type, ...] = ()  # non-string JSON types taken (bool is no int)
+    value: Callable[[Any], Any] = lambda v: v
+
+    def parse(self, v: Any) -> Any:
+        """The typed value; TypeError or ValueError when v is not of this kind."""
+        if isinstance(v, str) and self.text is not None:
+            return self.text(v)
+        if type(v) not in self.json:
+            raise TypeError(f"expected {self.expected}")
+        return self.value(v)
+
+
+def _items(text: str) -> list[str]:
+    return [x.strip() for x in text.split(",") if x.strip()]
+
+
+def _format(text: str) -> str:
+    if text not in ("json", "csv"):
+        raise ValueError(text)
+    return text
+
+
+def _window(text: str) -> ZInterval:
+    lo, hi = text.split(":")
+    return ZInterval(int(lo), int(hi))
+
+
+_TEXT = _Kind("a string", str)
+_INT = _Kind("an integer", int, (int,))
+_FLOAT = _Kind("a number", float, (int, float), float)
+_BOOL = _Kind("true or false", None, (bool,))
+_FORMAT = _Kind("json or csv", _format)
+_WINDOW = _Kind("LO:HI", _window)
+_FLOATS = _Kind(
+    "a list of numbers",
+    lambda s: tuple(float(x) for x in _items(s)),
+    (list,),
+    lambda v: tuple(_FLOAT.parse(x) for x in v),
+)
+_NAMES = _Kind("a list of names", _items, (list,), lambda v: [_TEXT.parse(x) for x in v])
+
+
+def _json_field(path: str, data: dict, key: str, kind: _Kind) -> Any:
+    """data[key] if it has one of the kind's JSON types: an input file has no
+    text form, so a string is no number."""
     v = data[key]
-    if type(v) is not int:
-        raise ConfigError(f"{path}: {key} must be an integer, got {json.dumps(v)}")
-    return v
-
-
-def _is_number(v: Any) -> bool:
-    return type(v) in (int, float)
-
-
-def _json_float(path: str, data: dict, key: str) -> float:
-    """data[key] as a float if it is a JSON number (a bool or string is not)."""
-    v = data[key]
-    if not _is_number(v):
-        raise ConfigError(f"{path}: {key} must be a number, got {json.dumps(v)}")
-    return float(v)
+    if type(v) not in kind.json:
+        raise ConfigError(f"{path}: {key} must be {kind.expected}, got {json.dumps(v)}")
+    return kind.value(v)
 
 
 def _json_floats(path: str, data: dict, key: str) -> np.ndarray:
     """data[key] as a float array if it is a list of JSON numbers."""
     v = data[key]
-    bad = [x for x in v if not _is_number(x)] if isinstance(v, list) else [v]
+    bad = [x for x in v if type(x) not in _FLOAT.json] if isinstance(v, list) else [v]
     if bad:
         raise ConfigError(f"{path}: {key} must be numbers, got {json.dumps(bad[0])}")
     return np.asarray(v, dtype=float)
@@ -121,7 +162,7 @@ def _read_sequence(path: str) -> Sequence:
             data = json.load(fh)
         if not isinstance(data, dict) or set(data) != {"offset", "values"}:
             raise ConfigError(f"{path}: sequence JSON must have exactly offset and values")
-        return Sequence(_json_int(path, data, "offset"), _json_floats(path, data, "values"))
+        return Sequence(_json_field(path, data, "offset", _INT), _json_floats(path, data, "values"))
     pairs = []
     with open(path) as fh:
         for line_no, line in enumerate(fh, 1):
@@ -142,9 +183,9 @@ def _read_exponent(path: str) -> ExponentFunction:
     if not isinstance(data, dict) or set(data) != {"window_lo", "values", "p_inf"}:
         raise ConfigError(f"{path}: exponent JSON must have exactly window_lo, values, p_inf")
     return ExponentFunction(
-        _json_int(path, data, "window_lo"),
+        _json_field(path, data, "window_lo", _INT),
         _json_floats(path, data, "values"),
-        _json_float(path, data, "p_inf"),
+        _json_field(path, data, "p_inf", _FLOAT),
     )
 
 
@@ -169,6 +210,8 @@ def _run_maximal(cfg: RunConfig) -> dict:
         if hull is None:
             raise ConfigError("zero sequence needs an explicit --window")
         window = dilate(hull, 3)
+    if cardinality(window) > MAXIMAL_WINDOW_LIMIT:
+        raise ConfigError(f"maximal window has {cardinality(window)} points, more than 2**20")
     prof = m_alpha_profile(a, cfg.alpha, window)
     return {
         "command": "maximal",
@@ -260,54 +303,6 @@ def run(cfg: RunConfig) -> int:
     except OSError as e:
         return _fail(2, f"error: cannot write {cfg.out or 'stdout'}: {e.strerror or e}")
     return 1 if record.get("failures_total") else 0
-
-
-@dataclass(frozen=True)
-class _Kind:
-    """Reads a setting from flag text or from a config file's JSON value."""
-
-    expected: str  # what an invalid value is told it should have been
-    text: Callable[[str], Any] | None  # flag text -> value; None: no text form
-    json: tuple[type, ...] = ()  # non-string JSON types taken (bool is no int)
-    value: Callable[[Any], Any] = lambda v: v
-
-    def parse(self, v: Any) -> Any:
-        """The typed value; TypeError or ValueError when v is not of this kind."""
-        if isinstance(v, str) and self.text is not None:
-            return self.text(v)
-        if type(v) not in self.json:
-            raise TypeError(f"expected {self.expected}")
-        return self.value(v)
-
-
-def _items(text: str) -> list[str]:
-    return [x.strip() for x in text.split(",") if x.strip()]
-
-
-def _format(text: str) -> str:
-    if text not in ("json", "csv"):
-        raise ValueError(text)
-    return text
-
-
-def _window(text: str) -> ZInterval:
-    lo, hi = text.split(":")
-    return ZInterval(int(lo), int(hi))
-
-
-_TEXT = _Kind("a string", str)
-_INT = _Kind("an integer", int, (int,))
-_FLOAT = _Kind("a number", float, (int, float), float)
-_BOOL = _Kind("true or false", None, (bool,))
-_FORMAT = _Kind("json or csv", _format)
-_WINDOW = _Kind("LO:HI", _window)
-_FLOATS = _Kind(
-    "a list of numbers",
-    lambda s: tuple(float(x) for x in _items(s)),
-    (list,),
-    lambda v: tuple(_FLOAT.parse(x) for x in v),
-)
-_NAMES = _Kind("a list of names", _items, (list,), lambda v: [_TEXT.parse(x) for x in v])
 
 
 @dataclass(frozen=True)

@@ -313,7 +313,7 @@ def _shells(
 def level_set_partition(a: Sequence, alpha: float, t: float) -> LevelSetPartition:
     """Partition a window of M_alpha level sets into E-sets; 0 < t < 1/9.
     omega entries of rungs that no point enters are the same list object."""
-    if not (0.0 < t < 1.0 / 9.0):
+    if not (0.0 < t < 1.0 / COVERING_FACTOR):
         raise ValueError("t must lie in (0, 1/9)")
     ev = MaximalEvaluator(a, alpha)
     hull = ev.hull

@@ -27,6 +27,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .czd import (
+    COVERING_FACTOR,
     alpha_average,
     covering_check,
     cz_decompose,
@@ -419,11 +420,11 @@ def weak_type_sup(a: Sequence, p: ExponentFunction, alpha: float) -> tuple[float
     max_m = ev.max_value()
     if max_m == 0.0:
         return 0.0, 0.0
-    top = max_m / 9.0
+    top = max_m / COVERING_FACTOR
     if not (top * 1e-4 >= sys.float_info.min):
         raise ValueError("threshold grid starts below the smallest normal float: M_alpha a underflows")
     t_grid = np.geomspace(top * 1e-4, top * 1.1, WEAK_GRID_SIZE)
-    sets = ev.superlevels(9.0 * t_grid)
+    sets = ev.superlevels(COVERING_FACTOR * t_grid)
     na = luxemburg_norm(a, p).value
     best, best_t = 0.0, float(t_grid[0])
     for t, nv in zip(t_grid.tolist(), characteristic_norms(sets, q)):
@@ -571,30 +572,37 @@ def _fatou_cases(item: CorpusItem, alphas, t) -> list[Case]:
     return [Case(monotone and gap <= tol, gap, {})]
 
 
-def _maximal_consistency_cases(item: CorpusItem, alphas, t) -> list[Case]:
+def _alpha_cases(case: Callable, zero: Case) -> Groups:
+    """Groups of one case(item, alpha, t) per alpha over the corpus items; a
+    zero sequence has nothing to check and passes every alpha as `zero`."""
+
+    def cases(item: CorpusItem, alphas, t) -> list[Case]:
+        if item.a.is_zero():
+            return [zero] * len(alphas)
+        return [case(item, alpha, t) for alpha in alphas]
+
+    return _each_item(cases)
+
+
+def _maximal_consistency_case(item: CorpusItem, alpha: float, t: float) -> Case:
     """profile() against sampled point() values, and superlevel() against
     the profile's runs, on the hull padded by twice its width."""
-    if item.a.is_zero():
-        return [Case(True, 0.0, {})] * len(alphas)
     hull = item.a.support_hull()
     pad = 2 * cardinality(hull)
     win = ZInterval(hull.lo - pad, hull.hi + pad)
     step = max(1, cardinality(win) // 16)
-    cases = []
-    for alpha in alphas:
-        ev = MaximalEvaluator(item.a, alpha)
-        prof = ev.profile(win)
-        ok = all(prof[n - win.lo] == ev.point(n) for n in range(win.lo, win.hi + 1, step))
-        s = ev.max_value() / 7.0
-        runs = runs_from_mask(prof > s, win.lo)
-        ok = ok and runs_intersect(ev.superlevel(s), [win]) == runs
-        cases.append(Case(ok, 0.0, {}))
-    return cases
+    ev = MaximalEvaluator(item.a, alpha)
+    prof = ev.profile(win)
+    ok = all(prof[n - win.lo] == ev.point(n) for n in range(win.lo, win.hi + 1, step))
+    s = ev.max_value() / 7.0
+    runs = runs_from_mask(prof > s, win.lo)
+    return Case(ok and runs_intersect(ev.superlevel(s), [win]) == runs, 0.0, {})
 
 
-def _cz_structure_case(a: Sequence, alpha: float, t: float) -> Case:
+def _cz_structure_case(item: CorpusItem, alpha: float, t: float) -> Case:
     """Selected intervals have averages in (t, 2^(1-alpha) t], come in order
     and disjoint, end in {M_alpha > t}, and nest from level t/3 to t."""
+    a = item.a
     d = cz_decompose(a, alpha, t)
     bound = 2.0 ** (1.0 - alpha) * t
     ev = MaximalEvaluator(a, alpha)
@@ -609,28 +617,18 @@ def _cz_structure_case(a: Sequence, alpha: float, t: float) -> Case:
     return Case(ok, ratio, {})
 
 
-def _cz_structure_cases(item: CorpusItem, alphas, t) -> list[Case]:
-    if item.a.is_zero():
-        return [Case(True, 1.0, {})] * len(alphas)
-    return [_cz_structure_case(item.a, alpha, t) for alpha in alphas]
-
-
-def _covering_cases(item: CorpusItem, alphas, t) -> list[Case]:
-    if item.a.is_zero():
-        return [Case(True, 0.0, {})] * len(alphas)
-    reps = [covering_check(item.a, alpha, t) for alpha in alphas]
-    return [Case(r.ok and r.bound_ok, r.max_average_ratio, {}) for r in reps]
+def _covering_case(item: CorpusItem, alpha: float, t: float) -> Case:
+    r = covering_check(item.a, alpha, t)
+    return Case(r.ok and r.bound_ok, r.max_average_ratio, {})
 
 
 _CORRECTED = "corrected_constant_fraction"
 
 
-def _domination_cases(item: CorpusItem, alphas, t) -> list[Case]:
+def _domination_case(item: CorpusItem, alpha: float, t: float) -> Case:
     """ok is the derived constant; the corrected one feeds item_fraction."""
-    if item.a.is_zero():
-        return [Case(True, 0.0, {_CORRECTED: True})] * len(alphas)
-    reps = [domination_check(item.a, item.p, alpha, t) for alpha in alphas]
-    return [Case(r.ok_derived, r.ratio, {_CORRECTED: r.ok_corrected}) for r in reps]
+    r = domination_check(item.a, item.p, alpha, t)
+    return Case(r.ok_derived, r.ratio, {_CORRECTED: r.ok_corrected})
 
 
 def _holder_groups(spec: CorpusSpec, alphas, t) -> list[list[Case]]:
@@ -684,10 +682,10 @@ SUITE_CHECKS: dict[str, tuple[Groups, Rule]] = {
     "norm_modular": (_each_item(_norm_modular_cases), Rule()),
     "scaling": (_each_item(_scaling_cases), Rule()),
     "fatou": (_each_item(_fatou_cases), Rule(0.0, max_key="max_gap")),
-    "maximal_consistency": (_each_item(_maximal_consistency_cases), Rule()),
-    "cz_structure": (_each_item(_cz_structure_cases), _RATIO),
-    "covering": (_each_item(_covering_cases), _RATIO),
-    "domination": (_each_item(_domination_cases), _DOMINATION),
+    "maximal_consistency": (_alpha_cases(_maximal_consistency_case, Case(True, 0.0, {})), Rule()),
+    "cz_structure": (_alpha_cases(_cz_structure_case, Case(True, 1.0, {})), _RATIO),
+    "covering": (_alpha_cases(_covering_case, Case(True, 0.0, {})), _RATIO),
+    "domination": (_alpha_cases(_domination_case, Case(True, 0.0, {_CORRECTED: True})), _DOMINATION),
     "holder": (_holder_groups, Rule(-math.inf)),
     "key_comparison": (_key_comparison_groups, _KEY),
     "strong_type": (_per_alpha(_strong_cases, "strong"), replace(_STRONG, needs_alphas=True)),

@@ -15,7 +15,8 @@ persistent monotone stack per side (_convex_chains). The deeper side's chains
 are walked one step at a time for all W points at once, each step scored
 against the other side's chains. Inputs whose deepest chains would make that
 more than W^2 pairs, max(depth_l) * max(depth_r) > W (near-collinear prefix
-sums), are swept row by row instead. The chains depend on the prefix sums
+sums), are swept row by row instead. _Geometry.pairs is that rule, asked by
+the profile and by point() alike. The chains depend on the prefix sums
 alone, so they are built once per Sequence (_Geometry, cached by
 identity, on first use) and shared by the evaluators of every alpha. Every
 path takes the same float w[h-l-1] * (P[h]-P[l]) of each interval, so an
@@ -87,6 +88,10 @@ _NEAR_MAX = 1.0 - 2.0**-40
 # neighbours by more than this, with prefix sums scaled so that the hull total
 # lies in [1/2, 1) (derivation in _convex_chains).
 _CHAIN_MARGIN = 2.0**-45
+# Hulls of up to this many points are profiled in one dense (W, W) pass,
+# wider ones by their chain pairs or the row sweep: counting the chain
+# build, the dense pass was the faster up to W = 128 and the slower from 192.
+_DENSE_MAX = 128
 
 
 def alpha_weights(max_len: int, alpha: float) -> np.ndarray:
@@ -219,8 +224,8 @@ class _Geometry:
     side from its near end, czd's dyadic block sums (blocks, set there),
     and, built on first use from one _convex_chains pass per side:
 
-    chains is (pred_l, max depth_l, pred_r, max depth_r) for _pair_profile,
-    or None when max(depth_l) * max(depth_r) > W sends the hull to the sweep.
+    pairs is the path rule of the module docstring: True when the hull
+    profile and in-hull point() go by chain pairs.
 
     left and right are the exterior vertices of each side: the indices j,
     ascending, of the upper convex hull of the points (j, S[j]) of its
@@ -251,9 +256,9 @@ class _Geometry:
         return pred_l, int(depth_l.max()), pred_r, int(depth_r.max())
 
     @cached_property
-    def chains(self) -> tuple[np.ndarray, int, np.ndarray, int] | None:
-        _, deep_l, _, deep_r = self._preds
-        return None if deep_l * deep_r > self.P.size - 1 else self._preds
+    def pairs(self) -> bool:
+        W = self.P.size - 1
+        return W > _DENSE_MAX and self._preds[1] * self._preds[3] <= W
 
     @cached_property
     def left(self) -> list[int]:
@@ -319,20 +324,14 @@ def _winner_breaks(S: np.ndarray, vertices: list[int], alpha: float) -> list[flo
 # more crossings than fit, the seeds come from an even share of them, and
 # the segments between split at their midpoints.
 _SEED_SCORES = 2**18
-# Hulls of up to this many points are profiled in one dense (W, W) pass,
-# wider ones by their chain pairs or the row sweep: counting the chain
-# build, the dense pass was the faster up to W = 128 and the slower from 192.
-_DENSE_MAX = 128
 
 
 def _pair_profile(P: np.ndarray, w: np.ndarray, chains) -> np.ndarray:
     """The hull profile by the chain pairs of the module docstring, from the
-    chains of _Geometry, or the row sweep when those are None. An ended
-    chain repeats its last point, which only re-scores a pair. Chains exist
-    only when max(depth_l) * max(depth_r) <= W, so the shallower depth is at
-    most sqrt(W) and the temporaries hold at most W**1.5 scores."""
-    if chains is None:
-        return _sweep_profile(P, w)
+    chains of _Geometry. An ended chain repeats its last point, which only
+    re-scores a pair. _Geometry.pairs sends only max(depth_l) * max(depth_r)
+    <= W here, so the shallower depth is at most sqrt(W) and the temporaries
+    hold at most W**1.5 scores."""
     pred_l, deep_l, pred_r, deep_r = chains
     W = P.size - 1
     ns = np.arange(W)
@@ -413,10 +412,13 @@ class MaximalEvaluator:
 
     def _profile_on_hull(self) -> np.ndarray:
         if self._hull_profile is None:
-            if self._P.size - 1 <= _DENSE_MAX:
-                self._hull_profile = _dense_profile(self._P, self._weights)
+            P, w, g = self._P, self._weights, self._geometry
+            if g.pairs:
+                self._hull_profile = _pair_profile(P, w, g._preds)
+            elif P.size - 1 <= _DENSE_MAX:
+                self._hull_profile = _dense_profile(P, w)
             else:
-                self._hull_profile = _pair_profile(self._P, self._weights, self._geometry.chains)
+                self._hull_profile = _sweep_profile(P, w)
         return self._hull_profile
 
     def max_value(self) -> float:
@@ -493,10 +495,8 @@ class MaximalEvaluator:
             return 0.0
         if hull.contains(n):
             k = n - hull.lo
-            if self._hull_profile is None and self._P.size - 1 > _DENSE_MAX:
-                chains = self._geometry.chains
-                if chains is not None:
-                    return _pair_point(self._P, self._weights, chains, k)
+            if self._hull_profile is None and self._geometry.pairs:
+                return _pair_point(self._P, self._weights, self._geometry._preds, k)
             return float(self._profile_on_hull()[k])
         if n < hull.lo:
             d, S = hull.lo - n, self._geometry.S_left

@@ -3,9 +3,11 @@
 The maximal-operator oracle evaluates the library's float formula
 |I|^(alpha-1) * sum_I |a| (a power of the float length times a prefix-sum
 difference) on every candidate interval of every point, so agreement with
-the library's faster evaluators is exact, not approximate. Outside the hull
-it is a dense points x W evaluation, the reference for the library's
-envelope evaluator.
+the library's faster evaluators is exact, not approximate. Inside the hull
+it takes the intervals length by length, each length's values under one
+running max (scipy's maximum_filter1d), independent of the library's dense
+pass, chain pairs and row sweep. Outside the hull it is a dense points x W
+evaluation, the reference for the library's envelope evaluator.
 
 The norm oracles are the bisection without a certified bracket: one
 modular evaluation per midpoint, with the library's float expressions for
@@ -36,6 +38,7 @@ import math
 
 import numpy as np
 from hypothesis import strategies as st
+from scipy.ndimage import maximum_filter1d
 
 from varseq.czd import (
     COVERING_FACTOR,
@@ -63,57 +66,54 @@ from varseq.maximal import MaximalEvaluator, alpha_weights
 from varseq.norm import MAX_BISECT_ITER, NormValue
 
 
-def rectangle_values(a: Sequence, alpha: float) -> tuple[ZInterval, np.ndarray]:
-    """Matrix V[lo, hi] of |I|^(alpha-1) * sum_I |a| over hull subintervals.
-
-    Rows use the identical expression the library evaluates, so entries are
-    bit-for-bit the same floats.
-    """
-    hull = a.support_hull()
-    vals = a.values[hull.lo - a.offset : hull.hi - a.offset + 1]
-    P = np.concatenate([[0.0], np.cumsum(vals)])
-    W = vals.size
-    w_all = alpha_weights(W, alpha)
-    V = np.full((W, W), -np.inf)
-    for lo in range(W):
-        V[lo, lo:] = w_all[: W - lo] * (P[lo + 1 :] - P[lo])
-    return hull, V
-
-
 # Exterior lengths up to this read the weight table; longer ones call
 # np.power directly, which bounds the table's size.
 DENSE_TABLE_LIMIT = 2**20
 
 
 def brute_force_profile(a: Sequence, alpha: float, window: ZInterval) -> np.ndarray:
-    """Per-point rectangle maximum of the candidate-interval values.
+    """Per-point maximum of the candidate-interval values.
 
-    Inside the hull: max over the explicit V[lo<=n, hi>=n] rectangle.
-    Outside: the max over all W intervals from the point to a hull index,
-    with weights from a table of every length up to the farthest one (or
-    direct powers beyond DENSE_TABLE_LIMIT).
+    Inside the hull, by length: for each L the values w[L-1] * (P[s+L] - P[s])
+    of the L-point intervals [s, s+L-1], the library's expression, and at
+    each point the max of those that cover it, a running max over the last
+    L starts. Outside: the max over all W intervals from the point to a hull
+    index, with weights from one table of every length up to the farthest
+    one, built at the first point that reads it (direct powers beyond
+    DENSE_TABLE_LIMIT).
     """
-    hull, V = rectangle_values(a, alpha)
+    hull = a.support_hull()
     vals = a.values[hull.lo - a.offset : hull.hi - a.offset + 1]
     P = np.concatenate([[0.0], np.cumsum(vals)])
     W = vals.size
+    inside = np.full(W, -np.inf)
+    if hull.intersects(window):
+        w, v = alpha_weights(W, alpha), np.empty(W)
+        for L in range(1, W + 1):
+            v[: W - L + 1] = w[L - 1] * (P[L:] - P[: W - L + 1])
+            v[W - L + 1 :] = -np.inf
+            # the window of point k is the starts k - L + 1 .. k
+            covering = maximum_filter1d(v, L, mode="constant", cval=-np.inf, origin=(L - 1) // 2)
+            np.maximum(inside, covering, out=inside)
+    far = max(hull.lo - window.lo, window.hi - hull.hi, 0) + W
+    table = None
     x = np.arange(W) + hull.lo
     out = np.zeros(window.hi - window.lo + 1)
     for i, n in enumerate(range(window.lo, window.hi + 1)):
         if hull.contains(n):
-            k = n - hull.lo
-            out[i] = V[: k + 1, k:].max()
+            out[i] = inside[n - hull.lo]
             continue
         if n < hull.lo:
             lengths, sums = x - n + 1, P[1:]
         else:
             lengths, sums = n - x + 1, P[-1] - P[:W]
-        max_len = int(lengths.max())
-        if max_len <= DENSE_TABLE_LIMIT:
-            w = alpha_weights(max_len, alpha)[lengths - 1]
+        if int(lengths.max()) <= DENSE_TABLE_LIMIT:
+            if table is None:
+                table = alpha_weights(min(far, DENSE_TABLE_LIMIT), alpha)
+            weights = table[lengths - 1]
         else:
-            w = np.power(lengths.astype(np.float64), alpha - 1.0)
-        out[i] = (w * sums).max()
+            weights = np.power(lengths.astype(np.float64), alpha - 1.0)
+        out[i] = (weights * sums).max()
     return out
 
 

@@ -548,6 +548,15 @@ def test_far_offset_exit_2(tmp_path, capsys):
     assert err.endswith("reaches past the coordinate limit +-2**61\n")
 
 
+def test_maximal_window_past_limit_exit_2(tmp_path, capsys):
+    """A maximal window of more than 2**20 points is an input error on one
+    line, raised before the profile is allocated."""
+    one = tmp_path / "one.txt"
+    one.write_text("0 1.0\n")
+    assert run_cli("maximal", "--input", str(one), "--window", "0:1099511627776") == 2
+    assert capsys.readouterr().err == "error: maximal window has 1099511627777 points, more than 2**20\n"
+
+
 def test_report_float_formatting_is_17g(tmp_path):
     text = render_json({"x": 0.1, "y": 1.0})
     assert "0.10000000000000001" in text

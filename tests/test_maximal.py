@@ -591,7 +591,7 @@ def test_hull_profile_matches_rectangle_oracle(law, width, seed, alpha):
 
 def _all_chains(a: Sequence):
     """The prefix sums of a's hull and its chains as _pair_profile takes
-    them, also where _hull_chains would select the sweep."""
+    them, also where _Geometry.pairs would select the sweep."""
     P = MaximalEvaluator(a, 0.0)._P
     y = np.ldexp(P, -int(np.frexp(P[-1])[1]))
     pred_l, depth_l = maximal._convex_chains(y[:-1].tolist())
@@ -665,12 +665,13 @@ def test_hull_profile_path_selected_by_pair_count(monkeypatch):
     # so it is swept; with unit values every interval of length k
     # scores w[k-1] * k, and every length fits around every point
     W = 4096
+    assert _chain_depths(Sequence(0, np.ones(W))) == (W, W)
     for alpha in ALPHAS:
         paths.clear()
         prof = MaximalEvaluator(Sequence(0, np.ones(W)), alpha).profile(ZInterval(0, W - 1))
         want = (alpha_weights(W, alpha) * np.arange(1, W + 1)).max()
         assert np.all(prof == want)
-        assert paths == [("_pair_profile", W), ("_sweep_profile", W)]
+        assert paths == [("_sweep_profile", W)]
 
 
 def test_hull_chains_built_once_per_sequence(monkeypatch):
@@ -722,9 +723,10 @@ def test_in_hull_point_matches_oracle(a, alpha, data):
     W = cardinality(hull)
     ns = [hull.lo, hull.hi, data.draw(st.integers(hull.lo, hull.hi))]
     got = [ev.point(n) for n in ns]
-    want = [brute_force_profile(a, alpha, ZInterval(n, n))[0] for n in ns]
+    want = brute_force_profile(a, alpha, hull)[np.subtract(ns, hull.lo)].tolist()
     assert [x.hex() for x in got] == [x.hex() for x in want], ns
-    pairs = W > maximal._DENSE_MAX and ev._geometry.chains is not None
+    pairs = W > maximal._DENSE_MAX and math.prod(_chain_depths(a)) <= W
+    assert ev._geometry.pairs == pairs
     assert (ev._hull_profile is None) == pairs
     assert got == [ev.profile(ZInterval(n, n))[0] for n in ns]
 
@@ -742,7 +744,7 @@ def test_in_hull_point_builds_no_profile(monkeypatch):
     cases = (
         (Sequence(-40, rng.random(512)), []),
         (Sequence(7, rng.random(128)), ["_dense_profile"]),
-        (Sequence(0, np.ones(300)), ["_pair_profile", "_sweep_profile"]),
+        (Sequence(0, np.ones(300)), ["_sweep_profile"]),
     )
     for a, builders in cases:
         for alpha in _POINT_ALPHAS:
@@ -861,15 +863,15 @@ def test_far_superlevel_ends_match_oracle(law, width, seed, alpha):
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(
-    adversarial_sequences().filter(lambda a: a.values.size <= 1100),
+    adversarial_sequences(),
     st.sampled_from(_POINT_ALPHAS),
     st.integers(0, 2**32 - 1),
 )
 def test_superlevels_match_oracle_on_adversarial_laws(a, alpha, seed):
-    """Long zero runs and a lone far spike (hulls of at most 1,100 points,
-    so the dense oracle stays small): thresholds at the profile values
-    within 64 points of the hull and one ulp either side, against the dense
-    oracle on the hull padded past the reach of the lowest threshold."""
+    """Long zero runs and a lone far spike (hulls up to 3,009 points):
+    thresholds at the profile values within 64 points of the hull and one
+    ulp either side, against the dense oracle on the hull padded past the
+    reach of the lowest threshold."""
     rng = np.random.default_rng(seed)
     ev = MaximalEvaluator(a, alpha)
     hull = ev.hull
