@@ -49,20 +49,21 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    """Fully resolved invocation of one CLI command."""
+    """Fully resolved invocation of one CLI command: _resolve fills every
+    field from _SETTINGS; corpus is None for a command without a corpus."""
 
     command: str
-    input: str | None = None
-    exponent: str | None = None
-    alpha: float = 0.0
-    t: float = 0.05
-    rel_tol: float = 1e-12
-    window: ZInterval | None = None
-    corpus: CorpusSpec | None = None
-    checks: list[str] | None = None
-    inject_fault: bool = False
-    out: str | None = None
-    format: str = "json"
+    input: str | None
+    exponent: str | None
+    alpha: float
+    t: float
+    rel_tol: float
+    window: ZInterval | None
+    corpus: CorpusSpec | None
+    checks: list[str] | None
+    inject_fault: bool
+    out: str | None
+    format: str
 
 
 def parse_config(path: str) -> dict:
@@ -389,7 +390,7 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     if bad:
         raise ConfigError(f"unknown corpus keys: {', '.join(bad)}")
 
-    values = {}
+    values = {name: s.default for name, s in _SETTINGS.items()}
     for name, s in settings.items():
         config = corpus if s.section else data
         raw = getattr(args, name, None)
@@ -398,17 +399,15 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         if raw is None:
             if command in s.required:
                 raise ConfigError(f"{command} requires {s.flag}")
-            values[name] = s.default
             continue
         try:
             values[name] = s.kind.parse(raw)
         except (TypeError, ValueError) as e:
             raise ConfigError(f"invalid {name} {raw!r}: expected {s.kind.expected}") from e
 
-    cfg = RunConfig(command, **{n: v for n, v in values.items() if n not in in_corpus})
-    if in_corpus:
-        cfg.corpus = CorpusSpec(**{n: values[n] for n in in_corpus})
-    return cfg
+    corpus_values = {n: values.pop(n) for n, s in _SETTINGS.items() if s.section}
+    spec = CorpusSpec(**corpus_values) if in_corpus else None
+    return RunConfig(command, corpus=spec, **values)
 
 
 def main(argv: list[str] | None = None) -> int:

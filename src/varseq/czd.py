@@ -5,14 +5,16 @@ dyadic block at every level >= N has alpha-average <= t. (For alpha = 0 the
 averages are monotone under merging, so this equals the first fully light
 level; for alpha > 0 the stronger rule is required for the covering bound.)
 The block averages do not depend on t, so one table per (sequence, alpha)
-holds them, a row per level over the blocks meeting the support hull, and
-each threshold's decomposition is a cut of it: the maximal blocks below
+holds them, a row per level 0..62 over the blocks meeting the support hull,
+and each threshold's decomposition is a cut of it: the maximal blocks below
 N_t with average above t, sorted and disjoint, with averages in
 (t, 2^(1-alpha) t]. The block sums are alpha-free too: one range_sums call
-per sequence (_block_sums) sums the blocks of levels 0..L_top, where L_top
-is the first level >= 1 at which the hull is one block, or the two blocks
-either side of 0|1, and where top_level can first stop. A higher row's
-blocks each hold their whole side of the hull, so it has row L_top's sums.
+per sequence (_block_sums) sums every row. Coordinates lie within +-2^61,
+so from level 62 up the hull meets only blocks 0 and 1, each holding the
+hull's whole side of 0|1: a higher level keeps the sums and shrinks the
+factor. N_t is then read off the rows by its definition: one more than the
+last level with an average above t, or 1; a heavy level 62 raises
+ValueError.
 
 The level-set partition cuts the window profile of M_alpha at the rungs
 base^k, base = 9t, from the top rung (max M_alpha, where the set is empty)
@@ -92,25 +94,19 @@ class CZDecomposition:
     n_t: int
 
 
-def _block_sums(a: Sequence) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """Row starts (row L is starts[L]:starts[L+1]), sums of the blocks
-    meeting a's hull at levels 0..L_top (module docstring), and each level's
-    largest sum up to level 62, kept in a's _Geometry."""
+def _block_sums(a: Sequence) -> tuple[list[int], np.ndarray]:
+    """Row starts (row L is starts[L]:starts[L+1]) and sums of the blocks
+    meeting a's hull at levels 0..62, kept in a's _Geometry."""
     geometry = _geometry_of(a)
     if geometry.blocks is None:
-        hull = geometry.hull
-        los, his, starts = [], [], [0]
-        for level in range(63):
-            first, last = block_index_of(level, hull.lo), block_index_of(level, hull.hi)
-            lo = (np.arange(first, last + 1) - 1) * (1 << level) + 1
-            los.append(lo)
-            his.append(lo + ((1 << level) - 1))
-            starts.append(starts[-1] + lo.size)
-            if level and (first == last or (first == 0 and last == 1)):
-                break
-        sums = a.range_sums(np.concatenate(los), np.concatenate(his))
-        peaks = np.maximum.reduceat(sums, starts[:-1])
-        geometry.blocks = starts, sums, np.concatenate([peaks, np.full(63 - peaks.size, peaks[-1])])
+        hull, levels = geometry.hull, np.arange(63)
+        firsts = -(-hull.lo >> levels)  # block_index_of at each level
+        sizes = -(-hull.hi >> levels) - firsts + 1
+        starts = np.concatenate([[0], np.cumsum(sizes)])
+        level = np.repeat(levels, sizes)
+        js = np.arange(starts[-1]) - np.repeat(starts[:-1] - firsts, sizes)
+        los = ((js - 1) << level) + 1
+        geometry.blocks = starts.tolist(), a.range_sums(los, los + ((1 << level) - 1))
     return geometry.blocks
 
 
@@ -118,37 +114,29 @@ class _DyadicTable:
     """Row L: the level-L blocks meeting the hull and their averages,
     np.power(2^L, alpha-1) times the block sums, all in one product; an
     array power has the bits of scalar ones
-    (test_power_of_scalars_matches_array_entries). A positive factor keeps
-    float order, so factor times largest sum is the row's peak."""
+    (test_power_of_scalars_matches_array_entries)."""
 
     def __init__(self, a: Sequence, alpha: float):
         self.alpha = check_alpha(alpha)
         self.hull = _geometry_of(a).hull
         if self.hull is not None:  # decompose rejects a zero sequence
-            self._starts, self._sums, peak_sums = _block_sums(a)
-            self._factors = np.power(np.ldexp(1.0, np.arange(63)), self.alpha - 1.0)
-            per_entry = np.repeat(self._factors[: len(self._starts) - 1], np.diff(self._starts))
-            self._avgs = per_entry * self._sums
-            self._peaks = (self._factors * peak_sums).tolist()
+            self._starts, sums = _block_sums(a)
+            factors = np.power(np.ldexp(1.0, np.arange(63)), self.alpha - 1.0)
+            self._avgs = np.repeat(factors, np.diff(self._starts)) * sums
+            self._peaks = np.maximum.reduceat(self._avgs, self._starts[:-1])
 
     def row(self, level: int) -> tuple[np.ndarray, np.ndarray]:
         hull, starts = self.hull, self._starts
         js = np.arange(block_index_of(level, hull.lo), block_index_of(level, hull.hi) + 1)
-        if level < len(starts) - 1:
-            return js, self._avgs[starts[level] : starts[level + 1]]
-        return js, self._factors[level] * self._sums[starts[-2] :]
+        return js, self._avgs[starts[level] : starts[level + 1]]
 
     def top_level(self, t: float) -> int:
-        """N_t. The scan stops at a light row from L_top on; each of its
-        blocks holds its whole side of the hull, so higher levels only shrink
-        the averages. A row has one above t exactly when its peak is."""
-        last_heavy = 0
-        for level in range(1, 63):
-            if self._peaks[level] > t:
-                last_heavy = level
-            elif level >= len(self._starts) - 2:
-                return last_heavy + 1
-        raise ValueError("threshold too small for the dyadic level search")
+        """N_t (module docstring), from each row's largest average."""
+        heavy = np.flatnonzero(self._peaks > t)
+        n_t = int(heavy[-1]) + 1 if heavy.size else 1
+        if n_t > 62:
+            raise ValueError("threshold too small for the dyadic level search")
+        return n_t
 
     def decompose(self, t: float) -> CZDecomposition:
         """Cut at t: the blocks below level n_t with average above t whose
@@ -208,21 +196,9 @@ def cz_nesting_check(a: Sequence, alpha: float, t1: float, t2: float) -> Nesting
         k = bisect.bisect_right(lows, r.lo) - 1
         if k < 0 or not d_lo.intervals[k].contains_interval(r):
             failures += 1
-    ok = (
-        failures == 0
-        and d_hi.n_t <= d_lo.n_t
-        and runs_count(d_hi.intervals) <= runs_count(d_lo.intervals)
-    )
-    return NestingReport(
-        ok,
-        t_hi,
-        t_lo,
-        d_hi.n_t,
-        d_lo.n_t,
-        failures,
-        runs_count(d_hi.intervals),
-        runs_count(d_lo.intervals),
-    )
+    count_hi, count_lo = runs_count(d_hi.intervals), runs_count(d_lo.intervals)
+    ok = failures == 0 and d_hi.n_t <= d_lo.n_t and count_hi <= count_lo
+    return NestingReport(ok, t_hi, t_lo, d_hi.n_t, d_lo.n_t, failures, count_hi, count_lo)
 
 
 @dataclass(frozen=True)
@@ -238,6 +214,12 @@ class CoveringReport:
     two_t_fraction: float
 
 
+def selected_average_bound(alpha: float, t: float) -> float:
+    """2^(1-alpha) t, the largest average a cut at t selects, with a relative
+    slack of 1e-12 for rounding."""
+    return float(2.0 ** (1.0 - alpha)) * t * (1 + 1e-12)
+
+
 def covering_check(a: Sequence, alpha: float, t: float) -> CoveringReport:
     """Verify {M_alpha a > 9t} is covered by the doubled selected intervals,
     and that selected averages obey avg <= 2^(1-alpha) t."""
@@ -247,7 +229,7 @@ def covering_check(a: Sequence, alpha: float, t: float) -> CoveringReport:
     uncovered = runs_subtract(sup, doubled)
     avgs = d.averages
     top = max(avgs, default=0.0)
-    bound_ok = top <= float(2.0 ** (1.0 - alpha)) * t * (1 + 1e-12)
+    bound_ok = top <= selected_average_bound(alpha, t)
     two_t = sum(avg <= 2.0 * t for avg in avgs) / len(avgs) if avgs else 1.0
     return CoveringReport(
         len(uncovered) == 0,

@@ -33,6 +33,7 @@ from .czd import (
     cz_decompose,
     cz_nesting_check,
     domination_check,
+    selected_average_bound,
 )
 from .exponent import (
     ExponentFunction,
@@ -87,6 +88,12 @@ STRONG_WINDOW_CAP = 2**14
 STRONG_THRESHOLD_DIV = 64.0
 WEAK_GRID_SIZE = 40
 _HOLDER_TOL = 1e-12
+_P_FLOOR = 1.05  # least default corpus exponent
+
+
+def _p_cap(alpha: float) -> float:
+    """Greatest default corpus exponent at alpha, below 1/alpha."""
+    return min(8.0, 0.95 / alpha) if alpha > 0 else 8.0
 
 
 class XorShift64Star:
@@ -190,11 +197,8 @@ def _jump_tables(k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CorpusSpec:
-    """Deterministic recipe for a corpus of (sequence, exponent) pairs.
-
-    p_lo / p_hi default to [1.05, min(8, 0.95/max(alpha_list))] so every
-    generated exponent admits the fractional conjugate at each listed alpha.
-    """
+    """Deterministic recipe for a corpus of (sequence, exponent) pairs; p_lo
+    and p_hi default to _P_FLOOR and _p_cap(max(alpha_list))."""
 
     seed: int
     count: int
@@ -218,9 +222,8 @@ class CorpusSpec:
         if self.count < 0:
             raise ValueError("count must be >= 0")
         a_max = max(map(check_alpha, self.alpha_list), default=0.0)
-        hi_cap = min(8.0, 0.95 / a_max) if a_max > 0 else 8.0
-        lo = 1.05 if self.p_lo is None else float(self.p_lo)
-        hi = hi_cap if self.p_hi is None else float(self.p_hi)
+        lo = _P_FLOOR if self.p_lo is None else float(self.p_lo)
+        hi = _p_cap(a_max) if self.p_hi is None else float(self.p_hi)
         if self.p_hi is None and 1.0 <= lo and hi < lo:
             raise ValueError(
                 f"max(alpha_list) = {a_max:g} leaves the default p_hi ="
@@ -604,11 +607,11 @@ def _cz_structure_case(item: CorpusItem, alpha: float, t: float) -> Case:
     and disjoint, end in {M_alpha > t}, and nest from level t/3 to t."""
     a = item.a
     d = cz_decompose(a, alpha, t)
-    bound = 2.0 ** (1.0 - alpha) * t
+    bound = selected_average_bound(alpha, t)
     ev = MaximalEvaluator(a, alpha)
     ratio, prev_hi = 0.0, None
     for r, avg in zip(d.intervals, d.averages):
-        ok = t < avg <= bound * (1 + 1e-12) and (prev_hi is None or r.lo > prev_hi)
+        ok = t < avg <= bound and (prev_hi is None or r.lo > prev_hi)
         if not (ok and ev.point(r.lo) > t and ev.point(r.hi) > t):
             return Case(False, ratio, {})
         prev_hi = r.hi
@@ -643,9 +646,9 @@ def _holder_groups(spec: CorpusSpec, alphas, t) -> list[list[Case]]:
         lo = rng.randint(hull.lo - 4, hull.hi)
         hi = rng.randint(lo, hull.hi + 4)
         alpha = alphas[rng.randint(0, len(alphas) - 1)] if alphas else 0.0
-        cap = min(8.0, 0.95 / alpha) if alpha > 0 else 8.0
-        if cap <= 1.05:
-            alpha, cap = 0.0, 8.0
+        cap = _p_cap(alpha)
+        if cap <= _P_FLOOR:
+            alpha, cap = 0.0, _p_cap(0.0)
         p0 = 1.0 + (cap - 1.0) * max(0.05, rng.uniform())
         groups.append(_holder_cases(item, ZInterval(lo, hi), p0, alpha))
     return groups

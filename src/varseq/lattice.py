@@ -34,6 +34,9 @@ __all__ = [
 # distance between two of their points stays below 2**62 and every index
 # array over them stays int64 (past 2**63, np.arange turns float64).
 COORDINATE_LIMIT = 2**61
+# Sequence.from_pairs stores its pairs densely, from the least index to the
+# greatest: at most this many points (128 MiB of float64).
+PAIRS_SPAN_LIMIT = 2**24
 
 
 def check_coordinates(lo: int, hi: int, what: str) -> None:
@@ -134,6 +137,8 @@ class Sequence:
         if not acc:
             return cls(0, np.zeros(0))
         lo, hi = min(acc), max(acc)
+        if hi - lo >= PAIRS_SPAN_LIMIT:
+            raise ValueError(f"index pairs span {hi - lo + 1} points, more than 2**24")
         vals = np.zeros(hi - lo + 1)
         for n, v in acc.items():
             vals[n - lo] = v

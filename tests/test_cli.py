@@ -548,6 +548,20 @@ def test_far_offset_exit_2(tmp_path, capsys):
     assert err.endswith("reaches past the coordinate limit +-2**61\n")
 
 
+@pytest.mark.parametrize("command", ["norm", "czd"])
+def test_wide_pairs_span_exit_2(tmp_path, capsys, command):
+    """Two text pairs 2**40 apart are an input error on one line, raised
+    before the dense values are allocated."""
+    far = tmp_path / "far.txt"
+    far.write_text("0 1.0\n1099511627776 2.0\n")
+    exp = write_json(tmp_path / "p.json", {"window_lo": 0, "values": [], "p_inf": 2.0})
+    args = ["--exponent", exp] if command == "norm" else ["--t", "0.1"]
+    assert run_cli(command, "--input", str(far), *args) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot load sequence {far}: index pairs span 1099511627777 points, more than 2**24\n"
+    )
+
+
 def test_maximal_window_past_limit_exit_2(tmp_path, capsys):
     """A maximal window of more than 2**20 points is an input error on one
     line, raised before the profile is allocated."""

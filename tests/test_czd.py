@@ -579,10 +579,10 @@ def test_table_cuts_match_recursive_oracle(a, alpha, scales):
 
 
 def test_block_sums_once_per_sequence(monkeypatch):
-    """One range_sums call per sequence serves the tables of every alpha
-    and every caller; its entry dies with the sequence. Rows above the first
-    row of one block are read (the top levels exceed it) without another
-    call."""
+    """One range_sums call per sequence sums every row 0..62 and serves the
+    tables of every alpha and every caller; its entry dies with the
+    sequence. From the first row whose blocks each hold one side of 0|1 of
+    the hull, which the top levels exceed, the rows repeat their sums."""
     summed = []
     real = Sequence.range_sums
     monkeypatch.setattr(
@@ -596,8 +596,12 @@ def test_block_sums_once_per_sequence(monkeypatch):
         covering_check(a, alpha, 0.05)
         level_set_partition(a, alpha, 0.05)
     assert summed == [id(a)]
-    starts, _, _ = maximal._GEOMETRY[a].blocks
-    assert min(top_levels) > len(starts) - 2
+    starts, sums = maximal._GEOMETRY[a].blocks
+    l_top = 9  # the hull [-300, 399] first lies in blocks 0 and 1 at level 9
+    assert len(starts) == 64 and starts[l_top + 1] - starts[l_top] == 2
+    assert min(top_levels) > l_top
+    top_rows = sums[starts[l_top] :].reshape(-1, 2)
+    assert (top_rows == top_rows[0]).all() and len(top_rows) == 63 - l_top
     b = Sequence(-300, a.values)
     cz_decompose(b, 0.5, 0.05)
     assert summed == [id(a), id(b)]

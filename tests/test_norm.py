@@ -622,6 +622,35 @@ def test_bracket_uncertified_exit_keeps_bits(monkeypatch, steps):
     assert max(calls) <= steps + 1
 
 
+def test_bracket_margin_covers_opposite_errors():
+    """The 3 eps margin of _bracket's certificates is what keeps the bits.
+    Take m(lam) = sum_i (v_i/lam)^p as the exact modular and let the two
+    evaluators err by the full bound eps in opposite directions: the
+    bracket's overstates m by 1 + eps, the bisection's understates it by
+    1 - eps. A certificate then still decides each midpoint as the plain
+    bisection does; without the margin, some fall between the two."""
+    rng = np.random.default_rng(14)
+    for _ in range(1000):
+        k = int(rng.integers(2, 6))
+        v = rng.uniform(0.01, 1.0, k)
+        p = float(rng.uniform(1.0, 4.0))
+        eps = norm._rounding_bound(k - 1, p) * float(np.exp(rng.uniform(0.0, math.log(1000.0))))
+
+        def mods(lams, rows, v=v, p=p, eps=eps):
+            ms = [float(np.power(v / lam, p).sum()) * (1.0 + eps) for lam in lams]
+            return ms, [p * m for m in ms]
+
+        def mod_at(lam, v=v, p=p, eps=eps):
+            return float(np.power(v / lam, p).sum()) * (1.0 - eps)
+
+        lo = float(v.max())
+        hi = max(lo, float(v.sum()))
+        (A,), (B,) = norm._bracket(mods, [lo], [hi], eps)
+        got = norm._bisect(mod_at, lo, hi, 1e-12, A, B)
+        want = norm._bisect(mod_at, lo, hi, 1e-12, -math.inf, math.inf)
+        assert (got.value, got.iterations) == (want.value, want.iterations), (v, p, eps)
+
+
 def test_rounding_bound_covers_measured_error(monkeypatch):
     """|fl_m - m| <= eps m against the modular in 200-bit arithmetic, at
     the bisection's low end and at both ends of the certified bracket, for
