@@ -20,17 +20,24 @@ The level-set partition cuts the window profile of M_alpha at the rungs
 base^k, base = 9t, from the top rung (max M_alpha, where the set is empty)
 to the first rung whose set is the whole window (min M_alpha). Both ends
 are read off the profile before any rung is cut; a ladder of more than
-100,000 rungs (t too close to 1/9) raises ValueError. One rank pass
-(_shells) gives every point its entering rung, the smallest k with
-M_alpha > base^(k+1). The K rung floats base ** (k+1), by Python's **, the
-floats of a per-rung comparison, fall in k (or repeat, among subnormals),
-so reversed they are sorted and the rungs below a point's value are the
-last ones: one searchsorted counts them, and the entering rung is k_top + K
-minus that count, by the same strict comparisons. One diff cuts the window
-into maximal segments of one entering rung, so each shell's runs come out
-sorted, disjoint and non-adjacent, and the window is passed over a fixed
-number of times, not once per rung. A rung that no point enters shares the
-previous rung's run list in omega and is not decomposed.
+100,000 rungs (t too close to 1/9) raises ValueError. _shells gives every
+point its entering rung, the smallest k with M_alpha > base^(k+1). The K
+rung floats base ** (k+1), by Python's **, the floats of a per-rung
+comparison, fall in k (or repeat, among subnormals), so reversed they are
+sorted and the rungs below a point's value are the last ones: the entering
+rung is k_top + K minus their count, by the same strict comparisons. In the
+hull a rank pass counts them: one searchsorted of the points into the rung
+floats, and one comparison of neighbours cuts the hull into maximal
+segments of one entering rung. Outside the hull M_alpha only decays away
+from it. Once one comparison pass finds that a side's floats do not fall
+toward the hull, one searchsorted of the K rung floats into the side finds
+where each rung's points begin, and the entering rung changes only there:
+O(K log N) in place of N searches and an N-long comparison. A side that
+fails the check takes the rank pass. Segments of one entering rung that
+meet at a side's edge join, so each shell's runs come out sorted, disjoint
+and non-adjacent, and the window is passed over a fixed number of times,
+not once per rung. A rung that no point enters shares the previous rung's
+run list in omega and is not decomposed.
 """
 
 from __future__ import annotations
@@ -275,19 +282,65 @@ def _rung(base: float, x: float) -> int:
     return k
 
 
+def _heads(a: np.ndarray) -> np.ndarray:
+    """Mask of the entries of a non-empty a that differ from the one before
+    (np.unique would import numpy.ma, half a megabyte)."""
+    return np.concatenate(([True], a[1:] != a[:-1]))
+
+
+def _rank_runs(x: np.ndarray, ascending: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """Starts and entering rungs of the maximal runs of x that enter one
+    rung, by one rank per point (module docstring); top is k_top + K."""
+    entry = top - np.searchsorted(ascending, x, side="left")
+    starts = np.flatnonzero(_heads(entry))
+    return starts, entry[starts]
+
+
+def _search_runs(x: np.ndarray, ascending: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """_rank_runs of an x that does not fall, by one search per rung: the
+    points above rung float j are those from first[j] on, so a point's rank
+    is the number of firsts at or before it, and it changes only at a
+    first."""
+    first = np.searchsorted(x, ascending, side="right")
+    starts = np.concatenate(([0], first[first < x.size]))
+    starts = starts[_heads(starts)]
+    return starts, top - np.searchsorted(first, starts, side="right")
+
+
 def _shells(
-    m: np.ndarray, rung_floats: list[float], k_top: int, lo: int
+    m: np.ndarray, rung_floats: list[float], k_top: int, lo: int, hull: ZInterval
 ) -> dict[int, list[ZInterval]]:
-    """Shell k of the ladder for each rung k that some point enters, by the
-    rank pass of the module docstring over the window profile m, whose
-    entry 0 is point lo; rung_floats[i] is base ** (k_top + i + 1)."""
+    """Shell k of the ladder for each rung k that some point enters, from the
+    window profile m, whose entry 0 is point lo; rung_floats[i] is
+    base ** (k_top + i + 1). The hull takes the rank pass of the module
+    docstring; a side outside it that does not fall toward the hull takes
+    one search per rung from _search_runs, the left side as it is and the
+    right side reversed, and any other side the rank pass."""
     ascending = np.array(rung_floats[::-1])
-    entry = (k_top + ascending.size) - np.searchsorted(ascending, m, side="left")
-    cuts = np.flatnonzero(np.diff(entry)) + 1
-    starts = np.concatenate(([0], cuts))
-    his = np.concatenate((cuts, [m.size])) + (lo - 1)
+    top = k_top + ascending.size
+    i0, i1 = hull.lo - lo, hull.hi - lo + 1
+    starts, entries = [], []
+    for first, stop, where in ((0, i0, "left"), (i0, i1, "hull"), (i1, m.size, "right")):
+        x = m[first:stop]
+        if not x.size:
+            continue
+        if where == "left" and np.all(x[:-1] <= x[1:]):
+            s, e = _search_runs(x, ascending, top)
+        elif where == "right" and np.all(x[:-1] >= x[1:]):
+            s, e = _search_runs(x[::-1], ascending, top)
+            # run [s, t] of the reversed side is [n-1-t, n-1-s]
+            s, e = (x.size - np.append(s[1:], x.size))[::-1], e[::-1]
+        else:
+            s, e = _rank_runs(x, ascending, top)
+        starts.append(s + first)
+        entries.append(e)
+    starts, entries = np.concatenate(starts), np.concatenate(entries)
+    # runs of one entering rung that meet across a side's edge join
+    keep = _heads(entries)
+    starts, entries = starts[keep], entries[keep]
+    his = np.append(starts[1:], m.size) + (lo - 1)
     shells: dict[int, list[ZInterval]] = {}
-    for k, first, last in zip(entry[starts].tolist(), (starts + lo).tolist(), his.tolist()):
+    for k, first, last in zip(entries.tolist(), (starts + lo).tolist(), his.tolist()):
         shells.setdefault(k, []).append(ZInterval(first, last))
     return shells
 
@@ -317,7 +370,7 @@ def level_set_partition(a: Sequence, alpha: float, t: float) -> LevelSetPartitio
         raise ValueError(f"level ladder has {rungs} rungs, more than 100000: t is too close to 1/9")
 
     rung_floats = [base ** (k + 1) for k in range(k_top, k_end + 1)]
-    shells = _shells(m, rung_floats, k_top, window.lo)
+    shells = _shells(m, rung_floats, k_top, window.lo, hull)
 
     levels: list[int] = []
     omega: dict[int, list[ZInterval]] = {k_top: []}

@@ -5,18 +5,24 @@ inf{lam > 0 : rho(a/lam) <= 1}, computed by bisection on a certified bracket.
 A few Newton steps on log rho in log lam, each an exact evaluation checked
 against a proven rounding bound, certify a narrower bracket around the root.
 Midpoints outside it are decided without evaluating the modular, so every
-returned bit is that of evaluating each midpoint, at about 7 modular passes
-per norm instead of about 45. _bisect holds the proof and the bound,
-including luxemburg_norm's tail (the terms outside p's window, summed once)
-and characteristic_norms' batch (one evaluator call per Newton step for a
-whole set of indicator norms: about 5.5 calls plus 1.2 plain passes per
-norm on a 40-norm weak-type grid).
+returned bit is that of evaluating each midpoint, at about 6 modular passes
+per norm instead of about 45: about 5.9 in the Newton steps, and on default
+verify 0.08 plain passes per Luxemburg norm (169 for 2,061 norms over seeds
+20260814, 7 and 1) and 0.18 per indicator norm (1,508 for 8,424). The
+bound counts the roundings of numpy's pairwise sum, not of the worst order,
+so few midpoints fall between the certified ends, and the modular at the
+returned value is evaluated only when read. _bisect holds the proof and the
+bound, including luxemburg_norm's tail (the terms outside p's window,
+summed once) and characteristic_norms' batch (one evaluator call per Newton
+step for a whole set of indicator norms: about 5.5 calls per grid and 0.16
+plain passes per norm on a 40-norm weak-type grid).
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence as PySequence
 
 import numpy as np
@@ -56,12 +62,22 @@ class ModularValue:
 
 @dataclass(frozen=True)
 class NormValue:
-    """Luxemburg norm with the modular achieved at the returned value."""
+    """Luxemburg norm with the bisection's tolerance and iteration count, and
+    achieved_modular, the modular at the returned value. _modular holds that
+    float, or the modular itself, evaluated at value the first time
+    achieved_modular is read: no check of the suite reads it, and the pass
+    would be one more per norm."""
 
     value: float
-    achieved_modular: float
+    _modular: float | Callable[[float], float] = field(repr=False, compare=False)
     tolerance: float
     iterations: int
+
+    @property
+    def achieved_modular(self) -> float:
+        if callable(self._modular):
+            object.__setattr__(self, "_modular", float(self._modular(self.value)))
+        return self._modular
 
 
 def modular(a: Sequence, p: ExponentFunction) -> ModularValue:
@@ -79,6 +95,27 @@ def _rounding_bound(chain: int, p_plus: float) -> float:
     error bound of a computed modular whose terms each pass through at most
     `chain` roundings after their pow (derivation in _bisect)."""
     return 2.0 * (chain + math.ceil(p_plus) + 2 * POW_ULPS) * 2.0**-53
+
+
+# numpy's pairwise sum: blocks of at most this many terms are added directly.
+_PAIRWISE_BLOCK = 128
+
+
+@functools.lru_cache(maxsize=1024)  # a few sizes per split level
+def _sum_chain(n: int) -> int:
+    """The most roundings a term passes through when numpy sums a 1-D float64
+    array of n terms (pairwise_sum in numpy's loops_utils.h.src). Under 8
+    terms, one running sum: n - 1. Up to 128, 8 accumulators take every
+    eighth term, n // 8 - 1 adds each, a three-level tree joins them, and
+    the last n % 8 terms add one by one. Longer arrays split at n // 2
+    rounded down to a multiple of 8, and the halves' sums add once more.
+    The reduction starts from 0.0, which adds exactly."""
+    if n < 8:
+        return max(n - 1, 0)
+    if n <= _PAIRWISE_BLOCK:
+        return n // 8 - 1 + 3 + n % 8
+    half = n // 2 - (n // 2) % 8
+    return 1 + max(_sum_chain(half), _sum_chain(n - half))
 
 
 def _bracket(
@@ -149,9 +186,10 @@ def _bisect(mod_at: Callable, lo: float, hi: float, rel_tol: float, A: float, B:
 
     Each midpoint moves lo when mod_at(mid) > 1.0 and hi otherwise. A
     midpoint <= A or >= B of the certified bracket from _bracket is decided
-    without evaluating mod_at, and every other midpoint and the returned
-    achieved_modular are evaluated as before; so the midpoints, the
-    iteration count and every returned bit are those of the plain loop.
+    without evaluating mod_at, and every other midpoint is evaluated as
+    before; the returned achieved_modular is mod_at at the returned value,
+    evaluated when first read. So the midpoints, the iteration count and
+    every returned bit are those of the plain loop.
 
     A midpoint equal to lo or hi (adjacent floats, only among subnormals:
     rel_tol >= 2^-52 stops normal ones first) returns hi, modular <= 1.
@@ -191,24 +229,34 @@ def _bisect(mod_at: Callable, lo: float, hi: float, rel_tol: float, A: float, B:
       and elsewhere to the C library's pow (glibc: under 1 ulp); 20,000
       random powers with bases in [1e-12, 1] and exponents in [1, 38],
       checked against 200-bit arithmetic, stayed within 0.65 ulp;
-    - a sum of N non-negative terms in any order, numpy's pairwise sum
-      and a matrix product with a row of ones included, puts each term
-      through at most N - 1 roundings, a factor within gamma_(N-1);
+    - a sum of N non-negative terms puts each term through at most N - 1
+      roundings in any order, a matrix product with a row of ones included,
+      a factor within gamma_(N-1). numpy's 1-D float64 sum adds in one fixed
+      pairwise tree, which puts each term through at most _sum_chain(N)
+      roundings: 19 at N = 17,624 (test_numpy_sum_is_the_pairwise_tree
+      pins the order). luxemburg_norm's modular is such a sum, so its chain
+      is _sum_chain(N);
     - characteristic_norm adds outside * lam^-p_inf: converting the count
       to float, the product and the final add are three roundings on that
       term, and the final add is one more on the inner sum, so its chain is
-      max(n_inner, 3) where luxemburg_norm's is N - 1.
+      max(n_inner, 3). Its batch sums by a matrix product, so it keeps the
+      any-order bound; its W is the exponent window, a few dozen points on
+      the corpora.
     - luxemburg_norm's bracket evaluator, when some of the N window points
-      lie outside p's window, sums their terms once, T = sum (v_i/lo)^p_inf
-      with lo = max v_i (so every base is at most 1), and adds
-      fl(lo/lam)^p_inf * T to the sum of the inner terms. A tail term then
-      passes through its first division and pow (ceil(p_inf) + 2 POW_ULPS,
-      like any term), at most N - 1 roundings in T, the second division and
-      pow (ceil(p_inf) + 2 POW_ULPS more), the product and the final add;
-      an inner term through its division, pow, the inner sum and the final
-      add. So chain = N - 1 + ceil(p_plus) + 2 POW_ULPS + 2 covers both, and
-      its eps_b >= eps certifies for the plain modular by the
-      batched-certificate argument above; the plain modular keeps N - 1.
+      lie outside p's window, sums their n_tail terms once, T = sum
+      (v_i/lo)^p_inf with lo = max v_i (so every base is at most 1), and
+      adds fl(lo/lam)^p_inf * T to the 1-D sum of the n_inner inner terms.
+      A tail term then passes through its first division and pow
+      (ceil(p_inf) + 2 POW_ULPS, like any term), at most _sum_chain(n_tail)
+      roundings in T, the second division and pow (ceil(p_inf) + 2 POW_ULPS
+      more), the product and the final add; an inner term through its
+      division, pow, at most _sum_chain(n_inner) roundings and the final
+      add. So chain = max(_sum_chain(N), _sum_chain(n_inner),
+      _sum_chain(n_tail)) + ceil(p_plus) + 2 POW_ULPS + 2 covers both and the
+      plain modular (_sum_chain need not grow with its argument, hence the
+      max), and its eps_b >= eps certifies for the plain modular by the
+      batched-certificate argument above. Its slope weights may come from
+      any product: only the modular certifies.
     Factors within gamma_a and gamma_b multiply to within gamma_(a+b)
     (Higham, Accuracy and Stability of Numerical Algorithms, Lemma 3.3), so
     |fl_m - m| <= gamma_n m with n = chain + ceil(p_plus) + 2 POW_ULPS, and
@@ -223,19 +271,18 @@ def _bisect(mod_at: Callable, lo: float, hi: float, rel_tol: float, A: float, B:
     T <= N, so both add well under 2^-900 to eta.
     """
     if hi <= lo:
-        return NormValue(lo, mod_at(lo), rel_tol, 0)
+        return NormValue(lo, mod_at, rel_tol, 0)
     it = 0
     while it < MAX_BISECT_ITER and (hi - lo) > rel_tol * hi:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
-            return NormValue(hi, mod_at(hi), rel_tol, it)
+            return NormValue(hi, mod_at, rel_tol, it)
         if mid <= A or (mid < B and mod_at(mid) > 1.0):
             lo = mid
         else:
             hi = mid
         it += 1
-    value = 0.5 * (lo + hi)
-    return NormValue(value, mod_at(value), rel_tol, it)
+    return NormValue(0.5 * (lo + hi), mod_at, rel_tol, it)
 
 
 def _check_rel_tol(rel_tol: float) -> None:
@@ -268,24 +315,23 @@ def luxemburg_norm(a: Sequence, p: ExponentFunction, rel_tol: float = 1e-12) -> 
     i0 = min(max(p.window_lo - win.lo, 0), v.size)
     i1 = max(min(p.window_lo + p.values.size - win.lo, v.size), i0)
     inner, inner_pv = v[i0:i1], pv[i0:i1]
-    # one product gives the sum of the inner terms (in some order, as the
-    # rounding bound allows) and their slope weights
-    ones_pv = np.ones((2, inner.size))
-    ones_pv[1] = inner_pv
-    chain, tail, p_inf = v.size - 1, 0.0, p.p_inf
-    if inner.size < v.size:
+    n_tail = v.size - inner.size
+    chain, tail, p_inf = max(_sum_chain(v.size), _sum_chain(inner.size)), 0.0, p.p_inf
+    if n_tail:
         # the tail's terms are (lo/lam)^p_inf (v_i/lo)^p_inf, summed once
         # here (derivation in _bisect)
         tail = float(np.power(np.concatenate([v[:i0], v[i1:]]) / lo, np.float64(p_inf)).sum())
         if tail:
-            chain += math.ceil(p.p_plus) + 2 * POW_ULPS + 2
+            chain = max(chain, _sum_chain(n_tail)) + math.ceil(p.p_plus) + 2 * POW_ULPS + 2
 
     def mods(lams: list[float], rows: list[int]):
         ms, weighted = [], []
         for lam in lams:
             m = w = 0.0
             if inner.size:
-                m, w = (ones_pv @ np.power(inner / lam, inner_pv)).tolist()
+                # the modular by numpy's pairwise sum, as the chain assumes
+                terms = np.power(inner / lam, inner_pv)
+                m, w = float(terms.sum()), float(inner_pv @ terms)
             if tail:
                 t = tail * math.pow(lo / lam, p_inf)
                 m, w = m + t, w + p_inf * t

@@ -22,11 +22,19 @@ halves each top block recursively until a half's average exceeds t: the
 stopping-time search written out, independent of the library's table of
 block averages.
 
+The shell oracle gives every window point its entering rung by one rank
+per point, a searchsorted into the rung floats, and cuts the window where
+the rung changes: the library's shells must match it on every side of the
+hull, whichever path a side takes.
+
 The partition oracle cuts the whole window profile at every rung of the
 ladder, one mask and its runs per rung, and decomposes every rung whose
 shell is not empty; the E-set oracle raises each E-set run's average to its
 slice of the exponents read point by point. The library's partition and
 domination sums must match them bit for bit.
+
+numpy_pow names the float64 power numpy dispatches to, for the tables of
+pinned digests that depend on it.
 
 adversarial_sequences, a hypothesis strategy of long zero runs and a lone
 far spike, feeds both the partition and the exterior profile oracle tests.
@@ -34,6 +42,7 @@ far spike, feeds both the partition and the exterior profile oracle tests.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -342,6 +351,24 @@ def plain_values_on(p: ExponentFunction, interval: ZInterval) -> np.ndarray:
     return out
 
 
+def plain_shells(
+    m: np.ndarray, rung_floats: list[float], k_top: int, lo: int
+) -> dict[int, list[ZInterval]]:
+    """Shell k of the ladder for each rung k that some point enters: every
+    point's entering rung is k_top + K minus the number of rung floats below
+    its value, and the window is cut wherever that rung changes; m's entry 0
+    is point lo and rung_floats[i] is base ** (k_top + i + 1)."""
+    ascending = np.array(rung_floats[::-1])
+    entry = (k_top + ascending.size) - np.searchsorted(ascending, m, side="left")
+    cuts = np.flatnonzero(np.diff(entry)) + 1
+    starts = np.concatenate(([0], cuts))
+    his = np.concatenate((cuts, [m.size])) + (lo - 1)
+    shells: dict[int, list[ZInterval]] = {}
+    for k, first, last in zip(entry[starts].tolist(), (starts + lo).tolist(), his.tolist()):
+        shells.setdefault(k, []).append(ZInterval(first, last))
+    return shells
+
+
 def plain_level_set_partition(a: Sequence, alpha: float, t: float) -> LevelSetPartition:
     """level_set_partition with the whole window cut at every rung: the mask
     m > base^(k+1), its runs, and their difference with the rung before;
@@ -410,6 +437,17 @@ def plain_domination_sums(
         for run in runs:
             e_sum += float(np.power(avg, qv[run.lo - lo : run.hi - lo + 1]).sum())
     return lhs, e_sum
+
+
+@functools.cache
+def numpy_pow() -> str:
+    """"libm" when np.power gives 1,000 seeded float64 pairs the bits of
+    Python's **, the C library's pow; "svml" otherwise, as on AVX-512
+    machines, where numpy dispatches float64 power to Intel's SVML."""
+    rng = np.random.default_rng(1)
+    x, y = 10.0 ** rng.uniform(-6.0, 3.0, 1000), rng.uniform(1.0, 8.0, 1000)
+    same = np.power(x, y).tolist() == [b**e for b, e in zip(x.tolist(), y.tolist())]
+    return "libm" if same else "svml"
 
 
 @st.composite

@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 
 from conftest import (
     adversarial_sequences,
+    numpy_pow,
     plain_domination_sums,
     plain_level_set_partition,
+    plain_shells,
     recursive_cz_decompose,
 )
 from varseq import czd, maximal
@@ -28,7 +30,13 @@ from varseq.czd import (
     level_set_partition,
 )
 from varseq.exponent import ExponentFunction
-from varseq.harness import VALUE_LAWS, CorpusSpec, XorShift64Star, generate_corpus
+from varseq.harness import (
+    VALUE_LAWS,
+    CorpusSpec,
+    XorShift64Star,
+    generate_corpus,
+    run_verification_suite,
+)
 from varseq.lattice import (
     Sequence,
     ZInterval,
@@ -336,21 +344,21 @@ def test_partition_ladder_ends_read_off_the_profile():
 
 def test_partition_rejects_long_ladder_up_front(monkeypatch):
     """t = 0.111111 puts base = 9t within 1e-6 of 1: millions of rungs. The
-    ValueError names the count before any rung is cut: neither the rank pass
-    nor a decomposition runs. The spies run on the same sequence at
+    ValueError names the count before any rung is cut: neither _shells nor
+    a decomposition runs. The spies run on the same sequence at
     t = 0.05, so they are known to see the calls the partition makes."""
     calls = []
-    rank, decompose = czd._shells, czd._DyadicTable.decompose
+    shells, decompose = czd._shells, czd._DyadicTable.decompose
 
-    def spy_rank(*args):
-        calls.append("rank")
-        return rank(*args)
+    def spy_shells(*args):
+        calls.append("shells")
+        return shells(*args)
 
     def spy_decompose(*args):
         calls.append("decompose")
         return decompose(*args)
 
-    monkeypatch.setattr(czd, "_shells", spy_rank)
+    monkeypatch.setattr(czd, "_shells", spy_shells)
     monkeypatch.setattr(czd._DyadicTable, "decompose", spy_decompose)
     a = Sequence(0, [1.0, 2.0, 3.0, 0.5])
     with pytest.raises(ValueError, match=r"level ladder has \d+ rungs, more than 100000") as info:
@@ -358,7 +366,7 @@ def test_partition_rejects_long_ladder_up_front(monkeypatch):
     assert int(str(info.value).split()[3]) > 100_000
     assert calls == []
     part = level_set_partition(a, 0.0, 0.05)
-    assert calls == ["rank"] + ["decompose"] * len(part.levels)
+    assert calls == ["shells"] + ["decompose"] * len(part.levels)
 
 
 def test_partition_near_ladder_bound_unchanged():
@@ -445,6 +453,105 @@ def test_partition_matches_plain_oracle_near_ladder():
     assert (len(part.omega), len(part.levels)) == (71_844, 2042)
 
 
+def _spy_shell_paths(monkeypatch):
+    """Record, per _shells call, its hull and window size, the shells it
+    returns and the oracle's, and the sizes of the pieces that took the
+    rank pass and the search path."""
+    calls = []
+    real_shells, real_rank, real_search = czd._shells, czd._rank_runs, czd._search_runs
+
+    def shells(m, rung_floats, k_top, lo, hull):
+        calls.append({"hull": hull, "lo": lo, "size": m.size, "rank": [], "search": []})
+        got = real_shells(m, rung_floats, k_top, lo, hull)
+        calls[-1].update(got=got, want=plain_shells(m, rung_floats, k_top, lo))
+        return got
+
+    def rank(x, *args):
+        calls[-1]["rank"].append(x.size)
+        return real_rank(x, *args)
+
+    def search(x, *args):
+        calls[-1]["search"].append(x.size)
+        return real_search(x, *args)
+
+    monkeypatch.setattr(czd, "_shells", shells)
+    monkeypatch.setattr(czd, "_rank_runs", rank)
+    monkeypatch.setattr(czd, "_search_runs", search)
+    return calls
+
+
+def _exterior_sides(call):
+    """Sizes of the non-empty window sides left and right of the hull."""
+    left = call["hull"].lo - call["lo"]
+    right = call["lo"] + call["size"] - 1 - call["hull"].hi
+    return [n for n in (left, right) if n]
+
+
+def test_shells_search_every_exterior_side_on_default_verify(monkeypatch):
+    """Default verify's domination check, over the default corpus: every
+    window's shells equal the rank-pass oracle's, the hull takes the rank
+    pass, and every exterior side, where M_alpha only decays away from the
+    hull, passes the monotone check and takes the search path."""
+    calls = _spy_shell_paths(monkeypatch)
+    spec = CorpusSpec(20260814, 24, 48, "uniform01", "lh-decay", ALPHAS)
+    run_verification_suite(spec, checks=["domination"])
+    assert len(calls) == spec.count * len(ALPHAS)
+    for call in calls:
+        assert call["got"] == call["want"]
+        assert call["rank"] == [cardinality(call["hull"])]
+        assert call["search"] == _exterior_sides(call) != []
+
+
+def _rung_floats(base, k_top, k_end):
+    return [base ** (k + 1) for k in range(k_top, k_end + 1)]
+
+
+def _synthetic_window(rng, rung_floats, left, hull_width, right, on_rungs, rising):
+    """A window profile over rung_floats' range: a hull of random values and
+    two sides that rise toward it (or not, when rising is False), a share
+    on_rungs of all values set exactly equal to a rung float."""
+    lo_f, hi_f = min(rung_floats), max(rung_floats)
+    sizes = (left, hull_width, right)
+    m = np.exp(rng.uniform(math.log(lo_f) - 1.0, math.log(hi_f) + 1.0, sum(sizes)))
+    hit = rng.random(m.size) < on_rungs
+    m[hit] = rng.choice(rung_floats, int(hit.sum()))
+    if rising:
+        m[:left] = np.sort(m[:left])
+        m[left + hull_width :] = np.sort(m[left + hull_width :])[::-1]
+    return m
+
+
+def test_shells_match_rank_pass_on_synthetic_windows(monkeypatch):
+    """Windows whose values sit exactly on rung floats, under normal rungs
+    and under subnormal rungs that repeat; with sides that rise toward the
+    hull, which take the search path, and sides that do not, which fall
+    back to the rank pass. The shells equal the oracle's either way."""
+    calls = _spy_shell_paths(monkeypatch)
+    rng = np.random.default_rng(24)
+    # base 0.45: rungs 0.45^1 .. 0.45^40; base 0.99: 500 subnormal rungs
+    # from 0.99^73,601 = 5.6e-322 down to 5e-324, on 112 distinct floats
+    ladders = [(0.45, 0, 39), (0.99, 73_600, 74_099)]
+    fallbacks = 0
+    for base, k_top, k_end in ladders:
+        floats = _rung_floats(base, k_top, k_end)
+        assert (len(set(floats)) < len(floats)) == (base == 0.99)
+        for _ in range(60):
+            left, right = (int(n) for n in rng.integers(0, 300, 2))
+            hull_width = int(rng.integers(1, 50))
+            rising = bool(rng.random() < 0.7)
+            m = _synthetic_window(rng, floats, left, hull_width, right, 0.3, rising)
+            lo = int(rng.integers(-1000, 1000))
+            czd._shells(m, floats, k_top, lo, ZInterval(lo + left, lo + left + hull_width - 1))
+            call = calls[-1]
+            assert call["got"] == call["want"]
+            sides = _exterior_sides(call)
+            assert sorted(call["rank"] + call["search"]) == sorted(sides + [hull_width])
+            if rising:
+                assert call["search"] == sides
+            fallbacks += len(call["rank"]) - 1
+    assert fallbacks > 50
+
+
 def test_e_set_runs_straddling_the_exponent_window_match_oracle():
     """E-set runs that start outside q's window and end inside it, or the
     reverse, take their exponents point by point; runs wholly outside it
@@ -463,7 +570,9 @@ def test_e_set_runs_straddling_the_exponent_window_match_oracle():
 def test_power_of_scalars_matches_array_entries():
     """np.power gives each entry of an array power the bits of the same
     power on scalars, broadcast or not; the E-set sum fills runs outside
-    q's window from one scalar power on this. Python's ** does not match."""
+    q's window from one scalar power on this. Python's ** matches it
+    exactly when numpy's power is the C library's (numpy_pow), and not
+    under SVML, numpy's AVX-512 power."""
     rng = np.random.default_rng(20260814)
     x, y = 10.0 ** rng.uniform(-6.0, 3.0, 20_000), rng.uniform(1.0, 8.0, 20_000)
     arr = np.power(x, y)
@@ -473,7 +582,8 @@ def test_power_of_scalars_matches_array_entries():
     assert np.power(x[0], y).tobytes() == np.array(by_base).tobytes()
     by_exponent = [np.power(b, y[0]) for b in x.tolist()]
     assert np.power(x, y[0]).tobytes() == np.array(by_exponent).tobytes()
-    assert any(b**e != v for b, e, v in zip(x.tolist(), y.tolist(), scalars))
+    differs = any(b**e != v for b, e, v in zip(x.tolist(), y.tolist(), scalars))
+    assert differs == (numpy_pow() == "svml")
 
 
 def test_domination_derived_constant_holds():

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import scalar_corpus
+from conftest import numpy_pow, scalar_corpus
 from varseq import harness
 from varseq.cli import main
 from varseq.exponent import ExponentFunction
@@ -432,7 +432,8 @@ def test_failures_counted_per_case(monkeypatch):
 
 
 # SHA-256 of `varseq verify --seed 11 --count 3 --width 12` (JSON) per
-# (value law, exponent law); every one of them exits 0.
+# (value law, exponent law), under SVML, numpy's AVX-512 power; every one
+# of them exits 0. REPORT_SHA256_LIBM holds them under the C library's pow.
 REPORT_SHA256 = {
     ("uniform01", "constant"):
         "553674eb35717cb9a9fcdac71164cca829e8d2393cab2244a1ac748b792a9175",
@@ -468,9 +469,28 @@ REPORT_SHA256 = {
         "90e4df7ff8d0d0e64b856b0943c4ff3e631c69fbbe05b7a722fff3636622ce1c",
 }
 
+# Under the C library's pow, six of the reports differ.
+REPORT_SHA256_LIBM = {
+    **REPORT_SHA256,
+    ("uniform01", "lh-decay"):
+        "c61d85fd8ecf34ebfdc487da047683630e55b59e1d452b8e8777802f4d685411",
+    ("spike", "constant"):
+        "4b2eb79fe94ff7c55fcd24a495c45caebbe971b010a23d20576e61b8bbbfce9b",
+    ("geometric-decay", "constant"):
+        "f4bea6170e59cf1eddf4151d45b38067751db815c40f3d2f8c6c93935d208f0d",
+    ("geometric-decay", "bump"):
+        "d3460107033396ba34e4777505d4dc58bf1eba7cd1b637a8653c1d7e378823cd",
+    ("bernoulli-sparse", "bump"):
+        "397ef3d566c53b1093f1f58236260fc433946fc045e61c6be03de97b3fa86ba6",
+    ("bernoulli-sparse", "lh-decay"):
+        "f36694fa4de6625abfe13298a14a228c75f88c741ba3084b948613b14f69f160",
+}
+
 
 def test_verify_report_digests_pinned(tmp_path):
-    for (value_law, exponent_law), want in REPORT_SHA256.items():
+    """Each report against the digest of the pow that numpy_pow probes."""
+    table = REPORT_SHA256 if numpy_pow() == "svml" else REPORT_SHA256_LIBM
+    for (value_law, exponent_law), want in table.items():
         out = tmp_path / f"{value_law}-{exponent_law}.json"
         code = main([
             "verify", "--seed", "11", "--count", "3", "--width", "12",
@@ -482,7 +502,8 @@ def test_verify_report_digests_pinned(tmp_path):
 
 # SHA-256 of `varseq corpus --seed 7 --count 3 --width W` (JSON) per
 # (W, value law, exponent law): runs of more than 64 draws, which take the
-# bulk path. Captured from the scalar draws, before the bulk path.
+# bulk path. Captured from the scalar draws, before the bulk path, under
+# SVML; WIDE_CORPUS_SHA256_LIBM holds them under the C library's pow.
 WIDE_CORPUS_SHA256 = {
     (49, "uniform01", "constant"):
         "e6034ff2dc2fb1902f8cf5f3fc607ca4241f83d0cc018b114f8b17444dac4dba",
@@ -582,9 +603,40 @@ WIDE_CORPUS_SHA256 = {
         "105b26ca90900152eb00cfc06a1db4ed85ba611798904283ecf5380968e5ba2f",
 }
 
+# geometric-decay values are u * gamma ** np.arange(n): twelve corpora differ.
+WIDE_CORPUS_SHA256_LIBM = {
+    **WIDE_CORPUS_SHA256,
+    (49, "geometric-decay", "constant"):
+        "cbcccf2a7c71da41fb004aa60b9d9eda71fce4d56db5cf2d642201ea58d1a012",
+    (49, "geometric-decay", "bump"):
+        "c0f9b8c10cc4940ec54bfc27fc20dc42096f1d946909c7f9cee14c4ba7a3d7a0",
+    (49, "geometric-decay", "lh-decay"):
+        "438db2bd8fcb869bd9c6c840cb81ae09e7fb7e0509328722094d08c1705fa00f",
+    (49, "geometric-decay", "random-range"):
+        "49bdbe023aa8c2c09d88109e7bfd9c17f034f7a66b85eed833a15a2a1e8a40c1",
+    (65, "geometric-decay", "constant"):
+        "6452b4c3e5a296b740b712c7197b8bfbbe4d595cc89871b1d7077efc632ed300",
+    (65, "geometric-decay", "bump"):
+        "2ef7b3954cdf5a46a867faeffec71dd62163237b526b32d5673652db4ff7f858",
+    (65, "geometric-decay", "lh-decay"):
+        "5ce609e4973e6eba8e60a9fd8fc53a4ec84bb2531849c505788359d3c8ed6c23",
+    (65, "geometric-decay", "random-range"):
+        "059ed9414e33047662dfe1042c65908a75ba052ca57212004e7effa2ef60a15f",
+    (300, "geometric-decay", "constant"):
+        "aea87fc5df4ee66d33999f0018213540dec9ed8da9aa53c7f275f9cd0c7904dc",
+    (300, "geometric-decay", "bump"):
+        "c5c2e144f617f4613412536d2ec75395e41a9b8b658eef91ff10049f7db15d7d",
+    (300, "geometric-decay", "lh-decay"):
+        "bd3dd058c39ca25232ee78a01461b598921f83450fde36244c4c28806b930249",
+    (300, "geometric-decay", "random-range"):
+        "1c8e9927c9403caa3bdc2ae5449351cd09e23daf7b35ac7398b5751591318203",
+}
+
 
 def test_wide_corpus_digests_pinned():
-    for (width, value_law, exponent_law), want in WIDE_CORPUS_SHA256.items():
+    """Each corpus against the digest of the pow that numpy_pow probes."""
+    table = WIDE_CORPUS_SHA256 if numpy_pow() == "svml" else WIDE_CORPUS_SHA256_LIBM
+    for (width, value_law, exponent_law), want in table.items():
         printed = io.StringIO()
         with redirect_stdout(printed):
             code = main([
