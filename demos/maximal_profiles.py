@@ -8,7 +8,7 @@ superlevel sets grow as the threshold drops.
 import argparse
 
 from varseq.lattice import Sequence, ZInterval
-from varseq.maximal import MaximalEvaluator, m_alpha_profile
+from varseq.maximal import MaximalEvaluator
 
 
 def main(argv=None):
@@ -20,10 +20,10 @@ def main(argv=None):
     window = ZInterval(-args.radius, args.radius)
     print("unit point mass, M_alpha delta(n) = (|n| + 1)^(alpha - 1):")
     for alpha in (0.0, 0.25, 0.5):
-        prof = m_alpha_profile(delta, alpha, window)
+        prof = MaximalEvaluator(delta, alpha).profile(window)
         closed = [(abs(n) + 1.0) ** (alpha - 1.0) for n in range(window.lo, window.hi + 1)]
-        worst = max(abs(g - w) for g, w in zip(prof.values, closed))
-        row = " ".join(f"{v:.4f}" for v in prof.values)
+        worst = max(abs(g - w) for g, w in zip(prof, closed))
+        row = " ".join(f"{v:.4f}" for v in prof)
         print(f"  alpha = {alpha}: [{row}]  max deviation from closed form = {worst:.2e}")
 
     block = Sequence(1, [1.0] * 16)

@@ -33,13 +33,7 @@ from .norm import (
     luxemburg_norm,
     modular,
 )
-from .maximal import (
-    MaximalEvaluator,
-    MaximalProfile,
-    m_alpha_point,
-    m_alpha_profile,
-    superlevel_set,
-)
+from .maximal import MaximalEvaluator
 from .czd import (
     CZDecomposition,
     LevelSetPartition,
@@ -87,11 +81,7 @@ __all__ = [
     "characteristic_norms",
     "check_scaling_bounds",
     "check_norm_modular_relations",
-    "MaximalProfile",
     "MaximalEvaluator",
-    "m_alpha_point",
-    "m_alpha_profile",
-    "superlevel_set",
     "CZDecomposition",
     "LevelSetPartition",
     "alpha_average",

@@ -32,7 +32,7 @@ from .czd import cz_decompose
 from .exponent import ExponentFunction
 from .harness import CorpusSpec, generate_corpus, run_verification_suite
 from .lattice import Sequence, ZInterval, cardinality, dilate
-from .maximal import m_alpha_profile
+from .maximal import MaximalEvaluator
 from .norm import luxemburg_norm
 from .reports import render_csv, render_json, write_text
 
@@ -213,13 +213,13 @@ def _run_maximal(cfg: RunConfig) -> dict:
         window = dilate(hull, 3)
     if cardinality(window) > MAXIMAL_WINDOW_LIMIT:
         raise ConfigError(f"maximal window has {cardinality(window)} points, more than 2**20")
-    prof = m_alpha_profile(a, cfg.alpha, window)
+    ev = MaximalEvaluator(a, cfg.alpha)
     return {
         "command": "maximal",
-        "alpha": prof.alpha,
+        "alpha": ev.alpha,
         "window_lo": window.lo,
         "window_hi": window.hi,
-        "values": prof.values,
+        "values": ev.profile(window),
     }
 
 

@@ -1,9 +1,10 @@
 """Dyadic stopping-time decomposition for the fractional averaging operator.
 
-For threshold t > 0, the top level N_t is the smallest N >= 1 such that every
-dyadic block at every level >= N has alpha-average <= t. (For alpha = 0 the
-averages are monotone under merging, so this equals the first fully light
-level; for alpha > 0 the stronger rule is required for the covering bound.)
+For a finite threshold t > 0, the top level N_t is the smallest N >= 1
+such that every dyadic block at every level >= N has alpha-average <= t.
+(For alpha = 0 the averages are monotone under merging, so this equals the
+first fully light level; for alpha > 0 the stronger rule is required for
+the covering bound.)
 The block averages do not depend on t, so one table per (sequence, alpha)
 holds them, a row per level 0..62 over the blocks meeting the support hull,
 and each threshold's decomposition is a cut of it: the maximal blocks below
@@ -150,6 +151,8 @@ class _DyadicTable:
         ancestors below n_t are not, sorted by left end."""
         if not (t > 0.0):
             raise ValueError("threshold t must be positive")
+        if math.isinf(t):
+            raise ValueError("threshold t must be finite")
         if self.hull is None:
             raise ValueError("sequence must not be identically zero")
         n_t = self.top_level(t)
@@ -193,7 +196,8 @@ class NestingReport:
 def cz_nesting_check(a: Sequence, alpha: float, t1: float, t2: float) -> NestingReport:
     """Each interval selected at the higher threshold must sit inside one
     selected at the lower threshold, with monotone top level and total size."""
-    t_hi, t_lo = max(t1, t2), min(t1, t2)
+    # a NaN loses every comparison, so it is cut (and rejected) either way
+    t_hi, t_lo = (t1, t2) if t1 >= t2 else (t2, t1)
     table = _DyadicTable(a, alpha)
     d_hi = table.decompose(t_hi)
     d_lo = table.decompose(t_lo)

@@ -226,7 +226,7 @@ class CorpusSpec:
         hi = _p_cap(a_max) if self.p_hi is None else float(self.p_hi)
         if self.p_hi is None and 1.0 <= lo and hi < lo:
             raise ValueError(
-                f"max(alpha_list) = {a_max:g} leaves the default p_hi ="
+                f"max(alpha_list) = {a_max!r} leaves the default p_hi ="
                 f" 0.95/max(alpha_list) = {hi:.6g} below p_lo = {lo:g}"
             )
         if not (1.0 <= lo <= hi):

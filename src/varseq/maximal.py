@@ -62,7 +62,6 @@ from __future__ import annotations
 import math
 import sys
 import weakref
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -70,14 +69,7 @@ import numpy as np
 from .exponent import check_alpha
 from .lattice import Sequence, ZInterval, check_coordinates, runs_normalize
 
-__all__ = [
-    "MaximalProfile",
-    "MaximalEvaluator",
-    "alpha_weights",
-    "m_alpha_point",
-    "m_alpha_profile",
-    "superlevel_set",
-]
+__all__ = ["MaximalEvaluator", "alpha_weights"]
 
 RADIUS_LIMIT = 2**52
 # A candidate within this factor of a row's max counts as tied for the max.
@@ -360,22 +352,8 @@ def _pair_point(P: np.ndarray, w: np.ndarray, chains, k: int) -> float:
     return float((w[his - los - 1] * (P[his] - P[los])).max())
 
 
-@dataclass(frozen=True)
-class MaximalProfile:
-    """Values of M_alpha a on a window of consecutive integers."""
-
-    window: ZInterval
-    values: np.ndarray
-    alpha: float
-
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=np.float64)
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-
-
 class MaximalEvaluator:
-    """Shared state for repeated M_alpha evaluations of one sequence.
+    """The one entry point for M_alpha questions about one (sequence, alpha).
 
     Holds alpha and, built on first use, the weight table and the hull
     profile; everything alpha-free comes from the sequence's _Geometry.
@@ -591,19 +569,3 @@ class MaximalEvaluator:
     def superlevel(self, s: float) -> list[ZInterval]:
         """Runs of {n : M_alpha a(n) > s} for s > 0."""
         return self.superlevels([s])[0]
-
-
-def m_alpha_point(a: Sequence, alpha: float, n: int) -> float:
-    """M_alpha a(n) at a single point."""
-    return MaximalEvaluator(a, alpha).point(n)
-
-
-def m_alpha_profile(a: Sequence, alpha: float, window: ZInterval) -> MaximalProfile:
-    """M_alpha a on every point of the window."""
-    ev = MaximalEvaluator(a, alpha)
-    return MaximalProfile(window, ev.profile(window), ev.alpha)
-
-
-def superlevel_set(a: Sequence, alpha: float, s: float) -> list[ZInterval]:
-    """{M_alpha a > s} as sorted disjoint interval runs."""
-    return MaximalEvaluator(a, alpha).superlevel(s)

@@ -261,6 +261,8 @@ def recursive_cz_decompose(a: Sequence, alpha: float, t: float) -> CZDecompositi
         raise ValueError("alpha must lie in [0, 1)")
     if not (t > 0.0):
         raise ValueError("threshold t must be positive")
+    if math.isinf(t):
+        raise ValueError("threshold t must be finite")
     hull = a.support_hull()
     if hull is None:
         raise ValueError("sequence must not be identically zero")

@@ -37,7 +37,7 @@ from varseq.lattice import (
     dyadic_block,
     truncate,
 )
-from varseq.maximal import MaximalEvaluator, m_alpha_profile
+from varseq.maximal import MaximalEvaluator
 from varseq.norm import check_norm_modular_relations, check_scaling_bounds, luxemburg_norm, modular
 
 ALPHAS = (0.0, 0.25, 0.5)
@@ -140,9 +140,9 @@ def test_06_maximal_oracle_exact_equality():
                 continue
             window = dilate(item.a.support_hull(), 2)
             for alpha in ALPHAS:
-                prof = m_alpha_profile(item.a, alpha, window)
+                prof = MaximalEvaluator(item.a, alpha).profile(window)
                 oracle = brute_force_profile(item.a, alpha, window)
-                assert np.array_equal(prof.values, oracle), (law, item.index, alpha)
+                assert np.array_equal(prof, oracle), (law, item.index, alpha)
 
 
 @lru_cache(maxsize=1)

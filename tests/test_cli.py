@@ -151,6 +151,17 @@ def test_czd_requires_t(seq_file):
     assert run_cli("czd", "--input", seq_file, "--alpha", "0") == 2
 
 
+def test_infinite_threshold_exit_2(seq_file, capsys):
+    """t = inf is an input error on one line that names t, not a report that
+    fails to render (czd) or vacuous checks that pass (verify)."""
+    for argv in (
+        ["czd", "--input", seq_file, "--t", "inf"],
+        ["verify", "--t", "inf", "--checks", "cz_structure,covering", "--count", "2"],
+    ):
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err == "error: threshold t must be finite\n"
+
+
 def test_alpha_range_rejected(seq_file):
     assert run_cli("czd", "--input", seq_file, "--alpha", "1.0", "--t", "1") == 2
     assert run_cli("maximal", "--input", seq_file, "--alpha", "-0.1") == 2
@@ -291,6 +302,9 @@ def test_verify_alpha_near_one(tmp_path, capsys, check, code, message):
         ("0,-0.1", "error: alpha must lie in [0, 1)\n"),
         ("0.99", "error: max(alpha_list) = 0.99 leaves the default p_hi ="
                  " 0.95/max(alpha_list) = 0.959596 below p_lo = 1.05\n"),
+        # the alpha given, not one rounded to 1, outside [0, 1)
+        ("0.9999999", "error: max(alpha_list) = 0.9999999 leaves the default p_hi ="
+                      " 0.95/max(alpha_list) = 0.95 below p_lo = 1.05\n"),
     ],
 )
 def test_verify_bad_alphas_exit_2(capsys, alphas, message):

@@ -98,6 +98,25 @@ def test_validation():
         cz_decompose(Sequence(0, [1.0]), 0.0, 0.0)
 
 
+def test_threshold_must_be_positive_and_finite():
+    """Every cut reaches _DyadicTable.decompose, which rejects t = inf as well
+    as t <= 0 and NaN; the recursive oracle raises the same errors."""
+    a = Sequence(0, [1.0, 2.0])
+    cuts = (
+        lambda t: cz_decompose(a, 0.25, t),
+        lambda t: covering_check(a, 0.25, t),
+        lambda t: cz_nesting_check(a, 0.25, t, 1.0),
+        lambda t: cz_nesting_check(a, 0.25, 1.0, t),
+        lambda t: recursive_cz_decompose(a, 0.25, t),
+    )
+    for cut in cuts:
+        with pytest.raises(ValueError, match="^threshold t must be finite$"):
+            cut(math.inf)
+        for t in (0.0, -1.0, math.nan, -math.inf):
+            with pytest.raises(ValueError, match="^threshold t must be positive$"):
+                cut(t)
+
+
 def test_threshold_too_small_raises():
     with pytest.raises(ValueError):
         cz_decompose(Sequence(0, [1.0, 1.0]), 0.5, 1e-12)

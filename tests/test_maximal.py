@@ -21,13 +21,7 @@ from conftest import (
 from varseq.harness import CorpusSpec, XorShift64Star, _sub_seed, generate_corpus, run_verification_suite
 from varseq import maximal
 from varseq.lattice import Sequence, ZInterval, cardinality, dilate, runs_from_mask
-from varseq.maximal import (
-    MaximalEvaluator,
-    alpha_weights,
-    m_alpha_point,
-    m_alpha_profile,
-    superlevel_set,
-)
+from varseq.maximal import MaximalEvaluator, alpha_weights
 
 ALPHAS = (0.0, 0.25, 0.5)
 
@@ -90,8 +84,9 @@ def test_translation_equivariance():
     a = Sequence(0, [rng.uniform() for _ in range(20)])
     b = Sequence(a.offset + 13, a.values)
     for alpha in ALPHAS:
+        ev_a, ev_b = MaximalEvaluator(a, alpha), MaximalEvaluator(b, alpha)
         for n in range(-5, 25):
-            assert m_alpha_point(a, alpha, n) == m_alpha_point(b, alpha, n + 13)
+            assert ev_a.point(n) == ev_b.point(n + 13)
 
 
 def test_scaling_homogeneity_exact_for_powers_of_two():
@@ -196,7 +191,7 @@ def test_superlevel_radius_guard():
             ev.superlevel(1e-3)
 
 
-def test_superlevel_settles_closed_form_overshoot(monkeypatch):
+def test_superlevel_closed_form_overshoot_is_settled(monkeypatch):
     """Item 12 of the default weak_type corpus at alpha 0.5, at its lowest
     grid threshold: the rounded closed form puts both outer ends one step
     beyond the run, and the point values settle them, alone or in a batch
@@ -281,16 +276,7 @@ def test_zero_sequence():
     assert ev.max_value() == 0.0
     assert ev.point(3) == 0.0
     assert ev.superlevel(0.5) == []
-    assert superlevel_set(z, 0.0, 1.0) == []
-
-
-def test_profile_wrapper_fields():
-    a = Sequence(0, [2.0, 1.0])
-    prof = m_alpha_profile(a, 0.25, ZInterval(-2, 3))
-    assert prof.window == ZInterval(-2, 3)
-    assert prof.alpha == 0.25
-    assert prof.values.size == 6
-    assert not prof.values.flags.writeable
+    assert MaximalEvaluator(z, 0.0).superlevel(1.0) == []
 
 
 # Property tests: the envelope evaluator against the dense oracle, bitwise.
@@ -506,6 +492,29 @@ def test_envelope_seeds_at_alpha_near_one_and_zero_first_sum():
     assert maximal._winner_breaks(ev._geometry.S_right, ev._geometry.right, 0.25) == []
     _assert_matches_oracle(b, 0.25, ZInterval(2, 40))
     _assert_matches_oracle(b, 0.25, ZInterval(-40, -1))
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 0.9])
+def test_envelope_seed_cap_matches_oracle(alpha):
+    """On the concave hull 0.999 ** n of 4,096 points every left-side point
+    is an exterior vertex, and the 4,096 nearest distances hold more
+    crossings than _envelope's seed rows fit (1,908, 1,419 and 482 against
+    a share of 31): the seeds are an even share of the crossings,
+    and every value is still the oracle's float."""
+    a = Sequence(0, 0.999 ** np.arange(4096))
+    window = ZInterval(-4096, -1)
+    ev = MaximalEvaluator(a, alpha)
+    g = ev._geometry
+    W = g.S_left.size
+    assert len(g.left) == W
+    # distances 1..4096, as profile() asks _envelope for them
+    breaks = maximal._winner_breaks(g.S_left, g.left, alpha)
+    assert sum(1 < b < 4096 for b in breaks) > (maximal._SEED_SCORES // W - 2) // 2
+    oracle = brute_force_profile(a, alpha, window)
+    assert np.array_equal(ev.profile(window), oracle)
+    sampled = MaximalEvaluator(a, alpha)
+    for n in range(window.lo, window.hi + 1, 97):
+        assert sampled.point(n) == oracle[n - window.lo], n
 
 
 # Midpoint scorings inside _envelope over default verify's strong_type and
