@@ -10,7 +10,7 @@ holds them, a row per level 0..62 over the blocks meeting the support hull,
 and each threshold's decomposition is a cut of it: the maximal blocks below
 N_t with average above t, sorted and disjoint, with averages in
 (t, 2^(1-alpha) t]. The block sums are alpha-free too: one range_sums call
-per sequence (_block_sums) sums every row. Coordinates lie within +-2^61,
+per sequence (a.dyadic_rows) sums every row. Coordinates lie within +-2^61,
 so from level 62 up the hull meets only blocks 0 and 1, each holding the
 hull's whole side of 0|1: a higher level keeps the sums and shrinks the
 factor. N_t is then read off the rows by its definition: one more than the
@@ -53,7 +53,6 @@ from .exponent import ExponentFunction, check_alpha, fractional_conjugate
 from .lattice import (
     Sequence,
     ZInterval,
-    block_index_of,
     cardinality,
     dilate,
     dyadic_block,
@@ -63,8 +62,9 @@ from .lattice import (
     runs_normalize,
     runs_subtract,
     runs_union,
+    weight,
 )
-from .maximal import MaximalEvaluator, _geometry_of
+from .maximal import MaximalEvaluator
 
 __all__ = [
     "CZDecomposition",
@@ -87,8 +87,7 @@ PARTITION_DEPTH = 2**10
 
 def alpha_average(a: Sequence, interval: ZInterval, alpha: float) -> float:
     """|I|^(alpha-1) * sum_I |a|."""
-    card = float(cardinality(interval))
-    return float(np.power(card, alpha - 1.0)) * interval_sum(a, interval)
+    return float(weight(float(cardinality(interval)), alpha)) * interval_sum(a, interval)
 
 
 @dataclass(frozen=True)
@@ -102,41 +101,19 @@ class CZDecomposition:
     n_t: int
 
 
-def _block_sums(a: Sequence) -> tuple[list[int], np.ndarray]:
-    """Row starts (row L is starts[L]:starts[L+1]) and sums of the blocks
-    meeting a's hull at levels 0..62, kept in a's _Geometry."""
-    geometry = _geometry_of(a)
-    if geometry.blocks is None:
-        hull, levels = geometry.hull, np.arange(63)
-        firsts = -(-hull.lo >> levels)  # block_index_of at each level
-        sizes = -(-hull.hi >> levels) - firsts + 1
-        starts = np.concatenate([[0], np.cumsum(sizes)])
-        level = np.repeat(levels, sizes)
-        js = np.arange(starts[-1]) - np.repeat(starts[:-1] - firsts, sizes)
-        los = ((js - 1) << level) + 1
-        geometry.blocks = starts.tolist(), a.range_sums(los, los + ((1 << level) - 1))
-    return geometry.blocks
-
-
 class _DyadicTable:
-    """Row L: the level-L blocks meeting the hull and their averages,
-    np.power(2^L, alpha-1) times the block sums, all in one product; an
-    array power has the bits of scalar ones
-    (test_power_of_scalars_matches_array_entries)."""
+    """Row L: the averages of the level-L blocks meeting the hull, weight(2^L)
+    times the block sums in one product; an array power has the bits of
+    scalar ones (test_power_of_scalars_matches_array_entries)."""
 
     def __init__(self, a: Sequence, alpha: float):
         self.alpha = check_alpha(alpha)
-        self.hull = _geometry_of(a).hull
+        self.hull = a.support_hull()
         if self.hull is not None:  # decompose rejects a zero sequence
-            self._starts, sums = _block_sums(a)
-            factors = np.power(np.ldexp(1.0, np.arange(63)), self.alpha - 1.0)
+            self._starts, self._firsts, sums = a.dyadic_rows
+            factors = weight(np.ldexp(1.0, np.arange(63)), self.alpha)
             self._avgs = np.repeat(factors, np.diff(self._starts)) * sums
             self._peaks = np.maximum.reduceat(self._avgs, self._starts[:-1])
-
-    def row(self, level: int) -> tuple[np.ndarray, np.ndarray]:
-        hull, starts = self.hull, self._starts
-        js = np.arange(block_index_of(level, hull.lo), block_index_of(level, hull.hi) + 1)
-        return js, self._avgs[starts[level] : starts[level + 1]]
 
     def top_level(self, t: float) -> int:
         """N_t (module docstring), from each row's largest average."""
@@ -156,12 +133,14 @@ class _DyadicTable:
         if self.hull is None:
             raise ValueError("sequence must not be identically zero")
         n_t = self.top_level(t)
-        covered = np.zeros(self.row(n_t)[0].size, dtype=bool)
+        starts, firsts = self._starts, self._firsts
+        covered = np.zeros(starts[n_t + 1] - starts[n_t], dtype=bool)
         found: list[tuple[ZInterval, float]] = []
         for level in range(n_t - 1, -1, -1):
-            js, avgs = self.row(level)
+            avgs = self._avgs[starts[level] : starts[level + 1]]
+            js = np.arange(firsts[level], firsts[level] + avgs.size)
             # block j sits under block ceil(j/2) one level up
-            covered = covered[-((-js) // 2) - block_index_of(level + 1, self.hull.lo)]
+            covered = covered[-((-js) // 2) - firsts[level + 1]]
             hit = (avgs > t) & ~covered
             covered |= hit
             blocks = [dyadic_block(level, j) for j in js[hit].tolist()]
@@ -235,8 +214,11 @@ def covering_check(a: Sequence, alpha: float, t: float) -> CoveringReport:
     """Verify {M_alpha a > 9t} is covered by the doubled selected intervals,
     and that selected averages obey avg <= 2^(1-alpha) t."""
     d = cz_decompose(a, alpha, t)
+    s = COVERING_FACTOR * d.t
+    if math.isinf(s):  # the check would pass vacuously
+        raise ValueError(f"covering threshold 9t overflows at t = {t!r}")
     doubled = runs_normalize([dilate(r, 2) for r in d.intervals])
-    sup = MaximalEvaluator(a, alpha).superlevel(COVERING_FACTOR * t)
+    sup = MaximalEvaluator(a, alpha).superlevel(s)
     uncovered = runs_subtract(sup, doubled)
     avgs = d.averages
     top = max(avgs, default=0.0)

@@ -427,7 +427,9 @@ def weak_type_sup(a: Sequence, p: ExponentFunction, alpha: float) -> tuple[float
     if not (top * 1e-4 >= sys.float_info.min):
         raise ValueError("threshold grid starts below the smallest normal float: M_alpha a underflows")
     t_grid = np.geomspace(top * 1e-4, top * 1.1, WEAK_GRID_SIZE)
-    sets = ev.superlevels(COVERING_FACTOR * t_grid)
+    with np.errstate(over="ignore"):  # a 9t past the float max has an empty set
+        ss = COVERING_FACTOR * t_grid
+    sets = ev.superlevels(ss)
     na = luxemburg_norm(a, p).value
     best, best_t = 0.0, float(t_grid[0])
     for t, nv in zip(t_grid.tolist(), characteristic_norms(sets, q)):

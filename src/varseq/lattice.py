@@ -9,6 +9,7 @@ ZInterval, which stays exact even when sets span billions of points.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence as PySequence
 
 import numpy as np
@@ -99,6 +100,12 @@ def block_index_of(level: int, n: int) -> int:
     return -((-n) // width)
 
 
+def weight(lengths, alpha: float, out=None):
+    """|I|^(alpha-1) for lengths |I|, the library's one such power. Inverse
+    powers that only guess what the values settle keep theirs."""
+    return np.power(lengths, alpha - 1.0, out=out)
+
+
 @dataclass(frozen=True, eq=False)
 class Sequence:
     """Finitely supported sequence on Z, stored as |values| over one window.
@@ -182,6 +189,19 @@ class Sequence:
         i_hi = np.minimum(np.maximum(np.asarray(his) - self.offset + 1, 0), size)
         i_lo = np.minimum(np.maximum(np.asarray(los) - self.offset, 0), size)
         return self._prefix[i_hi] - self._prefix[i_lo]
+
+    @cached_property
+    def dyadic_rows(self) -> tuple[list[int], list[int], np.ndarray]:
+        """Row starts (row L is starts[L]:starts[L+1]), first indices and
+        sums of the blocks meeting the nonzero hull at levels 0..62."""
+        hull, levels = self.support_hull(), np.arange(63)
+        firsts = block_index_of(levels, hull.lo)
+        sizes = block_index_of(levels, hull.hi) - firsts + 1
+        starts = np.concatenate([[0], np.cumsum(sizes)])
+        level = np.repeat(levels, sizes)
+        js = np.arange(starts[-1]) - np.repeat(starts[:-1] - firsts, sizes)
+        los = ((js - 1) << level) + 1
+        return starts.tolist(), firsts.tolist(), self.range_sums(los, los + ((1 << level) - 1))
 
     def scaled(self, c: float) -> "Sequence":
         return Sequence(self.offset, self.values * abs(float(c)))

@@ -23,6 +23,11 @@ path takes the same float w[h-l-1] * (P[h]-P[l]) of each interval, so an
 in-hull point() on the pair path scores just its own chains' pairs until
 the profile is built.
 
+Cancelling prefix sums keep the maxima: cumsum errs by at most W u P[W]
+(u = 2^-53), and at distance d >= 0 from the hull the value is at least
+P[W] (d+W)^(alpha-1) and each weight at most (d+1)^(alpha-1), so every
+value has a relative error of at most 2 W^(2-alpha) u, plus the pow's ulps.
+
 Outside the hull, at distance d >= 1 from its near end, the candidates are
 the intervals from n to each hull index j (counted from that end):
 f_j(d) = (d + j + 1)^(alpha-1) * S[j], with S the nondecreasing partial sums
@@ -67,7 +72,7 @@ from functools import cached_property
 import numpy as np
 
 from .exponent import check_alpha
-from .lattice import Sequence, ZInterval, check_coordinates, runs_normalize
+from .lattice import Sequence, ZInterval, check_coordinates, runs_normalize, weight
 
 __all__ = ["MaximalEvaluator", "alpha_weights"]
 
@@ -90,15 +95,15 @@ def alpha_weights(max_len: int, alpha: float) -> np.ndarray:
     """Read-only table of |I|^(alpha-1) for lengths 1..max_len."""
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    w = np.power(np.arange(1, int(max_len) + 1, dtype=np.float64), float(alpha) - 1.0)
+    w = weight(np.arange(1, int(max_len) + 1, dtype=np.float64), float(alpha))
     w.flags.writeable = False
     return w
 
 
-def _scores(d: int, S: np.ndarray, lo: int, hi: int, beta: float) -> np.ndarray:
-    """(d + j + 1)^beta * S[j] for the candidates j in [lo, hi] at distance d."""
+def _scores(d: int, S: np.ndarray, lo: int, hi: int, alpha: float) -> np.ndarray:
+    """weight(d + j + 1) * S[j] for the candidates j in [lo, hi] at distance d."""
     lengths = np.arange(d + lo + 1, d + hi + 2).astype(np.float64)
-    return np.power(lengths, beta) * S[lo : hi + 1]
+    return weight(lengths, alpha) * S[lo : hi + 1]
 
 
 def _convex_chains(y: list[float]) -> tuple[np.ndarray, np.ndarray]:
@@ -213,8 +218,8 @@ class _Geometry:
     """The alpha-free geometry of one Sequence: its hull, the hull's prefix
     sums P (a view of the sequence's own, the same bits: zeros add exactly
     and cumsum adds in order), the partial sums S_left and S_right of each
-    side from its near end, czd's dyadic block sums (blocks, set there),
-    and, built on first use from one _convex_chains pass per side:
+    side from its near end, and, built on first use from one _convex_chains
+    pass per side:
 
     pairs is the path rule of the module docstring: True when the hull
     profile and in-hull point() go by chain pairs.
@@ -236,7 +241,6 @@ class _Geometry:
             self.P = a._prefix[hull.lo - a.offset : hull.hi - a.offset + 2]
         self.S_left = self.P[1:]
         self.S_right = (self.P[-1] - self.P[:-1])[::-1].copy()
-        self.blocks = None
 
     @cached_property
     def _preds(self) -> tuple[np.ndarray, int, np.ndarray, int]:
@@ -417,7 +421,6 @@ class MaximalEvaluator:
         midpoint (explicit stack) until their two candidates agree. A wrong
         crossing only costs a split: every value comes from that rule.
         """
-        beta = self.alpha - 1.0
         vals = np.empty(count)
         last = count - 1
         W = S.size
@@ -434,7 +437,7 @@ class MaximalEvaluator:
         idx = np.array(seeds)
         # int lengths d + j + 1 cast to float, as _scores takes them
         lengths = (idx + (first + 1))[:, None] + np.arange(W)
-        rows = np.power(lengths.astype(np.float64), beta) * S
+        rows = weight(lengths.astype(np.float64), self.alpha) * S
         best = rows.max(axis=1)
         vals[idx] = best
         near = rows >= (best * _NEAR_MAX)[:, None]
@@ -442,7 +445,7 @@ class MaximalEvaluator:
         his = (W - 1 - near[:, ::-1].argmax(axis=1)).tolist()
 
         def score(i: int, lo: int, hi: int) -> tuple[int, int]:
-            row = _scores(first + i, S, lo, hi, beta)
+            row = _scores(first + i, S, lo, hi, self.alpha)
             best = row.max()
             vals[i] = best
             near = np.flatnonzero(row >= best * _NEAR_MAX)
@@ -458,7 +461,7 @@ class MaximalEvaluator:
                 # that the power casts to float: exact past 2**53, where a
                 # float arange's step rounds
                 seg = vals[i + 1 : k]
-                np.power(np.arange(first + i + lo + 2, first + k + lo + 1), beta, out=seg)
+                weight(np.arange(first + i + lo + 2, first + k + lo + 1), self.alpha, out=seg)
                 seg *= S[lo]
                 continue
             m = (i + k) // 2
@@ -480,7 +483,8 @@ class MaximalEvaluator:
             d, S = hull.lo - n, self._geometry.S_left
         else:
             d, S = n - hull.hi, self._geometry.S_right
-        return float(_scores(d, S, 0, S.size - 1, self.alpha - 1.0).max())
+        lengths = np.arange(d + 1, d + S.size + 1).astype(np.float64)
+        return float((weight(lengths, self.alpha) * S).max())
 
     def profile(self, window: ZInterval) -> np.ndarray:
         """M_alpha a on every point of the window: the overlap with the hull

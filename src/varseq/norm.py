@@ -273,8 +273,12 @@ def _bisect(mod_at: Callable, lo: float, hi: float, rel_tol: float, A: float, B:
     if hi <= lo:
         return NormValue(lo, mod_at, rel_tol, 0)
     it = 0
-    while it < MAX_BISECT_ITER and (hi - lo) > rel_tol * hi:
+    while True:
         mid = 0.5 * (lo + hi)
+        if mid == math.inf:  # lo + hi overflowed; halving a normal float is exact
+            mid = 0.5 * lo + 0.5 * hi
+        if it >= MAX_BISECT_ITER or (hi - lo) <= rel_tol * hi:
+            return NormValue(mid, mod_at, rel_tol, it)
         if mid == lo or mid == hi:
             return NormValue(hi, mod_at, rel_tol, it)
         if mid <= A or (mid < B and mod_at(mid) > 1.0):
@@ -282,7 +286,6 @@ def _bisect(mod_at: Callable, lo: float, hi: float, rel_tol: float, A: float, B:
         else:
             hi = mid
         it += 1
-    return NormValue(0.5 * (lo + hi), mod_at, rel_tol, it)
 
 
 def _check_rel_tol(rel_tol: float) -> None:

@@ -200,12 +200,18 @@ def constant_norm_oracle(a: Sequence, p0: float) -> float:
 def plain_bisect(mod_at, lo: float, hi: float, rel_tol: float, trace=None) -> NormValue:
     """inf{lam : mod_at(lam) <= 1}, evaluating mod_at at every midpoint;
     each (midpoint, value) pair is appended to trace when one is given. A
-    midpoint equal to lo or hi (adjacent floats) returns hi, as in _bisect."""
+    midpoint equal to lo or hi (adjacent floats) returns hi, as in _bisect,
+    and where lo + hi overflows the midpoint is 0.5 * lo + 0.5 * hi."""
+
+    def midpoint(lo, hi):
+        mid = 0.5 * (lo + hi)
+        return mid if mid < math.inf else 0.5 * lo + 0.5 * hi
+
     if hi <= lo:
         return NormValue(lo, mod_at(lo), rel_tol, 0)
     it = 0
     while it < MAX_BISECT_ITER and (hi - lo) > rel_tol * hi:
-        mid = 0.5 * (lo + hi)
+        mid = midpoint(lo, hi)
         if mid == lo or mid == hi:
             return NormValue(hi, mod_at(hi), rel_tol, it)
         m = mod_at(mid)
@@ -216,7 +222,7 @@ def plain_bisect(mod_at, lo: float, hi: float, rel_tol: float, trace=None) -> No
         else:
             hi = mid
         it += 1
-    value = 0.5 * (lo + hi)
+    value = midpoint(lo, hi)
     return NormValue(value, mod_at(value), rel_tol, it)
 
 

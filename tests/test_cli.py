@@ -162,6 +162,12 @@ def test_infinite_threshold_exit_2(seq_file, capsys):
         assert capsys.readouterr().err == "error: threshold t must be finite\n"
 
 
+def test_covering_overflow_exit_2(capsys):
+    """A t whose 9t overflows fails covering with one line, not a vacuous pass."""
+    assert run_cli("verify", "--t", "1e308", "--checks", "cz_structure,covering", "--count", "2") == 2
+    assert capsys.readouterr().err == "error: covering threshold 9t overflows at t = 1e+308\n"
+
+
 def test_alpha_range_rejected(seq_file):
     assert run_cli("czd", "--input", seq_file, "--alpha", "1.0", "--t", "1") == 2
     assert run_cli("maximal", "--input", seq_file, "--alpha", "-0.1") == 2

@@ -117,6 +117,15 @@ def test_threshold_must_be_positive_and_finite():
                 cut(t)
 
 
+def test_covering_threshold_must_be_finite():
+    """A t whose 9t overflows would cover an empty superlevel set and pass
+    vacuously, so covering_check rejects it; just below, 9t is finite."""
+    a = Sequence(0, [1.0, 2.0])
+    with pytest.raises(ValueError, match=r"^covering threshold 9t overflows at t = 1e\+308$"):
+        covering_check(a, 0.25, 1e308)
+    assert covering_check(a, 0.25, 1.9e307).ok
+
+
 def test_threshold_too_small_raises():
     with pytest.raises(ValueError):
         cz_decompose(Sequence(0, [1.0, 1.0]), 0.5, 1e-12)
@@ -709,9 +718,10 @@ def test_table_cuts_match_recursive_oracle(a, alpha, scales):
 
 def test_block_sums_once_per_sequence(monkeypatch):
     """One range_sums call per sequence sums every row 0..62 and serves the
-    tables of every alpha and every caller; its entry dies with the
-    sequence. From the first row whose blocks each hold one side of 0|1 of
-    the hull, which the top levels exceed, the rows repeat their sums."""
+    tables of every alpha and every caller; the rows and the sequence's
+    geometry entry die with the sequence. From the first row whose blocks
+    each hold one side of 0|1 of the hull, which the top levels exceed, the
+    rows repeat their sums."""
     summed = []
     real = Sequence.range_sums
     monkeypatch.setattr(
@@ -725,7 +735,7 @@ def test_block_sums_once_per_sequence(monkeypatch):
         covering_check(a, alpha, 0.05)
         level_set_partition(a, alpha, 0.05)
     assert summed == [id(a)]
-    starts, sums = maximal._GEOMETRY[a].blocks
+    starts, _, sums = a.dyadic_rows
     l_top = 9  # the hull [-300, 399] first lies in blocks 0 and 1 at level 9
     assert len(starts) == 64 and starts[l_top + 1] - starts[l_top] == 2
     assert min(top_levels) > l_top

@@ -1,9 +1,12 @@
 """Interval, dyadic block, sequence, and run-set algebra tests."""
 
+import sys
+
 import numpy as np
 import pytest
 
-from varseq.czd import level_set_partition
+from varseq import lattice
+from varseq.czd import alpha_average, cz_decompose, level_set_partition
 from varseq.exponent import ExponentFunction
 from varseq.harness import XorShift64Star
 from varseq.lattice import (
@@ -243,3 +246,45 @@ def test_far_offsets_match_offset_zero(offset):
     assert p.omega == {
         k: [ZInterval(r.lo + offset, r.hi + offset) for r in runs] for k, runs in p0.omega.items()
     }
+
+
+def _alpha_answers(a: Sequence, alpha: float) -> list:
+    """Profile, sampled point values, superlevel runs, cuts and averages of
+    a at alpha, with every float as its bytes or its hex."""
+    ev = MaximalEvaluator(a, alpha)
+    hull, top = ev.hull, ev.max_value()
+    out = [ev.profile(ZInterval(hull.lo - 50, hull.hi + 50)).tobytes()]
+    fresh = MaximalEvaluator(a, alpha)  # in-hull points before any profile
+    picks = [hull.lo - 10**9, hull.lo - 1, hull.lo, (hull.lo + hull.hi) // 2, hull.hi + 3, hull.hi + 2**40]
+    out.append([fresh.point(n).hex() for n in picks])
+    out.append(ev.superlevels(top * np.array([0.95, 0.6, 0.3])))
+    for t in (0.5 * top, 0.05 * top):
+        d = cz_decompose(a, alpha, t)
+        out.append((d.intervals, [x.hex() for x in d.averages], d.n_t))
+    out.append([alpha_average(a, ZInterval(hull.lo + k, hull.hi + 7 * k), alpha).hex() for k in (0, 5, 40)])
+    return out
+
+
+@pytest.mark.parametrize("width", [100, 300])
+def test_weight_owns_every_alpha_power(monkeypatch, width):
+    """lattice.weight is the one place |I|^(alpha-1) is formed: with every
+    varseq name bound to it rebound to a weight fixed at alpha' = 0.3, the
+    M_alpha and cut answers at alpha = 0.25 are bit for bit the unpatched
+    ones at alpha'. The estimates that place seeds, radii and first guesses
+    keep alpha = 0.25, so this also shows that the values settle them."""
+    a = Sequence(-17, np.random.default_rng(width).random(width))
+    want = _alpha_answers(a, 0.3)
+    real = lattice.weight
+
+    def fixed(lengths, alpha, out=None):
+        return real(lengths, 0.3, out=out)
+
+    rebound = 0
+    for name, module in list(sys.modules.items()):
+        if name.startswith("varseq"):
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, fixed)
+                    rebound += 1
+    assert rebound >= 3  # lattice, maximal and czd
+    assert _alpha_answers(Sequence(-17, a.values), 0.25) == want

@@ -6,6 +6,7 @@ import sys
 import warnings
 import weakref
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -937,3 +938,44 @@ def test_superlevels_at_whole_hull_value_exclude_its_ties():
     ev = MaximalEvaluator(a, 0.5)
     assert ev.superlevel(np.nextafter(V, 0.0)) == [ev.hull]
     assert ev._hull_profile is None
+
+
+def _exact_maximal(values: list[float], alpha: float, dists: range) -> tuple[list, list, list]:
+    """M_alpha on the hull [0, W-1] and at the distances dists left and
+    right of it, from exact integer prefix sums of integer-valued floats
+    and 60-digit weights: the max over each point's rectangle of intervals."""
+    W = len(values)
+    P = [0]
+    for v in values:
+        P.append(P[-1] + int(v))
+    w = [mpmath.mpf(n) ** (mpmath.mpf(alpha) - 1) for n in range(1, W + dists[-1] + 1)]
+    hull = [mpmath.mpf(0)] * W
+    for lo in range(W):
+        best = mpmath.mpf(0)  # max over right ends >= n, for n from W-1 down to lo
+        for n in range(W - 1, lo - 1, -1):
+            best = max(best, w[n - lo] * (P[n + 1] - P[lo]))
+            hull[n] = max(hull[n], best)
+    left = [max(w[d + j] * P[j + 1] for j in range(W)) for d in dists]
+    right = [max(w[d + j] * (P[W] - P[W - 1 - j]) for j in range(W)) for d in dists]
+    return hull, left, right
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+@pytest.mark.parametrize("width", [64, 128])
+@pytest.mark.parametrize("spike", [1e17, 1e300])
+def test_values_within_cancellation_bound(spike, width, alpha):
+    """After a spike the float prefix sums lose the small values after it,
+    yet every profile, point() and envelope value lies within 2 W^2 u of
+    the exact M_alpha (the maximal module docstring), which no oracle that
+    subtracts the same float prefix sums can show."""
+    values = [spike] + [0.0] * (width // 2 - 1) + [1.0] * (width // 2)
+    ev = MaximalEvaluator(Sequence(0, values), alpha)
+    dists = range(1, 41)
+    with mpmath.workdps(60):
+        hull, left, right = _exact_maximal(values, alpha, dists)
+        prof = ev.profile(ZInterval(-40, width + 39))
+        got = list(prof[40 : 40 + width]) + list(prof[39::-1]) + list(prof[40 + width :])
+        got += [ev.point(n) for n in (-1, -40, width, width + 39)]
+        want = hull + left + right + [left[0], left[39], right[0], right[39]]
+        worst = max(abs(mpmath.mpf(float(g)) - x) / x for g, x in zip(got, want))
+    assert worst <= 2 * width**2 * 2.0**-53

@@ -966,3 +966,26 @@ def test_characteristic_norms_bit_identical_to_each_plain_norm(inputs):
     sets, p = inputs
     want = [_bits(plain_characteristic_norm(runs, p)) for runs in sets]
     assert [_bits(nv) for nv in characteristic_norms(sets, p)] == want
+
+
+@pytest.mark.parametrize("values", [[6e307, 6e307], [9e307, 8e307], [1e308, 5e307]])
+def test_luxemburg_norm_near_float_max(values):
+    """Where max|a| + sum|a| overflows, the midpoint 0.5 * lo + 0.5 * hi
+    keeps the bisection finite: at p = 2 the norm is hypot(a) within
+    rel_tol, with modular 1, and the plain bisection has the same bits."""
+    a, p = Sequence(0, values), ExponentFunction.constant(2.0)
+    got = luxemburg_norm(a, p)
+    assert got.value == pytest.approx(math.hypot(*values), rel=1e-12)
+    assert got.achieved_modular == pytest.approx(1.0, rel=1e-11)
+    assert got.value.hex() == plain_luxemburg_norm(a, p).value.hex()
+
+
+def test_envelopes_near_float_max():
+    """The strong-type ratio of a point mass reads the same at 2e307 as at
+    1e300, and weak_type_sup of a mass at 1.7e308, whose top grid point's 9t
+    overflows to an empty set, matches the unit mass's."""
+    p = ExponentFunction.constant(2.0)
+    ratio = strong_type_ratio(Sequence(0, [1e300]), p, 0.0)
+    assert strong_type_ratio(Sequence(0, [2e307]), p, 0.0) == pytest.approx(ratio, rel=1e-12)
+    sup, _ = weak_type_sup(Sequence(0, [1.7e308]), p, 0.0)
+    assert sup == pytest.approx(weak_type_sup(Sequence(0, [1.0]), p, 0.0)[0], rel=1e-12)
