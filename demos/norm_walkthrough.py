@@ -25,7 +25,7 @@ def main():
     unit = modular(b.scaled(1.0 / nb.value), p)
     print("\nvariable exponent p(n) in {1, 2, 3} on five points:")
     print(f"  norm = {nb.value:.12f}")
-    print(f"  modular of a/norm = {unit.value:.12f}  (equals 1 for nontrivial a)")
+    print(f"  modular of a/norm = {unit:.12f}  (equals 1 for nontrivial a)")
 
     print("\nnorm-modular sandwich in both regimes:")
     for target in (0.5, 2.0):

@@ -24,7 +24,6 @@ from .exponent import (
     lh_infinity_constant,
 )
 from .norm import (
-    ModularValue,
     NormValue,
     characteristic_norm,
     characteristic_norms,
@@ -73,7 +72,6 @@ __all__ = [
     "conjugate",
     "fractional_conjugate",
     "check_lh_equivalences",
-    "ModularValue",
     "NormValue",
     "modular",
     "luxemburg_norm",

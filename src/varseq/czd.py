@@ -81,6 +81,9 @@ __all__ = [
 ]
 
 COVERING_FACTOR = 9.0
+# the Calderon-Zygmund doubling: the selected intervals dilated by this factor
+# cover {M_alpha a > COVERING_FACTOR t}
+COVERING_DILATION = 2
 PARTITION_WINDOW_CAP = 2**16
 PARTITION_DEPTH = 2**10
 
@@ -217,7 +220,7 @@ def covering_check(a: Sequence, alpha: float, t: float) -> CoveringReport:
     s = COVERING_FACTOR * d.t
     if math.isinf(s):  # the check would pass vacuously
         raise ValueError(f"covering threshold 9t overflows at t = {t!r}")
-    doubled = runs_normalize([dilate(r, 2) for r in d.intervals])
+    doubled = runs_normalize([dilate(r, COVERING_DILATION) for r in d.intervals])
     sup = MaximalEvaluator(a, alpha).superlevel(s)
     uncovered = runs_subtract(sup, doubled)
     avgs = d.averages
@@ -373,7 +376,7 @@ def level_set_partition(a: Sequence, alpha: float, t: float) -> LevelSetPartitio
         levels.append(k)
         heights[k] = rung_floats[k - k_top] / COVERING_FACTOR
         for j, sel in enumerate(table.decompose(heights[k]).intervals):
-            piece = runs_intersect(rest, [dilate(sel, 2)])
+            piece = runs_intersect(rest, [dilate(sel, COVERING_DILATION)])
             if piece:
                 e_sets[(k, j)] = piece
                 intervals[(k, j)] = sel
@@ -433,7 +436,7 @@ def domination_check(
     q_window = q.window
     e_sum = 0.0
     for key, runs in part.e_sets.items():
-        doubled = dilate(part.intervals[key], 2)
+        doubled = dilate(part.intervals[key], COVERING_DILATION)
         avg = alpha_average(a, doubled, alpha)
         for run in runs:
             if q_window is None or not q_window.intersects(run):

@@ -8,7 +8,7 @@ ZInterval, which stays exact even when sets span billions of points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence as PySequence
 
@@ -111,11 +111,14 @@ class Sequence:
     """Finitely supported sequence on Z, stored as |values| over one window.
 
     offset is the index of values[0]; everything outside the window is zero.
+    prefix is the read-only array of prefix sums, one longer than values:
+    prefix[i] is the np.cumsum sum of values[:i], and prefix[0] = 0. It is
+    set from values and is not a dataclass field, so the fields that reports
+    render stay (offset, values).
     """
 
     offset: int
     values: np.ndarray
-    _prefix: np.ndarray = field(repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=np.float64)
@@ -133,7 +136,7 @@ class Sequence:
             raise ValueError("sum of |values| must be finite")
         prefix.flags.writeable = False
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "_prefix", prefix)
+        object.__setattr__(self, "prefix", prefix)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, float]]) -> "Sequence":
@@ -171,7 +174,7 @@ class Sequence:
         return ZInterval(self.offset + int(nz[0]), self.offset + int(nz[-1]))
 
     def total(self) -> float:
-        return float(self._prefix[-1])
+        return float(self.prefix[-1])
 
     def is_zero(self) -> bool:
         return self.total() == 0.0
@@ -179,7 +182,7 @@ class Sequence:
     def prefix_sum(self, n: int) -> float:
         """Sum of values on indices < n (clipped to the window)."""
         i = min(max(n - self.offset, 0), self.values.size)
-        return float(self._prefix[i])
+        return float(self.prefix[i])
 
     def range_sums(self, los: np.ndarray, his: np.ndarray) -> np.ndarray:
         """Sums over [los[k], his[k]] for index arrays, clipped to the window."""
@@ -188,7 +191,7 @@ class Sequence:
         size = self.values.size
         i_hi = np.minimum(np.maximum(np.asarray(his) - self.offset + 1, 0), size)
         i_lo = np.minimum(np.maximum(np.asarray(los) - self.offset, 0), size)
-        return self._prefix[i_hi] - self._prefix[i_lo]
+        return self.prefix[i_hi] - self.prefix[i_lo]
 
     @cached_property
     def dyadic_rows(self) -> tuple[list[int], list[int], np.ndarray]:

@@ -236,9 +236,9 @@ class _Geometry:
     def __init__(self, a: Sequence):
         self.hull = hull = a.support_hull()
         if hull is None:
-            self.P = a._prefix[:1]
+            self.P = a.prefix[:1]
         else:
-            self.P = a._prefix[hull.lo - a.offset : hull.hi - a.offset + 2]
+            self.P = a.prefix[hull.lo - a.offset : hull.hi - a.offset + 2]
         self.S_left = self.P[1:]
         self.S_right = (self.P[-1] - self.P[:-1])[::-1].copy()
 

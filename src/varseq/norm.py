@@ -31,7 +31,6 @@ from .exponent import ExponentFunction
 from .lattice import Sequence, ZInterval, runs_count, runs_intersect
 
 __all__ = [
-    "ModularValue",
     "NormValue",
     "modular",
     "luxemburg_norm",
@@ -50,14 +49,6 @@ POW_ULPS = 4
 NEWTON_STEPS = 8
 # Relative and absolute slack of the scaling and norm-modular checks.
 _CHECK_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class ModularValue:
-    """Value of the modular together with the number of nonzero terms."""
-
-    value: float
-    nonzero_terms: int
 
 
 @dataclass(frozen=True)
@@ -80,14 +71,17 @@ class NormValue:
         return self._modular
 
 
-def modular(a: Sequence, p: ExponentFunction) -> ModularValue:
-    """sum_k |a(k)|^p(k); entries outside the exponent window use p_inf."""
+def modular(a: Sequence, p: ExponentFunction, lam: float = 1.0) -> float:
+    """rho(a/lam) = sum_k (|a(k)|/lam)^p(k); entries outside the exponent
+    window use p_inf. luxemburg_norm's bisection calls it at each midpoint it
+    evaluates and for achieved_modular, so this 1-D pairwise sum is the one
+    that _bisect's rounding bound covers."""
+    if not lam > 0:
+        raise ValueError("lam must be positive")
     win = a.window
     if win is None:
-        return ModularValue(0.0, 0)
-    pv = p.values_on(win)
-    terms = np.power(a.values, pv)
-    return ModularValue(float(terms.sum()), int(np.count_nonzero(a.values)))
+        return 0.0
+    return float(np.power(a.values / lam, p.values_on(win)).sum())
 
 
 def _rounding_bound(chain: int, p_plus: float) -> float:
@@ -308,10 +302,6 @@ def luxemburg_norm(a: Sequence, p: ExponentFunction, rel_tol: float = 1e-12) -> 
         return NormValue(0.0, 0.0, rel_tol, 0)
     pv = p.values_on(win)
     v = a.values
-
-    def mod_at(lam: float) -> float:
-        return float(np.power(v / lam, pv).sum())
-
     lo = a.max_value()
     hi = max(lo, a.total())
     # the window points inside p's window are v[i0:i1]; the rest take p_inf
@@ -344,7 +334,7 @@ def luxemburg_norm(a: Sequence, p: ExponentFunction, rel_tol: float = 1e-12) -> 
 
     eps = _rounding_bound(chain, p.p_plus)
     (A,), (B,) = _bracket(mods, [lo], [hi], eps)
-    return _bisect(mod_at, lo, hi, rel_tol, A, B)
+    return _bisect(functools.partial(modular, a, p), lo, hi, rel_tol, A, B)
 
 
 def characteristic_norm(
@@ -443,8 +433,8 @@ def check_scaling_bounds(a: Sequence, p: ExponentFunction, lam: float) -> Scalin
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
-    rho = modular(a, p).value
-    rho_s = modular(a.scaled(lam), p).value
+    rho = modular(a, p)
+    rho_s = modular(a.scaled(lam), p)
     e_lo, e_hi = (p.p_minus, p.p_plus) if lam >= 1.0 else (p.p_plus, p.p_minus)
     lower = lam**e_lo * rho
     upper = lam**e_hi * rho
@@ -477,10 +467,10 @@ def check_norm_modular_relations(a: Sequence, p: ExponentFunction) -> NormModula
     a/||a|| equals 1 up to bisection tolerance.
     """
     nv = luxemburg_norm(a, p)
-    rho = modular(a, p).value
+    rho = modular(a, p)
     if nv.value == 0.0:
         return NormModularReport(rho == 0.0, 0.0, rho, 0.0)
-    unit = modular(a.scaled(1.0 / nv.value), p).value
+    unit = modular(a.scaled(1.0 / nv.value), p)
     n = nv.value
     e_lo, e_hi = (p.p_plus, p.p_minus) if n <= 1.0 else (p.p_minus, p.p_plus)
     ok = (

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 
 import numpy as np
 from hypothesis import strategies as st
@@ -456,6 +457,18 @@ def numpy_pow() -> str:
     x, y = 10.0 ** rng.uniform(-6.0, 3.0, 1000), rng.uniform(1.0, 8.0, 1000)
     same = np.power(x, y).tolist() == [b**e for b, e in zip(x.tolist(), y.tolist())]
     return "libm" if same else "svml"
+
+
+def rebind_everywhere(monkeypatch, real, fake) -> int:
+    """Bind fake in place of real in every loaded varseq module; the count."""
+    rebound = 0
+    for name, module in list(sys.modules.items()):
+        if name.startswith("varseq"):
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, fake)
+                    rebound += 1
+    return rebound
 
 
 @st.composite

@@ -80,7 +80,7 @@ def test_02_unit_modular_identity():
             if item.a.is_zero():
                 continue
             nv = luxemburg_norm(item.a, item.p)
-            unit = modular(item.a.scaled(1.0 / nv.value), item.p).value
+            unit = modular(item.a.scaled(1.0 / nv.value), item.p)
             assert abs(unit - 1.0) <= 1e-8, (law, item.index, unit)
             checked += 1
     assert checked >= 990

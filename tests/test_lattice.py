@@ -1,10 +1,9 @@
 """Interval, dyadic block, sequence, and run-set algebra tests."""
 
-import sys
-
 import numpy as np
 import pytest
 
+from conftest import rebind_everywhere
 from varseq import lattice
 from varseq.czd import alpha_average, cz_decompose, level_set_partition
 from varseq.exponent import ExponentFunction
@@ -279,12 +278,5 @@ def test_weight_owns_every_alpha_power(monkeypatch, width):
     def fixed(lengths, alpha, out=None):
         return real(lengths, 0.3, out=out)
 
-    rebound = 0
-    for name, module in list(sys.modules.items()):
-        if name.startswith("varseq"):
-            for attr, value in list(vars(module).items()):
-                if value is real:
-                    monkeypatch.setattr(module, attr, fixed)
-                    rebound += 1
-    assert rebound >= 3  # lattice, maximal and czd
+    assert rebind_everywhere(monkeypatch, real, fixed) >= 3  # lattice, maximal and czd
     assert _alpha_answers(Sequence(-17, a.values), 0.25) == want

@@ -43,9 +43,32 @@ GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 def test_modular_zero_and_basic():
     p = ExponentFunction.constant(2.0)
-    assert modular(Sequence(0, []), p).value == 0.0
-    m = modular(Sequence(0, [3.0, 4.0]), p)
-    assert m.value == 25.0 and m.nonzero_terms == 2
+    assert modular(Sequence(0, []), p) == 0.0
+    assert modular(Sequence(0, [3.0, 4.0]), p) == 25.0
+
+
+def test_bisection_evaluates_the_one_modular(monkeypatch):
+    """norm.modular is the one plain evaluator of rho(a/lam): achieved_modular
+    calls it at the returned value, with the bits of the plain formula, and
+    it rejects a lam that is not positive."""
+    a = Sequence(-3, [0.5, 1.25, 0.8, 0.0, 0.3, 1.1])
+    p = ExponentFunction(-2, [1.0, 1.5, 2.0, 3.0], 2.5)
+    real, lams = norm.modular, []
+
+    def spy(b, q, lam=1.0):
+        lams.append(lam)
+        return real(b, q, lam)
+
+    monkeypatch.setattr(norm, "modular", spy)
+    nv = luxemburg_norm(a, p)
+    lams.clear()
+    got = nv.achieved_modular
+    assert lams == [nv.value]
+    assert got.hex() == real(a, p, nv.value).hex()
+    assert got.hex() == float(np.power(a.values / nv.value, p.values_on(a.window)).sum()).hex()
+    for lam in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="lam must be positive"):
+            real(a, p, lam)
 
 
 def test_norm_constant_exponent_closed_form():
@@ -104,7 +127,7 @@ def test_unit_modular_identity():
     )
     for item in generate_corpus(spec):
         nv = luxemburg_norm(item.a, item.p)
-        unit = modular(item.a.scaled(1.0 / nv.value), item.p).value
+        unit = modular(item.a.scaled(1.0 / nv.value), item.p)
         assert unit == pytest.approx(1.0, abs=1e-8)
 
 
@@ -382,7 +405,7 @@ def _assert_near_brentq_root(a: Sequence, p: ExponentFunction, rel_tol: float) -
     assert got.iterations < norm.MAX_BISECT_ITER
 
     def f(lam):
-        return modular(Sequence(a.offset, v / lam), p).value - 1.0
+        return modular(Sequence(a.offset, v / lam), p) - 1.0
 
     # m >= 2 - 1 at half the max and m <= 1/2 at twice the sum
     root = brentq(f, 0.5 * v.max(), 2.0 * v.sum(), xtol=_BRENT_XTOL, rtol=_BRENT_RTOL, maxiter=500)
