@@ -429,17 +429,22 @@ def check_scaling_bounds(a: Sequence, p: ExponentFunction, lam: float) -> Scalin
 
     For lam >= 1: lam^p_minus rho(a) <= rho(lam a) <= lam^p_plus rho(a);
     for lam <= 1 the sandwich reverses. The norm satisfies
-    ||lam a|| = lam ||a|| up to bisection tolerance.
+    ||lam a|| = lam ||a|| up to bisection tolerance. A lam outside (0, inf),
+    or one whose rho(lam a) overflows, raises ValueError.
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    if not 0.0 < lam < math.inf:
+        raise ValueError("lam must be positive and finite")
     rho = modular(a, p)
-    rho_s = modular(a.scaled(lam), p)
     e_lo, e_hi = (p.p_minus, p.p_plus) if lam >= 1.0 else (p.p_plus, p.p_minus)
-    lower = lam**e_lo * rho
-    upper = lam**e_hi * rho
+    try:
+        with np.errstate(over="raise"):
+            b = a.scaled(lam)
+            rho_s = modular(b, p)
+        lower, upper = lam**e_lo * rho, lam**e_hi * rho
+    except (FloatingPointError, OverflowError):
+        raise ValueError(f"lam = {lam!r} overflows the scaled modular") from None
     n0 = luxemburg_norm(a, p).value
-    n1 = luxemburg_norm(a.scaled(lam), p).value
+    n1 = luxemburg_norm(b, p).value
     ratio = n1 / (lam * n0) if n0 > 0 else 1.0
     ok = (
         lower <= rho_s * (1 + _CHECK_TOL) + _CHECK_TOL

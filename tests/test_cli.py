@@ -10,9 +10,10 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from varseq import czd
 from varseq.cli import _SETTINGS, _build_parser, _resolve, main
 from varseq.lattice import ZInterval
-from varseq.reports import render_json
+from varseq.reports import render_csv, render_json
 
 
 def write_json(path, data):
@@ -226,6 +227,42 @@ def test_config_invalid_json_exit_2(tmp_path):
     cfg = tmp_path / "broken.json"
     cfg.write_text("{not json")
     assert run_cli("norm", "--config", str(cfg)) == 2
+
+
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        ("norm", None, "error: cannot read config "),
+        ("norm", [1, 2], "error: config root must be a JSON object"),
+        ("norm", {"command": "czd"}, "error: config is for command 'czd', invoked as 'norm'"),
+        ("verify", {"corpus": 5}, "error: corpus must be an object"),
+        ("verify", {"corpus": {"bogus": 1}}, "error: unknown corpus keys: bogus"),
+    ],
+    ids=["unreadable", "root-not-object", "command-mismatch", "corpus-not-object", "corpus-key"],
+)
+def test_config_errors_exit_2_with_one_line(tmp_path, seq_file, exp_file, capsys, command, config, message):
+    cfg = str(tmp_path / "missing.json") if config is None else write_json(tmp_path / "cfg.json", config)
+    inputs = ["--input", seq_file, "--exponent", exp_file] if command == "norm" else []
+    assert run_cli(command, "--config", cfg, *inputs) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1, err
+
+
+def test_exponent_json_with_wrong_keys_exit_2(tmp_path, seq_file, capsys):
+    bad = write_json(tmp_path / "p.json", {"window_lo": 0, "values": [2.0]})
+    assert run_cli("norm", "--input", seq_file, "--exponent", bad) == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}: exponent JSON must have exactly window_lo, values, p_inf\n"
+    )
+
+
+def test_invariant_failure_exit_1(monkeypatch, capsys):
+    """A RuntimeError from the library, here the shell check with the
+    covering dilation set to 1, exits 1 with one line."""
+    monkeypatch.setattr(czd, "COVERING_DILATION", 1)
+    assert run_cli("verify", "--count", "8", "--checks", "domination") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invariant failure: ") and err.count("\n") == 1, err
 
 
 def test_verify_exit_codes(tmp_path):
@@ -596,6 +633,11 @@ def test_report_float_formatting_is_17g(tmp_path):
     assert "0.10000000000000001" in text
     # round-trip preserves the exact float
     assert json.loads(text)["x"] == 0.1
+    for x in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="non-finite float in report"):
+            render_json({"x": x})
+        with pytest.raises(ValueError, match="non-finite float in report"):
+            render_csv(["x"], [[x]])
 
 
 @dataclass(frozen=True)
@@ -620,3 +662,5 @@ def test_render_json_walks_records_directly():
     for key in (1, (1, 2), np.int64(3)):
         with pytest.raises(TypeError, match="report keys must be strings"):
             render_json({key: 0.0})
+    with pytest.raises(TypeError, match="cannot render object"):
+        render_json({"x": object()})

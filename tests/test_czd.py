@@ -4,6 +4,7 @@ import gc
 import math
 import re
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -160,8 +161,6 @@ def test_structure_random_corpus():
     )
     rng = XorShift64Star(3)
     for item in generate_corpus(spec):
-        if item.a.is_zero():
-            continue
         peak = max(
             alpha_average(item.a, ZInterval(n, n), 0.0)
             for n in range(item.a.window.lo, item.a.window.hi + 1)
@@ -203,6 +202,22 @@ def test_nesting():
             assert rep.count_hi <= rep.count_lo
 
 
+def test_nesting_counts_containment_failures(monkeypatch):
+    """With the lower cut made empty, every interval of the higher one is a
+    containment failure and the report is not ok."""
+    a = Sequence(0, [1.0, 0.0, 0.0, 5.0])
+    decompose = czd._DyadicTable.decompose
+
+    def empty_lower_cut(table, t):
+        d = decompose(table, t)
+        return replace(d, intervals=[], averages=[]) if t == 0.1 else d
+
+    monkeypatch.setattr(czd._DyadicTable, "decompose", empty_lower_cut)
+    rep = cz_nesting_check(a, 0.0, 1.0, 0.1)
+    assert rep.containment_failures > 0
+    assert rep.ok is False
+
+
 def test_covering_basic_and_worked():
     # forty entries of 2.5 on [1,40]: selection fills [1,64] at t = 1
     c = Sequence(1, [2.5] * 40)
@@ -234,8 +249,6 @@ def test_covering_random():
     )
     rng = XorShift64Star(6)
     for item in generate_corpus(spec):
-        if item.a.is_zero():
-            continue
         for alpha in ALPHAS:
             max_m = MaximalEvaluator(item.a, alpha).max_value()
             t = max_m * (0.02 + 0.2 * rng.uniform())
@@ -307,8 +320,6 @@ def test_partition_level_sets_match_superlevel(law):
         alpha_list=ALPHAS,
     )
     for item in generate_corpus(spec):
-        if item.a.is_zero():
-            continue
         for alpha in ALPHAS:
             part = level_set_partition(item.a, alpha, 0.05)
             ev = MaximalEvaluator(item.a, alpha)
@@ -624,8 +635,6 @@ def test_domination_derived_constant_holds():
         alpha_list=ALPHAS,
     )
     for item in generate_corpus(spec):
-        if item.a.is_zero():
-            continue
         for alpha in ALPHAS:
             rep = domination_check(item.a, item.p, alpha, 0.05)
             assert rep.ok_derived, (item.index, alpha, rep.ratio, rep.c_derived)

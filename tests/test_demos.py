@@ -1,4 +1,7 @@
-"""Smoke test of the narrated demos: each runs to completion and prints."""
+"""Smoke test of the narrated demos: each runs to completion and prints,
+under the same no-warning rule as the test suite. A child process inherits
+neither the parent's -X dev nor pytest's warning filters, so each demo runs
+with -X dev -W error and must write nothing to stderr."""
 
 import os
 import subprocess
@@ -27,11 +30,12 @@ def test_demo_runs(demo):
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
     )
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / demo), *DEMOS[demo]],
+        [sys.executable, "-X", "dev", "-W", "error", str(ROOT / "demos" / demo), *DEMOS[demo]],
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
     assert proc.stdout.strip()

@@ -26,6 +26,8 @@ def test_validation():
         ExponentFunction(0, [2.0], 0.5)
     with pytest.raises(ValueError):
         ExponentFunction(0, [np.nan], 2.0)
+    with pytest.raises(ValueError, match="one-dimensional"):
+        ExponentFunction(0, [[2.0, 3.0]], 2.0)
 
 
 def test_evaluate_and_bounds():

@@ -244,6 +244,56 @@ def test_corpus_p_bounds_respect_alpha():
         replace(BASE, alpha_list=(0.5,), p_hi=2.5).resolved_bounds()
 
 
+def _undo_shift(y: int, k: int, left: bool) -> int:
+    """x from y = x ^ (x << k) or y = x ^ (x >> k) on 64 bits: x is the XOR
+    of y shifted by every multiple of k."""
+    x = y
+    for j in range(k, 64, k):
+        x ^= ((y << j) & harness._MASK) if left else y >> j
+    return x
+
+
+def _predecessor(s: int) -> int:
+    """The state whose xorshift step (>> 12, << 25, >> 27) gives s."""
+    return _undo_shift(_undo_shift(_undo_shift(s, 27, False), 25, True), 12, False)
+
+
+def _zero_draw_states() -> list[int]:
+    """The 2,047 nonzero states whose uniform() draw is 0.0: those whose
+    output s * MULT mod 2^64 is some o in 1..2047, below 2^11."""
+    inverse = pow(harness._MULT, -1, 1 << 64)
+    return [o * inverse & harness._MASK for o in range(1, 2048)]
+
+
+def test_no_zero_draw_follows_another():
+    """Half of the proof that no corpus item is zero: each state that draws
+    0.0 is reached from its predecessor, and the state after it draws a
+    nonzero float."""
+    states = _zero_draw_states()
+    assert len(set(states)) == 2047 and 0 not in states
+    for o, s in enumerate(states, start=1):
+        assert XorShift64Star(_predecessor(s)).next_u64() == o
+        assert XorShift64Star(_predecessor(s)).uniform() == 0.0
+        assert XorShift64Star(s).uniform() >= 2.0**-53
+
+
+@pytest.mark.parametrize("law", VALUE_LAWS)
+def test_no_value_law_draws_a_zero_item(law):
+    """The other half: from every zero-draw state, in first or second place
+    of the item's draws, each value law's shortest item (4 values) has a
+    nonzero value."""
+    for s in _zero_draw_states():
+        for start in (_predecessor(s), _predecessor(_predecessor(s))):
+            assert harness._draw_values(XorShift64Star(start), law, 4).any(), (law, s)
+
+
+def test_spec_rejects_narrow_window_and_crossed_p_bounds():
+    with pytest.raises(ValueError, match="window_width must be >= 4"):
+        generate_corpus(replace(BASE, window_width=3))
+    with pytest.raises(ValueError, match="need 1 <= p_lo <= p_hi"):
+        generate_corpus(replace(BASE, p_lo=2.0, p_hi=1.5))
+
+
 def test_holder_variant_cases():
     a = Sequence(0, np.zeros(4))
     rep = check_holder_variant(a, ZInterval(0, 3), 2.0, 0.25)
@@ -372,11 +422,34 @@ def test_weak_type_sup_takes_the_grid_in_one_batch(monkeypatch):
     monkeypatch.setattr(harness.MaximalEvaluator, "superlevels", spy)
     monkeypatch.setattr(harness.MaximalEvaluator, "superlevel", forbidden)
     for item in generate_corpus(replace(BASE, count=4)):
-        if item.a.is_zero():
-            continue
         batches.clear()
         weak_type_sup(item.a, item.p, 0.25)
         assert batches == [harness.WEAK_GRID_SIZE]
+
+
+def test_envelopes_of_a_zero_sequence_are_zero():
+    """The public envelopes take a zero sequence, which no corpus holds."""
+    p = ExponentFunction.constant(2.0)
+    for zero in (Sequence(0, [0.0, 0.0, 0.0]), Sequence(0, np.zeros(0))):
+        assert strong_type_ratio(zero, p, 0.25) == 0.0
+        assert weak_type_sup(zero, p, 0.25) == (0.0, 0.0)
+
+
+def test_holder_falls_back_to_alpha_zero_past_the_floor(monkeypatch):
+    """At alpha 0.95 the cap 0.95/alpha = 1 is below the exponent floor, so
+    each holder case takes alpha 0 and a p0 under the alpha-0 cap."""
+    seen = []
+    real = harness.check_holder_variant
+
+    def spy(a, interval, p0, alpha):
+        seen.append((p0, alpha))
+        return real(a, interval, p0, alpha)
+
+    monkeypatch.setattr(harness, "check_holder_variant", spy)
+    spec = CorpusSpec(7, 4, 12, "uniform01", "constant", (0.95,), 1.0, 1.04)
+    (rep,) = run_verification_suite(spec, 0.05, ["holder"])
+    assert rep.cases == 4 and rep.failures == 0
+    assert len(seen) == 4 and all(alpha == 0.0 and 1.0 < p0 <= 8.0 for p0, alpha in seen)
 
 
 def test_estimators_report_shape():

@@ -135,6 +135,9 @@ def test_truncate_and_scaled_shifted():
     assert truncate(a, ZInterval(10, 12)).is_zero()
     assert a.scaled(2.0).total() == 20.0
     assert Sequence(a.offset + 5, a.values).at(5) == 1.0
+    empty = Sequence(0, np.zeros(0))
+    assert empty.max_value() == 0.0
+    assert truncate(empty, ZInterval(0, 3)) is empty
 
 
 def test_runs_algebra_against_set_oracle():

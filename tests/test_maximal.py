@@ -67,8 +67,6 @@ def test_profile_equals_point_and_oracle_bitwise():
         exponent_law="constant",
     )
     for item in generate_corpus(spec):
-        if item.a.is_zero():
-            continue
         hull = item.a.support_hull()
         window = dilate(hull, 3)
         for alpha in ALPHAS:
@@ -144,8 +142,6 @@ def test_superlevel_matches_thresholded_profile():
         exponent_law="constant",
     )
     for item in generate_corpus(spec):
-        if item.a.is_zero():
-            continue
         for alpha in ALPHAS:
             ev = MaximalEvaluator(item.a, alpha)
             max_m = ev.max_value()

@@ -3,6 +3,7 @@
 import collections
 import math
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -146,6 +147,8 @@ def test_norm_modular_chain_both_regimes():
             scaled = item.a.scaled(target / n0)
             rep = check_norm_modular_relations(scaled, item.p)
             assert rep.ok, rep
+    zero = check_norm_modular_relations(Sequence(0, [0.0, 0.0]), ExponentFunction.constant(2.0))
+    assert (zero.ok, zero.norm, zero.modular_value, zero.unit_modular) == (True, 0.0, 0.0, 0.0)
 
 
 def test_scaling_bounds():
@@ -161,6 +164,20 @@ def test_scaling_bounds():
         for lam in (0.3, 1.0, 2.7):
             rep = check_scaling_bounds(item.a, item.p, lam)
             assert rep.ok, rep
+
+
+def test_scaling_bounds_rejects_bad_lam():
+    """A lam outside (0, inf) gets the lam message, and one whose scaled
+    modular overflows is a one-line ValueError with no numpy warning."""
+    a, p = Sequence(0, [1.0, 2.0]), ExponentFunction.constant(2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lam in (math.nan, math.inf, 0.0, -1.0):
+            with pytest.raises(ValueError, match="lam must be positive and finite"):
+                check_scaling_bounds(a, p, lam)
+        for b in (a, Sequence(0, [1e10])):
+            with pytest.raises(ValueError, match=r"lam = 1e\+300 overflows the scaled modular"):
+                check_scaling_bounds(b, p, 1e300)
 
 
 def test_fatou_truncation_monotone():
