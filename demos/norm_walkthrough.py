@@ -16,7 +16,7 @@ def main():
     nv = luxemburg_norm(a, p2)
     print("constant exponent p = 2 on (3, 4):")
     print(f"  norm = {nv.value:.12f}  (closed form sqrt(3^2 + 4^2) = 5)")
-    print(f"  bisection iterations = {nv.iterations}, achieved modular = {nv.achieved_modular:.12f}")
+    print(f"  bisection iterations = {nv.iterations}, achieved modular = {modular(a, p2, nv.value):.12f}")
 
     # exponent 1 on the left half, 3 on the right, 2.5 at infinity
     p = ExponentFunction(-2, [1.0, 1.0, 2.0, 3.0, 3.0], 2.5)

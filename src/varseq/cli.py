@@ -33,10 +33,10 @@ from .exponent import ExponentFunction
 from .harness import CorpusSpec, generate_corpus, run_verification_suite
 from .lattice import Sequence, ZInterval, cardinality, dilate
 from .maximal import MaximalEvaluator
-from .norm import luxemburg_norm
+from .norm import luxemburg_norm, modular
 from .reports import render_csv, render_json, write_text
 
-__all__ = ["RunConfig", "parse_config", "run", "main", "ConfigError"]
+__all__ = ["parse_config", "run", "main", "ConfigError"]
 
 # Most points a maximal profile window may hold: rendering its record peaks
 # near 300 bytes a point.
@@ -45,25 +45,6 @@ MAXIMAL_WINDOW_LIMIT = 2**20
 
 class ConfigError(ValueError):
     """Invalid config file, flag combination, or input file."""
-
-
-@dataclass
-class RunConfig:
-    """Fully resolved invocation of one CLI command: _resolve fills every
-    field from _SETTINGS; corpus is None for a command without a corpus."""
-
-    command: str
-    input: str | None
-    exponent: str | None
-    alpha: float
-    t: float
-    rel_tol: float
-    window: ZInterval | None
-    corpus: CorpusSpec | None
-    checks: list[str] | None
-    inject_fault: bool
-    out: str | None
-    format: str
 
 
 def parse_config(path: str) -> dict:
@@ -190,20 +171,20 @@ def _read_exponent(path: str) -> ExponentFunction:
     )
 
 
-def _run_norm(cfg: RunConfig) -> dict:
+def _run_norm(cfg: argparse.Namespace) -> dict:
     a = _load(cfg.input, "sequence", _read_sequence)
     p = _load(cfg.exponent, "exponent", _read_exponent)
     nv = luxemburg_norm(a, p, cfg.rel_tol)
     return {
         "command": "norm",
         "norm": nv.value,
-        "achieved_modular": nv.achieved_modular,
+        "achieved_modular": modular(a, p, nv.value) if nv.value > 0 else 0.0,
         "tolerance": nv.tolerance,
         "iterations": nv.iterations,
     }
 
 
-def _run_maximal(cfg: RunConfig) -> dict:
+def _run_maximal(cfg: argparse.Namespace) -> dict:
     a = _load(cfg.input, "sequence", _read_sequence)
     window = cfg.window
     if window is None:
@@ -228,7 +209,7 @@ def _maximal_rows(rec: dict) -> tuple[list[str], list[list]]:
     return ["n", "value"], [[n, float(v)] for n, v in zip(ns, rec["values"])]
 
 
-def _run_czd(cfg: RunConfig) -> dict:
+def _run_czd(cfg: argparse.Namespace) -> dict:
     d = cz_decompose(_load(cfg.input, "sequence", _read_sequence), cfg.alpha, cfg.t)
     return {
         "command": "czd",
@@ -240,7 +221,7 @@ def _run_czd(cfg: RunConfig) -> dict:
     }
 
 
-def _run_verify(cfg: RunConfig) -> dict:
+def _run_verify(cfg: argparse.Namespace) -> dict:
     reports = run_verification_suite(
         cfg.corpus,
         t=cfg.t,
@@ -262,7 +243,7 @@ def _verify_rows(rec: dict) -> tuple[list[str], list[list]]:
     return ["check_name", "cases", "failures", "empirical_constant"], rows
 
 
-def _run_corpus(cfg: RunConfig) -> dict:
+def _run_corpus(cfg: argparse.Namespace) -> dict:
     items = generate_corpus(cfg.corpus)
     return {
         "command": "corpus",
@@ -286,7 +267,7 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def run(cfg: RunConfig) -> int:
+def run(cfg: argparse.Namespace) -> int:
     """Execute a resolved command, render and write its record; returns the
     process exit code."""
     build, rows, _ = _COMMANDS[cfg.command]
@@ -308,7 +289,7 @@ def run(cfg: RunConfig) -> int:
 
 @dataclass(frozen=True)
 class _Setting:
-    """One CLI setting; its name is a RunConfig field or a CorpusSpec field."""
+    """One CLI setting; its name is a field of _resolve's Namespace or of CorpusSpec."""
 
     kind: _Kind
     default: Any
@@ -370,7 +351,9 @@ def _build_parser() -> _Parser:
     return top
 
 
-def _resolve(args: argparse.Namespace) -> RunConfig:
+def _resolve(args: argparse.Namespace) -> argparse.Namespace:
+    """command, corpus (a CorpusSpec, or None for a command without one) and
+    every other setting of _SETTINGS, each from flag, config or default."""
     command = args.command
     settings = {n: s for n, s in _SETTINGS.items() if command in s.commands}
     in_corpus = {n for n, s in settings.items() if s.section}
@@ -407,7 +390,7 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
 
     corpus_values = {n: values.pop(n) for n, s in _SETTINGS.items() if s.section}
     spec = CorpusSpec(**corpus_values) if in_corpus else None
-    return RunConfig(command, corpus=spec, **values)
+    return argparse.Namespace(command=command, corpus=spec, **values)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -461,17 +461,15 @@ class Case(NamedTuple):
 class Rule:
     """How a check's cases become its report. The worst case is `reported`
     of the first case with the top score if it beats `floor` (with `ties`,
-    the last one, and equalling the floor suffices), else `default`; with
-    `max_key` it is just {max_key: top score}. `constant` reports that score
-    (or the floor). `item_fraction` names a flag of `reported`, reported as
-    the fraction of items whose cases all set it. A `needs_alphas` row
-    reports nothing when there are no alphas."""
+    the last one, and equalling the floor suffices), else `default`.
+    `constant` reports that score (or the floor). `item_fraction` names a
+    flag of `reported`, reported as the fraction of items whose cases all
+    set it. A `needs_alphas` row reports nothing when there are no alphas."""
 
     floor: float = -1.0
     default: dict = field(default_factory=dict)
     constant: bool = False
     ties: bool = False
-    max_key: str | None = None
     item_fraction: str | None = None
     needs_alphas: bool = False
 
@@ -487,7 +485,7 @@ def _summarize(name: str, groups: list[list[Case]], rule: Rule) -> VerificationR
     for c in cases:
         if c.score > best or (rule.ties and c.score == best):
             best, worst = c.score, c.reported
-    worst = {rule.max_key: best} if rule.max_key else dict(worst)
+    worst = dict(worst)
     if rule.item_fraction:
         passed = sum(all(c.reported[rule.item_fraction] for c in g) for g in groups)
         worst[rule.item_fraction] = passed / len(groups) if groups else 1.0
@@ -576,7 +574,7 @@ def _fatou_cases(item: CorpusItem, alphas, t) -> list[Case]:
         width *= 2
     monotone = not any(v < prev - tol for prev, v in zip([0.0] + norms, norms))
     gap = abs(norms[-1] - full)
-    return [Case(monotone and gap <= tol, gap, {})]
+    return [Case(monotone and gap <= tol, gap, {"max_gap": gap})]
 
 
 def _alpha_cases(case: Callable) -> Groups:
@@ -610,16 +608,16 @@ def _cz_structure_case(item: CorpusItem, alpha: float, t: float) -> Case:
     for r, avg in zip(d.intervals, d.averages):
         ok = t < avg <= bound and (prev_hi is None or r.lo > prev_hi)
         if not (ok and ev.point(r.lo) > t and ev.point(r.hi) > t):
-            return Case(False, ratio, {})
+            return Case(False, ratio, {"max_average_ratio": ratio})
         prev_hi = r.hi
         ratio = max(ratio, avg / t)
     ok = cz_nesting_check(a, alpha, t, t / 3.0).ok
-    return Case(ok, ratio, {})
+    return Case(ok, ratio, {"max_average_ratio": ratio})
 
 
 def _covering_case(item: CorpusItem, alpha: float, t: float) -> Case:
     r = covering_check(item.a, alpha, t)
-    return Case(r.ok and r.bound_ok, r.max_average_ratio, {})
+    return Case(r.ok and r.bound_ok, r.max_average_ratio, {"max_average_ratio": r.max_average_ratio})
 
 
 _CORRECTED = "corrected_constant_fraction"
@@ -628,7 +626,7 @@ _CORRECTED = "corrected_constant_fraction"
 def _domination_case(item: CorpusItem, alpha: float, t: float) -> Case:
     """ok is the derived constant; the corrected one feeds item_fraction."""
     r = domination_check(item.a, item.p, alpha, t)
-    return Case(r.ok_derived, r.ratio, {_CORRECTED: r.ok_corrected})
+    return Case(r.ok_derived, r.ratio, {"max_lhs_over_esum": r.ratio, _CORRECTED: r.ok_corrected})
 
 
 def _holder_groups(spec: CorpusSpec, alphas, t) -> list[list[Case]]:
@@ -666,8 +664,8 @@ def _key_comparison_cases(item: CorpusItem, n_decay: float) -> list[Case]:
     return [Case(r.ok, max(r.c5, r.c6), {"index": item.index, "c5": r.c5, "c6": r.c6})]
 
 
-_RATIO = Rule(0.0, constant=True, max_key="max_average_ratio")
-_DOMINATION = Rule(0.0, constant=True, max_key="max_lhs_over_esum", item_fraction=_CORRECTED)
+_RATIO = Rule(0.0, {"max_average_ratio": 0.0}, constant=True)
+_DOMINATION = Rule(0.0, {"max_lhs_over_esum": 0.0}, constant=True, item_fraction=_CORRECTED)
 _KEY = Rule(0.0, {"index": -1, "c5": 0.0, "c6": 0.0}, constant=True)
 
 # check name -> (its case groups, rule that summarizes them)
@@ -675,7 +673,7 @@ SUITE_CHECKS: dict[str, tuple[Groups, Rule]] = {
     "lh_equivalences": (_each_item(_lh_cases), Rule(0.0, ties=True)),
     "norm_modular": (_each_item(_norm_modular_cases), Rule()),
     "scaling": (_each_item(_scaling_cases), Rule()),
-    "fatou": (_each_item(_fatou_cases), Rule(0.0, max_key="max_gap")),
+    "fatou": (_each_item(_fatou_cases), Rule(0.0, {"max_gap": 0.0})),
     "maximal_consistency": (_alpha_cases(_maximal_consistency_case), Rule()),
     "cz_structure": (_alpha_cases(_cz_structure_case), _RATIO),
     "covering": (_alpha_cases(_covering_case), _RATIO),

@@ -10,9 +10,9 @@ per norm instead of about 45: about 5.9 in the Newton steps, and on default
 verify 0.08 plain passes per Luxemburg norm (169 for 2,061 norms over seeds
 20260814, 7 and 1) and 0.18 per indicator norm (1,508 for 8,424). The
 bound counts the roundings of numpy's pairwise sum, not of the worst order,
-so few midpoints fall between the certified ends, and the modular at the
-returned value is evaluated only when read. _bisect holds the proof and the
-bound, including luxemburg_norm's tail (the terms outside p's window,
+so few midpoints fall between the certified ends. A norm returns no modular:
+a caller that wants rho at the norm calls modular. _bisect holds the proof
+and the bound, including luxemburg_norm's tail (the terms outside p's window,
 summed once) and characteristic_norms' batch (one evaluator call per Newton
 step for a whole set of indicator norms: about 5.5 calls per grid and 0.16
 plain passes per norm on a 40-norm weak-type grid).
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence as PySequence
 
 import numpy as np
@@ -53,29 +53,18 @@ _CHECK_TOL = 1e-9
 
 @dataclass(frozen=True)
 class NormValue:
-    """Luxemburg norm with the bisection's tolerance and iteration count, and
-    achieved_modular, the modular at the returned value. _modular holds that
-    float, or the modular itself, evaluated at value the first time
-    achieved_modular is read: no check of the suite reads it, and the pass
-    would be one more per norm."""
+    """Luxemburg norm with the bisection's tolerance and iteration count."""
 
     value: float
-    _modular: float | Callable[[float], float] = field(repr=False, compare=False)
     tolerance: float
     iterations: int
-
-    @property
-    def achieved_modular(self) -> float:
-        if callable(self._modular):
-            object.__setattr__(self, "_modular", float(self._modular(self.value)))
-        return self._modular
 
 
 def modular(a: Sequence, p: ExponentFunction, lam: float = 1.0) -> float:
     """rho(a/lam) = sum_k (|a(k)|/lam)^p(k); entries outside the exponent
     window use p_inf. luxemburg_norm's bisection calls it at each midpoint it
-    evaluates and for achieved_modular, so this 1-D pairwise sum is the one
-    that _bisect's rounding bound covers."""
+    evaluates, so this 1-D pairwise sum is the one that _bisect's rounding
+    bound covers."""
     if not lam > 0:
         raise ValueError("lam must be positive")
     win = a.window
@@ -181,9 +170,8 @@ def _bisect(mod_at: Callable, lo: float, hi: float, rel_tol: float, A: float, B:
     Each midpoint moves lo when mod_at(mid) > 1.0 and hi otherwise. A
     midpoint <= A or >= B of the certified bracket from _bracket is decided
     without evaluating mod_at, and every other midpoint is evaluated as
-    before; the returned achieved_modular is mod_at at the returned value,
-    evaluated when first read. So the midpoints, the iteration count and
-    every returned bit are those of the plain loop.
+    before. So the midpoints, the iteration count and every returned bit are
+    those of the plain loop.
 
     A midpoint equal to lo or hi (adjacent floats, only among subnormals:
     rel_tol >= 2^-52 stops normal ones first) returns hi, modular <= 1.
@@ -265,16 +253,16 @@ def _bisect(mod_at: Callable, lo: float, hi: float, rel_tol: float, A: float, B:
     T <= N, so both add well under 2^-900 to eta.
     """
     if hi <= lo:
-        return NormValue(lo, mod_at, rel_tol, 0)
+        return NormValue(lo, rel_tol, 0)
     it = 0
     while True:
         mid = 0.5 * (lo + hi)
         if mid == math.inf:  # lo + hi overflowed; halving a normal float is exact
             mid = 0.5 * lo + 0.5 * hi
         if it >= MAX_BISECT_ITER or (hi - lo) <= rel_tol * hi:
-            return NormValue(mid, mod_at, rel_tol, it)
+            return NormValue(mid, rel_tol, it)
         if mid == lo or mid == hi:
-            return NormValue(hi, mod_at, rel_tol, it)
+            return NormValue(hi, rel_tol, it)
         if mid <= A or (mid < B and mod_at(mid) > 1.0):
             lo = mid
         else:
@@ -299,7 +287,7 @@ def luxemburg_norm(a: Sequence, p: ExponentFunction, rel_tol: float = 1e-12) -> 
     _check_rel_tol(rel_tol)
     win = a.window
     if win is None or a.is_zero():
-        return NormValue(0.0, 0.0, rel_tol, 0)
+        return NormValue(0.0, rel_tol, 0)
     pv = p.values_on(win)
     v = a.values
     lo = a.max_value()
@@ -401,7 +389,7 @@ def characteristic_norms(
     hi = [float(totals[k]) for k in nonempty]
     eps = _rounding_bound(max(pv.size, 3), p.p_plus)
     A, B = _bracket(mods, lo, hi, eps)
-    out = [NormValue(0.0, 0.0, rel_tol, 0)] * len(sets)
+    out = [NormValue(0.0, rel_tol, 0)] * len(sets)
     for j, k in enumerate(nonempty):
         # set j's modular: its window points' powers in order, plus the rest
         def mod_at(lam: float, inner=pv[mask[j]], count=outside[j]) -> float:

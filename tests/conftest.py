@@ -209,12 +209,12 @@ def plain_bisect(mod_at, lo: float, hi: float, rel_tol: float, trace=None) -> No
         return mid if mid < math.inf else 0.5 * lo + 0.5 * hi
 
     if hi <= lo:
-        return NormValue(lo, mod_at(lo), rel_tol, 0)
+        return NormValue(lo, rel_tol, 0)
     it = 0
     while it < MAX_BISECT_ITER and (hi - lo) > rel_tol * hi:
         mid = midpoint(lo, hi)
         if mid == lo or mid == hi:
-            return NormValue(hi, mod_at(hi), rel_tol, it)
+            return NormValue(hi, rel_tol, it)
         m = mod_at(mid)
         if trace is not None:
             trace.append((mid, m))
@@ -223,14 +223,13 @@ def plain_bisect(mod_at, lo: float, hi: float, rel_tol: float, trace=None) -> No
         else:
             hi = mid
         it += 1
-    value = midpoint(lo, hi)
-    return NormValue(value, mod_at(value), rel_tol, it)
+    return NormValue(midpoint(lo, hi), rel_tol, it)
 
 
 def plain_luxemburg_norm(a: Sequence, p: ExponentFunction, rel_tol=1e-12, trace=None) -> NormValue:
     """luxemburg_norm's bracket and modular, bisected by plain_bisect."""
     if a.window is None or a.is_zero():
-        return NormValue(0.0, 0.0, rel_tol, 0)
+        return NormValue(0.0, rel_tol, 0)
     pv = p.values_on(a.window)
     lo = a.max_value()
 
@@ -244,7 +243,7 @@ def plain_characteristic_norm(runs, p: ExponentFunction, rel_tol=1e-12, trace=No
     """characteristic_norm's bracket and modular, bisected by plain_bisect."""
     total = runs_count(runs)
     if total == 0:
-        return NormValue(0.0, 0.0, rel_tol, 0)
+        return NormValue(0.0, rel_tol, 0)
     if p.window is None:
         inner, outside = np.zeros(0), total
     else:

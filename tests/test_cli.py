@@ -53,6 +53,17 @@ def test_norm_stdout_when_no_out(seq_file, exp_file, capsys):
     assert data["command"] == "norm"
 
 
+def test_norm_zero_sequence(tmp_path, exp_file, capsys):
+    """The zero sequence has norm 0 after no iterations, and its modular at
+    that norm is reported as 0 rather than evaluated at lam = 0."""
+    seq = write_json(tmp_path / "zero.json", {"offset": 0, "values": [0.0, 0.0]})
+    assert run_cli("norm", "--input", seq, "--exponent", exp_file) == 0
+    assert capsys.readouterr().out == (
+        '{\n  "achieved_modular": 0,\n  "command": "norm",\n  "iterations": 0,\n'
+        '  "norm": 0,\n  "tolerance": 9.9999999999999998e-13\n}\n'
+    )
+
+
 def test_norm_missing_args_exit_2(seq_file, capsys):
     assert run_cli("norm", "--input", seq_file) == 2
     assert "exponent" in capsys.readouterr().err
@@ -216,11 +227,6 @@ def test_config_unknown_key_exit_2(tmp_path, seq_file, exp_file, capsys):
     )
     assert run_cli("norm", "--config", cfg) == 2
     assert "alpha_" in capsys.readouterr().err
-
-
-def test_config_command_mismatch_exit_2(tmp_path, seq_file):
-    cfg = write_json(tmp_path / "cfg.json", {"command": "czd", "t": 1.0})
-    assert run_cli("norm", "--config", cfg, "--input", seq_file) == 2
 
 
 def test_config_invalid_json_exit_2(tmp_path):

@@ -68,3 +68,24 @@ def test_no_module_reads_private_attributes_of_another():
             ):
                 found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
     assert found == []
+
+
+def test_no_module_imports_an_unused_name():
+    """Every name an import binds in a varseq module is read there, in code
+    or in an annotation (the package's __init__ re-exports, so it is
+    exempt): a name left over after its last use is caught."""
+    found = []
+    for path in sorted(Path(varseq.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), path.name)
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {name}" for name in bound if name not in read]
+    assert found == []

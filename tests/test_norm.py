@@ -1,6 +1,7 @@
 """Modular and Luxemburg norm tests against closed forms and invariants."""
 
 import collections
+import json
 import math
 import tracemalloc
 import warnings
@@ -20,7 +21,7 @@ from conftest import (
     plain_characteristic_norm,
     plain_luxemburg_norm,
 )
-from varseq import harness, norm
+from varseq import cli, harness, norm
 from varseq.exponent import ExponentFunction
 from varseq.harness import (
     CorpusSpec,
@@ -48,12 +49,15 @@ def test_modular_zero_and_basic():
     assert modular(Sequence(0, [3.0, 4.0]), p) == 25.0
 
 
-def test_bisection_evaluates_the_one_modular(monkeypatch):
-    """norm.modular is the one plain evaluator of rho(a/lam): achieved_modular
-    calls it at the returned value, with the bits of the plain formula, and
-    it rejects a lam that is not positive."""
+def test_bisection_evaluates_the_one_modular(monkeypatch, tmp_path, capsys):
+    """norm.modular is the one plain evaluator of rho(a/lam): `varseq norm`
+    calls it once at the returned norm, with the bits of the plain formula,
+    and it rejects a lam that is not positive."""
     a = Sequence(-3, [0.5, 1.25, 0.8, 0.0, 0.3, 1.1])
     p = ExponentFunction(-2, [1.0, 1.5, 2.0, 3.0], 2.5)
+    seq, exp = tmp_path / "a.json", tmp_path / "p.json"
+    seq.write_text(json.dumps({"offset": -3, "values": a.values.tolist()}))
+    exp.write_text(json.dumps({"window_lo": -2, "values": p.values.tolist(), "p_inf": 2.5}))
     real, lams = norm.modular, []
 
     def spy(b, q, lam=1.0):
@@ -61,12 +65,14 @@ def test_bisection_evaluates_the_one_modular(monkeypatch):
         return real(b, q, lam)
 
     monkeypatch.setattr(norm, "modular", spy)
-    nv = luxemburg_norm(a, p)
-    lams.clear()
-    got = nv.achieved_modular
-    assert lams == [nv.value]
-    assert got.hex() == real(a, p, nv.value).hex()
-    assert got.hex() == float(np.power(a.values / nv.value, p.values_on(a.window)).sum()).hex()
+    monkeypatch.setattr(cli, "modular", spy)
+    assert cli.main(["norm", "--input", str(seq), "--exponent", str(exp)]) == 0
+    record = json.loads(capsys.readouterr().out)
+    value, got = record["norm"], record["achieved_modular"]
+    assert value == luxemburg_norm(a, p).value
+    assert lams[-1] == value and lams.count(value) == 1
+    assert got.hex() == real(a, p, value).hex()
+    assert got.hex() == float(np.power(a.values / value, p.values_on(a.window)).sum()).hex()
     for lam in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError, match="lam must be positive"):
             real(a, p, lam)
@@ -241,7 +247,7 @@ _property = settings(max_examples=80, deadline=None, derandomize=True, database=
 
 
 def _bits(nv):
-    return (nv.value.hex(), nv.achieved_modular.hex(), nv.tolerance.hex(), nv.iterations)
+    return (nv.value.hex(), nv.tolerance.hex(), nv.iterations)
 
 
 def _magnitudes(rng, n, zero_runs):
@@ -478,9 +484,10 @@ def test_subnormal_bisection_stops_at_adjacent_floats(values, value):
     before rel_tol is met; the bisection stops there and returns the upper
     end, whose modular is at most 1 (the exact norms are sqrt(6) and
     sqrt(2) times 5e-324)."""
-    got = luxemburg_norm(Sequence(0, values), ExponentFunction.constant(2.0))
+    a, p = Sequence(0, values), ExponentFunction.constant(2.0)
+    got = luxemburg_norm(a, p)
     assert got.iterations < norm.MAX_BISECT_ITER
-    assert got.achieved_modular <= 1.0
+    assert modular(a, p, got.value) <= 1.0
     assert got.value == value
 
 
@@ -886,8 +893,8 @@ def test_rounding_bound_covers_measured_error(monkeypatch):
 
 # The plain bisection evaluates the modular about 45 times per norm here;
 # the certified path about 5.8 (at most 8). Summing the bracket's modular
-# as N - 1 roundings brings a norm to 14, and an eager achieved_modular
-# pass the mean to 6.8.
+# as N - 1 roundings brings a norm to 14, and a modular pass at each
+# returned norm brings the mean to 6.8.
 EVALUATIONS_PER_NORM_MEAN = 6.25
 EVALUATIONS_PER_NORM_MAX = 10
 
@@ -911,7 +918,8 @@ def test_certified_path_evaluation_count(monkeypatch):
 
 
 # Plain modular passes per weak-type grid norm on the default verify corpus,
-# on average: about 0.16 measured, and 1.16 with an eager achieved_modular.
+# on average: about 0.16 measured, and 1.16 with a modular pass at each
+# returned norm.
 GRID_PASSES_PER_NORM_MEAN = 0.5
 
 
@@ -1016,7 +1024,7 @@ def test_luxemburg_norm_near_float_max(values):
     a, p = Sequence(0, values), ExponentFunction.constant(2.0)
     got = luxemburg_norm(a, p)
     assert got.value == pytest.approx(math.hypot(*values), rel=1e-12)
-    assert got.achieved_modular == pytest.approx(1.0, rel=1e-11)
+    assert modular(a, p, got.value) == pytest.approx(1.0, rel=1e-11)
     assert got.value.hex() == plain_luxemburg_norm(a, p).value.hex()
 
 
